@@ -80,8 +80,8 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     qh = split(q, n_q)
     kh = split(k, n_k)
     vh = split(v, n_k)
-    scores = T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))) * (1.0 / math.sqrt(head_dim))
-    attn = T.softmax(scores, axis=-1)
+    scores = T.matmul(qh, T.transpose(kh, (0, 1, 3, 2)))
+    attn = T.softmax(scores, axis=-1, scale=1.0 / math.sqrt(head_dim))
     out = T.matmul(attn, vh)
     out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch, n_q, channels))
     return proj(out) if proj is not None else out

@@ -213,7 +213,7 @@ class InferenceSession:
         self.prev_img: Optional[np.ndarray] = None
         self.prev_msk: Optional[np.ndarray] = None
         self.frame_counter = 0
-        self._history: list[tuple[np.ndarray, np.ndarray]] = []  # for random mode
+        self._history: list[tuple[np.ndarray, np.ndarray]] = []  # random mode only
 
     def start(self, first_frame: np.ndarray):
         """Initialize from the first frame: P = R = frame, masks zero, S = 1."""
@@ -260,7 +260,8 @@ class InferenceSession:
         updated = self.memory.update(index, frame, o_msk, decision_score)
         self.prev_img = frame
         self.prev_msk = o_msk
-        self._history.append((frame, o_msk))
+        if self.reference_mode == "random":
+            self._history.append((frame, o_msk))
         self.frame_counter += 1
         return StepResult(frame_index=index, o_msk=o_msk, o_err=o_err,
                           score=score, updated=updated,
@@ -343,6 +344,10 @@ def _train_stage(model: SRRNet, sample: Callable[[np.random.Generator], TrainTri
         triplet, gt = triplet_to_input(trip)
         pred = model(triplet)
         loss, parts = compute_loss(pred.supervision_logits, pred.o_err, gt, loss_cfg)
+        if not np.isfinite(loss.data).all():
+            # a non-finite loss would poison every weight through the optimizer
+            raise RuntimeError(
+                f"non-finite loss {loss.item()} at {stage} iteration {it + 1}")
         opt.zero_grad()
         T.backward(loss)
         opt.step()

@@ -3,8 +3,11 @@
 Every operation used by the network (matmul, conv2d, softmax, layer norm,
 bilinear resize, the fused losses) is implemented here as a differentiable
 primitive. Values are always float64: gradient checks against central finite
-differences need the precision, and the models are small enough that speed
-is not a concern.
+differences need the precision.
+
+Buffer rule: a primitive returns a buffer it allocated itself and may fill
+that buffer in place (softmax does), but it never writes into an input's
+``data``; backward closures read inputs and outputs after the forward pass.
 """
 
 from __future__ import annotations
@@ -330,14 +333,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # nonlinearities
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+def softmax(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
+    """softmax(a * scale) along ``axis``, computed in place in one fresh buffer."""
+    y = a.data * scale
+    y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(a, y * (g - inner))
+        _accumulate(a, y * (g - inner) * scale)
 
     return _make(y, (a,), bwd)
 

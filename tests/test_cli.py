@@ -7,6 +7,7 @@ import pytest
 
 from srrnet.cli import main
 from srrnet.pnm import read_pgm
+from srrnet.tensor import Tensor
 
 
 def run_cli(*args):
@@ -44,6 +45,21 @@ def test_train_artifacts(workspace):
         rows = list(csv.reader(f))
     assert rows[0] == ["iteration", "stage", "bce", "mse", "total"]
     assert [r[1] for r in rows[1:]] == ["static", "static", "video", "video"]
+
+
+def test_train_non_finite_loss_exits_1(workspace, monkeypatch, capsys):
+    import srrnet.pipeline as pipeline
+    real = pipeline.compute_loss
+
+    def nan_loss(*args, **kwargs):
+        return Tensor(np.nan), real(*args, **kwargs)[1]
+
+    monkeypatch.setattr(pipeline, "compute_loss", nan_loss)
+    assert run_cli("train", "--video-data", str(workspace / "video"),
+                   "--out", str(workspace / "nan_run"), "--video-iterations", "1",
+                   "--seed", "0") == 1
+    assert "non-finite loss nan at video iteration 1" in capsys.readouterr().err
+    assert not (workspace / "nan_run" / "checkpoint.npz").exists()
 
 
 def test_infer_and_eval(workspace):

@@ -319,6 +319,14 @@ def test_session_random_mode_draws_from_history():
         assert matches, f"step {t} reference is not a previously seen frame"
 
 
+@pytest.mark.parametrize("mode", ["scored", "off"])
+def test_session_keeps_no_history_outside_random_mode(mode):
+    session = InferenceSession(StubModel(), reference_mode=mode).start(_frames(1)[0])
+    for frame in _frames(5, seed=1):
+        session.step(frame)
+    assert session._history == []
+
+
 def test_session_errors():
     model = StubModel()
     with pytest.raises(ConfigurationError):
@@ -426,3 +434,22 @@ def test_train_stage_requirements():
         train(model, TrainSchedule(static_iterations=1))
     with pytest.raises(ConfigurationError):
         train(model, TrainSchedule(video_iterations=1))
+
+
+def test_train_raises_on_non_finite_loss(monkeypatch):
+    import srrnet.pipeline as pipeline
+    real = pipeline.compute_loss
+    calls = []
+
+    def nan_on_second(*args, **kwargs):
+        loss, parts = real(*args, **kwargs)
+        calls.append(1)
+        return (Tensor(math.nan) if len(calls) == 2 else loss), parts
+
+    monkeypatch.setattr(pipeline, "compute_loss", nan_on_second)
+    model = build_model("desk", seed=1)
+    schedule = TrainSchedule(video_iterations=3, video_lr=1e-4, seed=9)
+    with pytest.raises(RuntimeError, match="non-finite loss nan at video iteration 2"):
+        train(model, schedule, video_sequences=[_tiny_sequence()])
+    assert len(calls) == 2
+    assert all(np.isfinite(p.data).all() for p in model.parameters())

@@ -220,8 +220,47 @@ def test_softmax_sigmoid_gelu_grads(rng):
     a = leaf(rng, 2, 5)
     w = rng.normal(size=(2, 5))
     assert_grad_matches(lambda: T.tensor_sum(T.softmax(a) * Tensor(w)), a)
+    assert_grad_matches(lambda: T.tensor_sum(T.softmax(a, scale=0.37) * Tensor(w)), a)
     assert_grad_matches(lambda: T.tensor_sum(T.sigmoid(a) * Tensor(w)), a)
     assert_grad_matches(lambda: T.tensor_sum(T.gelu(a) * Tensor(w)), a)
+
+
+def _softmax_value_and_grad(a, w, fn):
+    a.zero_grad()
+    y = fn(a)
+    T.backward(T.tensor_sum(y * Tensor(w)))
+    return y.data, a.grad
+
+
+def test_softmax_scale_is_bitwise_prescaling(rng):
+    a = leaf(rng, 2, 3, 9)
+    w = rng.normal(size=a.shape)
+    scale = 1.0 / np.sqrt(8)
+    fused = _softmax_value_and_grad(a, w, lambda x: T.softmax(x, axis=-1, scale=scale))
+    prescaled = _softmax_value_and_grad(a, w, lambda x: T.softmax(x * scale, axis=-1))
+    np.testing.assert_array_equal(fused[0], prescaled[0])
+    np.testing.assert_array_equal(fused[1], prescaled[1])
+
+
+def test_softmax_never_writes_its_input(rng):
+    a = leaf(rng, 4, 6)
+    before = a.data.copy()
+    with T.no_grad():
+        T.softmax(a, axis=0, scale=2.5)
+    np.testing.assert_array_equal(a.data, before)
+    _softmax_value_and_grad(a, rng.normal(size=a.shape),
+                            lambda x: T.softmax(x, axis=0, scale=2.5))
+    np.testing.assert_array_equal(a.data, before)
+
+
+def test_scaled_dot_attention_same_with_and_without_tape(rng):
+    from srrnet.attention import scaled_dot_attention
+    q, k, v = leaf(rng, 1, 5, 8), leaf(rng, 1, 7, 8), leaf(rng, 1, 7, 8)
+    taped = scaled_dot_attention(q, k, v, heads=2)
+    assert taped.requires_grad
+    with T.no_grad():
+        untaped = scaled_dot_attention(q, k, v, heads=2)
+    np.testing.assert_array_equal(taped.data, untaped.data)
 
 
 def test_layer_norm_grads(rng):
