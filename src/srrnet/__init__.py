@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .attention import ATTENTION_MODES, AttentionConfig, BranchTokens, RMABlock
-from .backbone import FrameTriplet, PyramidFeatures, RMABackbone, StageConfig
+from .backbone import FrameTriplet, PyramidFeatures, ReferenceSlot, RMABackbone, StageConfig
 from .decoder import DecoderConfig, DualPurposeDecoder, PredictionPair
 from .model import SRRNet, build_model, desk_config, full_config, preset_config
 from .nn import AdamW, Module, Parameter, count_parameters, load_checkpoint, save_checkpoint
@@ -15,7 +15,6 @@ from .pipeline import (
     TrainSchedule,
     compute_loss,
     infer_sequence,
-    init_session,
     sample_static_triplet,
     sample_training_triplet,
     train,

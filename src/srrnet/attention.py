@@ -27,7 +27,6 @@ class AttentionConfig:
     head_dim: int
     sr_ratio: int = 1
     mlp_ratio: float = 4.0
-    share_cross_qkv: bool = True
 
     def __post_init__(self):
         if self.heads < 1 or self.head_dim < 1:
@@ -100,7 +99,10 @@ def build_joint_kv(k_c, v_c, k_p, v_p, k_r, v_r):
 
 
 class BranchWeights(Module):
-    """All learnable state for one branch weight set of a block."""
+    """All learnable state for one branch weight set of a block.
+
+    The cross stage reuses the self-attention ``q``/``k``/``v`` projections.
+    """
 
     def __init__(self, cfg: AttentionConfig, rng: np.random.Generator):
         ch = cfg.channels
@@ -110,10 +112,6 @@ class BranchWeights(Module):
         self.v = Linear(ch, ch, rng)
         self.proj = Linear(ch, ch, rng)
         self.norm_cross = LayerNorm(ch)
-        if not cfg.share_cross_qkv:
-            self.q_cross = Linear(ch, ch, rng)
-            self.k_cross = Linear(ch, ch, rng)
-            self.v_cross = Linear(ch, ch, rng)
         self.proj_cross = Linear(ch, ch, rng)
         self.norm2 = LayerNorm(ch)
         self.mlp = Mlp(ch, int(round(ch * cfg.mlp_ratio)), rng)
@@ -121,18 +119,16 @@ class BranchWeights(Module):
             self.sr = Conv2d(ch, ch, cfg.sr_ratio, rng, stride=cfg.sr_ratio)
             self.sr_norm = LayerNorm(ch)
 
-    def cross_q(self, cfg: AttentionConfig):
-        return self.q if cfg.share_cross_qkv else self.q_cross
-
-    def cross_k(self, cfg: AttentionConfig):
-        return self.k if cfg.share_cross_qkv else self.k_cross
-
-    def cross_v(self, cfg: AttentionConfig):
-        return self.v if cfg.share_cross_qkv else self.v_cross
-
 
 class RMABlock(Module):
-    """One pre-norm residual block: self-attention, asymmetric cross stage, MLP."""
+    """One pre-norm residual block: self-attention, asymmetric cross stage, MLP.
+
+    Outside ``full`` mode the R branch never reads C or P, so the block splits
+    into ``reference_step`` (R alone, returning the keys/values R exposes to
+    the cross stage) and ``current_step`` (C and P against those keys/values).
+    ``__call__`` composes the two, so a caller may run ``reference_step`` once
+    and reuse its result for any number of current/previous inputs.
+    """
 
     def __init__(self, cfg: AttentionConfig, rng: np.random.Generator,
                  mode: str = "rma"):
@@ -161,54 +157,96 @@ class RMABlock(Module):
                                    self.cfg.heads, proj=weights.proj)
         return x + out
 
+    def _cross_qkv(self, x: Tensor, weights: BranchWeights, h: int, w: int):
+        """Cross-stage queries and (reduced) keys/values of one branch."""
+        xn = weights.norm_cross(x)
+        kv = self._reduce(xn, weights, h, w)
+        return weights.q(xn), weights.k(kv), weights.v(kv)
+
+    def _mlp(self, x: Tensor, weights: BranchWeights) -> Tensor:
+        return x + weights.mlp(weights.norm2(x))
+
+    def _reference_cross(self, r: Tensor, h: int, w: int):
+        """R's cross output (projected, pre-residual) and its cross keys/values."""
+        q_r, k_r, v_r = self._cross_qkv(r, self.ref, h, w)
+        a_r = scaled_dot_attention(q_r, k_r, v_r, self.cfg.heads, proj=self.ref.proj_cross)
+        return a_r, k_r, v_r
+
+    def _current_cross(self, c: Tensor, p: Tensor, k_r: Tensor, v_r: Tensor,
+                       h: int, w: int) -> tuple[Tensor, Tensor]:
+        """C and P cross outputs (projected, pre-residual) against R's keys/values.
+
+        ``rma`` gives P the P+R set and C the C+P+R set; ``motion_only``
+        drops R, giving P itself and C the C+P set.
+        """
+        heads = self.cfg.heads
+        q_c, k_c, v_c = self._cross_qkv(c, self.cur, h, w)
+        q_p, k_p, v_p = self._cross_qkv(p, self.ref, h, w)
+        if self.mode == "motion_only":
+            a_c = scaled_dot_attention(q_c, T.concat([k_c, k_p], axis=1),
+                                       T.concat([v_c, v_p], axis=1), heads)
+            a_p = scaled_dot_attention(q_p, k_p, v_p, heads)
+        else:  # rma
+            k_u, v_u, k_w, v_w = build_joint_kv(k_c, v_c, k_p, v_p, k_r, v_r)
+            a_p = scaled_dot_attention(q_p, k_u, v_u, heads)
+            a_c = scaled_dot_attention(q_c, k_w, v_w, heads)
+        return self.cur.proj_cross(a_c), self.ref.proj_cross(a_p)
+
     def attend_cross(self, tokens: BranchTokens) -> tuple[Tensor, Tensor, Tensor]:
         """Cross-stage attention outputs (A_C, A_P, A_R), pre-residual.
 
-        The joint key/value construction depends on the mode: the default
-        gives R self-only keys, P the P+R set, and C the full C+P+R set.
+        The default mode gives R self-only keys, P the P+R set, and C the
+        full C+P+R set; ``full`` gives every branch the joint C+P+R set.
         """
-        cfg = self.cfg
-        cn = self.cur.norm_cross(tokens.c)
-        pn = self.ref.norm_cross(tokens.p)
-        rn = self.ref.norm_cross(tokens.r)
-        c_kv = self._reduce(cn, self.cur, tokens.h, tokens.w)
-        p_kv = self._reduce(pn, self.ref, tokens.h, tokens.w)
-        r_kv = self._reduce(rn, self.ref, tokens.h, tokens.w)
-        k_c, v_c = self.cur.cross_k(cfg)(c_kv), self.cur.cross_v(cfg)(c_kv)
-        k_p, v_p = self.ref.cross_k(cfg)(p_kv), self.ref.cross_v(cfg)(p_kv)
-        k_r, v_r = self.ref.cross_k(cfg)(r_kv), self.ref.cross_v(cfg)(r_kv)
-        q_c = self.cur.cross_q(cfg)(cn)
-        q_p = self.ref.cross_q(cfg)(pn)
-        q_r = self.ref.cross_q(cfg)(rn)
+        h, w, heads = tokens.h, tokens.w, self.cfg.heads
+        if self.mode != "full":
+            a_r, k_r, v_r = self._reference_cross(tokens.r, h, w)
+            a_c, a_p = self._current_cross(tokens.c, tokens.p, k_r, v_r, h, w)
+            return a_c, a_p, a_r
+        q_c, k_c, v_c = self._cross_qkv(tokens.c, self.cur, h, w)
+        q_p, k_p, v_p = self._cross_qkv(tokens.p, self.ref, h, w)
+        q_r, k_r, v_r = self._cross_qkv(tokens.r, self.ref, h, w)
+        _, _, k_w, v_w = build_joint_kv(k_c, v_c, k_p, v_p, k_r, v_r)
+        return (scaled_dot_attention(q_c, k_w, v_w, heads, proj=self.cur.proj_cross),
+                scaled_dot_attention(q_p, k_w, v_w, heads, proj=self.ref.proj_cross),
+                scaled_dot_attention(q_r, k_w, v_w, heads, proj=self.ref.proj_cross))
 
-        if self.mode == "motion_only":
-            a_c = scaled_dot_attention(q_c, T.concat([k_c, k_p], axis=1),
-                                       T.concat([v_c, v_p], axis=1), cfg.heads)
-            a_p = scaled_dot_attention(q_p, k_p, v_p, cfg.heads)
-            a_r = scaled_dot_attention(q_r, k_r, v_r, cfg.heads)
-        elif self.mode == "full":
-            _, _, k_w, v_w = build_joint_kv(k_c, v_c, k_p, v_p, k_r, v_r)
-            a_c = scaled_dot_attention(q_c, k_w, v_w, cfg.heads)
-            a_p = scaled_dot_attention(q_p, k_w, v_w, cfg.heads)
-            a_r = scaled_dot_attention(q_r, k_w, v_w, cfg.heads)
-        else:  # rma
-            k_u, v_u, k_w, v_w = build_joint_kv(k_c, v_c, k_p, v_p, k_r, v_r)
-            a_r = scaled_dot_attention(q_r, k_r, v_r, cfg.heads)
-            a_p = scaled_dot_attention(q_p, k_u, v_u, cfg.heads)
-            a_c = scaled_dot_attention(q_c, k_w, v_w, cfg.heads)
-        return (self.cur.proj_cross(a_c), self.ref.proj_cross(a_p), self.ref.proj_cross(a_r))
+    def reference_step(self, r: Tensor, h: int, w: int):
+        """Run the R branch alone: ``(r_out, k_r, v_r)``.
+
+        ``k_r``/``v_r`` are the keys/values R exposes to the cross stage
+        (``None`` in ``self_only`` mode). Not defined in ``full`` mode, where
+        R attends to C and P.
+        """
+        if self.mode == "full":
+            raise ConfigurationError("full attention mode has no separable reference step")
+        r = self._self_attend(r, self.ref, h, w)
+        k_r = v_r = None
+        if self.mode != "self_only":
+            a_r, k_r, v_r = self._reference_cross(r, h, w)
+            r = r + a_r
+        return self._mlp(r, self.ref), k_r, v_r
+
+    def current_step(self, c: Tensor, p: Tensor, k_r: Tensor | None, v_r: Tensor | None,
+                     h: int, w: int) -> tuple[Tensor, Tensor]:
+        """Run the C and P branches against R's cross keys/values from ``reference_step``."""
+        c = self._self_attend(c, self.cur, h, w)
+        p = self._self_attend(p, self.ref, h, w)
+        if self.mode != "self_only":
+            a_c, a_p = self._current_cross(c, p, k_r, v_r, h, w)
+            c = c + a_c
+            p = p + a_p
+        return self._mlp(c, self.cur), self._mlp(p, self.ref)
 
     def __call__(self, tokens: BranchTokens) -> BranchTokens:
         h, w = tokens.h, tokens.w
+        if self.mode != "full":
+            r, k_r, v_r = self.reference_step(tokens.r, h, w)
+            c, p = self.current_step(tokens.c, tokens.p, k_r, v_r, h, w)
+            return BranchTokens(c, p, r, h, w)
         c = self._self_attend(tokens.c, self.cur, h, w)
         p = self._self_attend(tokens.p, self.ref, h, w)
         r = self._self_attend(tokens.r, self.ref, h, w)
-        if self.mode != "self_only":
-            a_c, a_p, a_r = self.attend_cross(BranchTokens(c, p, r, h, w))
-            c = c + a_c
-            p = p + a_p
-            r = r + a_r
-        c = c + self.cur.mlp(self.cur.norm2(c))
-        p = p + self.ref.mlp(self.ref.norm2(p))
-        r = r + self.ref.mlp(self.ref.norm2(r))
-        return BranchTokens(c, p, r, h, w)
+        a_c, a_p, a_r = self.attend_cross(BranchTokens(c, p, r, h, w))
+        return BranchTokens(self._mlp(c + a_c, self.cur), self._mlp(p + a_p, self.ref),
+                            self._mlp(r + a_r, self.ref), h, w)

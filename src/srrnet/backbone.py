@@ -4,11 +4,19 @@ Each stage tokenizes its input with an overlapping strided convolution, runs a
 stack of asymmetric attention blocks, and reshapes the tokens back into
 feature maps. Stage ``i`` emits maps of extent ``H / 2^(i+1)``. The previous
 and reference branches share every weight set; the current branch has its own.
+
+Outside ``full`` attention mode the reference branch depends on nothing but
+its own input, so each stage encodes it first into a stage reference (the
+stage's R output map plus each block's cross keys/values) and runs the C and P
+branches against it. A ``ReferenceSlot`` on the input triplet lets a caller
+keep the encodings of all stages across calls with an unchanged reference
+input; it is used only with the gradient tape off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -34,12 +42,39 @@ class StageConfig:
 
 
 @dataclass
+class StageReference:
+    """One stage's encoded reference branch."""
+
+    r_map: Tensor  # B x Ch x H_i x W_i, the stage's R output
+    kv: list       # per block (k_r, v_r); (None, None) in self_only mode
+
+
+@dataclass
+class ReferenceSlot:
+    """A reference encoding kept across calls, valid for one ``r_in`` and backbone.
+
+    The backbone refills it whenever the triplet's ``r_in`` differs from the
+    stored one, so a stale slot can cost time but never change an output. It
+    assumes the backbone's weights do not change while the slot is filled.
+    """
+
+    backbone: Optional["RMABackbone"] = None
+    r_in: Optional[np.ndarray] = None
+    stages: Optional[list] = None  # StageReference per backbone stage
+
+
+@dataclass
 class FrameTriplet:
-    """Network input: current frame, previous frame+mask, reference frame+mask."""
+    """Network input: current frame, previous frame+mask, reference frame+mask.
+
+    ``reference`` optionally carries a slot in which the model may keep its
+    encoding of ``r_in`` for the next call with the same reference.
+    """
 
     c_img: Tensor  # B x 3 x H x W
     p_in: Tensor   # B x 4 x H x W (image with mask channel appended)
     r_in: Tensor   # B x 4 x H x W
+    reference: Optional[ReferenceSlot] = None
 
     def __post_init__(self):
         for name in ("c_img", "p_in", "r_in"):
@@ -97,6 +132,7 @@ def _tokens_to_map(tokens: Tensor, h: int, w: int) -> Tensor:
 class BackboneStage(Module):
     def __init__(self, in_c: int, in_pr: int, cfg: StageConfig, rng: np.random.Generator,
                  attention_mode: str):
+        self.attention_mode = attention_mode
         self.embed_c = PatchEmbed(in_c, cfg.channels, cfg.embed_kernel,
                                   cfg.embed_stride, cfg.embed_padding, rng)
         self.embed_pr = PatchEmbed(in_pr, cfg.channels, cfg.embed_kernel,
@@ -106,17 +142,39 @@ class BackboneStage(Module):
         self.norm_c = LayerNorm(cfg.channels)
         self.norm_pr = LayerNorm(cfg.channels)
 
-    def __call__(self, c_map: Tensor, p_map: Tensor, r_map: Tensor):
+    def encode_reference(self, r_map: Tensor) -> StageReference:
+        """Run the R branch of this stage alone (not in ``full`` mode)."""
+        r, h, w = self.embed_pr(r_map)
+        kv = []
+        for block in self.blocks:
+            r, k_r, v_r = block.reference_step(r, h, w)
+            kv.append((k_r, v_r))
+        return StageReference(_tokens_to_map(self.norm_pr(r), h, w), kv)
+
+    def __call__(self, c_map: Tensor, p_map: Tensor, r_map: Tensor,
+                 reference: Optional[StageReference] = None):
+        """Stage outputs (c, p, r) as maps.
+
+        Outside ``full`` mode, ``reference`` is this stage's encoding of
+        ``r_map`` (encoded here when not given) and ``r_map`` is not read.
+        """
         c, h, w = self.embed_c(c_map)
         p, _, _ = self.embed_pr(p_map)
-        r, _, _ = self.embed_pr(r_map)
-        tokens = BranchTokens(c, p, r, h, w)
-        for block in self.blocks:
-            tokens = block(tokens)
-        c = _tokens_to_map(self.norm_c(tokens.c), h, w)
-        p = _tokens_to_map(self.norm_pr(tokens.p), h, w)
-        r = _tokens_to_map(self.norm_pr(tokens.r), h, w)
-        return c, p, r
+        if self.attention_mode == "full":
+            r, _, _ = self.embed_pr(r_map)
+            tokens = BranchTokens(c, p, r, h, w)
+            for block in self.blocks:
+                tokens = block(tokens)
+            c, p, r_out = tokens.c, tokens.p, _tokens_to_map(self.norm_pr(tokens.r), h, w)
+        else:
+            if reference is None:
+                reference = self.encode_reference(r_map)
+            for block, (k_r, v_r) in zip(self.blocks, reference.kv):
+                c, p = block.current_step(c, p, k_r, v_r, h, w)
+            r_out = reference.r_map
+        c = _tokens_to_map(self.norm_c(c), h, w)
+        p = _tokens_to_map(self.norm_pr(p), h, w)
+        return c, p, r_out
 
 
 class RMABackbone(Module):
@@ -145,11 +203,39 @@ class RMABackbone(Module):
             in_c = in_pr = cfg.channels
         self.stages = built
 
+    def encode_reference(self, r_in: Tensor) -> list[StageReference]:
+        """Encode the R branch through every stage (not in ``full`` mode)."""
+        memory = []
+        r = r_in
+        for stage in self.stages:
+            memory.append(stage.encode_reference(r))
+            r = memory[-1].r_map
+        return memory
+
+    def _cached_reference(self, triplet: FrameTriplet) -> Optional[list[StageReference]]:
+        """The reference encoding from the triplet's slot, refilled when stale.
+
+        ``None`` (each stage then encodes R itself) without a slot, in
+        ``full`` mode, and while the gradient tape is on: cached tensors carry
+        no graph, so gradients would not reach R's weights.
+        """
+        slot = triplet.reference
+        if slot is None or self.attention_mode == "full" or T.grad_enabled():
+            return None
+        r_in = triplet.r_in.data
+        if slot.backbone is not self or not np.array_equal(slot.r_in, r_in):
+            # drop the old encoding before building the new one
+            slot.backbone = slot.r_in = slot.stages = None
+            slot.stages = self.encode_reference(triplet.r_in)
+            slot.backbone, slot.r_in = self, r_in.copy()
+        return slot.stages
+
     def __call__(self, triplet: FrameTriplet) -> PyramidFeatures:
         features = PyramidFeatures()
         c, p, r = triplet.c_img, triplet.p_in, triplet.r_in
-        for stage in self.stages:
-            c, p, r = stage(c, p, r)
+        memory = self._cached_reference(triplet)
+        for i, stage in enumerate(self.stages):
+            c, p, r = stage(c, p, r, None if memory is None else memory[i])
             features.c.append(c)
             features.p.append(p)
             features.r.append(r)

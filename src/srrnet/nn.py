@@ -184,4 +184,4 @@ def load_checkpoint(path, model: Module):
         if stored[name].shape != p.data.shape:
             raise ValueError(
                 f"shape mismatch for {name}: checkpoint {stored[name].shape} vs model {p.data.shape}")
-        p.data = stored[name].astype(np.float64)
+        p.data = np.asarray(stored[name], dtype=np.float64)  # no copy when already float64

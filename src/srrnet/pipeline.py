@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .backbone import FrameTriplet
+from .backbone import FrameTriplet, ReferenceSlot
 from .data import SequenceRecord, StaticRecord
 from .decoder import binary_mask_from_logits
 from .model import SRRNet
@@ -214,6 +214,9 @@ class InferenceSession:
         self.prev_msk: Optional[np.ndarray] = None
         self.frame_counter = 0
         self._history: list[tuple[np.ndarray, np.ndarray]] = []  # random mode only
+        # the model's encoding of the current reference input, kept across
+        # frames; the model refills it whenever the reference input changes
+        self.reference_slot = ReferenceSlot()
 
     def start(self, first_frame: np.ndarray):
         """Initialize from the first frame: P = R = frame, masks zero, S = 1."""
@@ -225,6 +228,7 @@ class InferenceSession:
         self.prev_msk = zeros
         self.frame_counter = 0
         self._history = []
+        self.reference_slot = ReferenceSlot()
         return self
 
     def step(self, frame: np.ndarray) -> StepResult:
@@ -247,6 +251,7 @@ class InferenceSession:
             Tensor(frame[None]),
             Tensor(np.concatenate([self.prev_img, self.prev_msk], axis=0)[None]),
             Tensor(np.concatenate([r_img, r_msk], axis=0)[None]),
+            reference=self.reference_slot,
         )
         with T.no_grad():
             pred = self.model(triplet)
@@ -266,11 +271,6 @@ class InferenceSession:
         return StepResult(frame_index=index, o_msk=o_msk, o_err=o_err,
                           score=score, updated=updated,
                           ref_frame_index=self.memory.ref_frame_index)
-
-
-def init_session(model: SRRNet, first_frame: np.ndarray,
-                 reference_mode: str = "scored", seed: int = 0) -> InferenceSession:
-    return InferenceSession(model, reference_mode=reference_mode, seed=seed).start(first_frame)
 
 
 def infer_sequence(model: SRRNet, frames: Sequence[np.ndarray],

@@ -44,6 +44,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether operations are currently recorded on the gradient tape."""
+    return _grad_enabled
+
+
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 

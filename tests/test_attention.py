@@ -118,19 +118,6 @@ def test_branch_weight_sets_cur_and_ref_only(rng):
     assert prefixes == {"cur", "ref"}
 
 
-def test_shared_cross_qkv_reuses_self_attention_projections(rng):
-    cfg = AttentionConfig(heads=2, head_dim=4, share_cross_qkv=True)
-    block = RMABlock(cfg, rng)
-    assert block.cur.cross_q(cfg) is block.cur.q
-    names = [n for n, _ in block.named_parameters()]
-    assert not any("q_cross" in n for n in names)
-
-    cfg2 = AttentionConfig(heads=2, head_dim=4, share_cross_qkv=False)
-    block2 = RMABlock(cfg2, np.random.default_rng(0))
-    assert block2.cur.cross_q(cfg2) is block2.cur.q_cross
-    assert any("q_cross" in n for n, _ in block2.named_parameters())
-
-
 def test_cross_asymmetry_r_ignores_c_and_p(rng):
     block = RMABlock(AttentionConfig(heads=2, head_dim=4), rng)
     base = _tokens(rng)
@@ -147,6 +134,57 @@ def test_cross_asymmetry_r_ignores_c_and_p(rng):
     _, a_p2, a_r2 = block.attend_cross(poked_p)
     np.testing.assert_array_equal(a_r0.data, a_r2.data)
     assert not np.array_equal(a_p0.data, a_p2.data)
+
+
+def _joint_block_oracle(block, tokens):
+    """All three branches advanced together, each cross key set built explicitly."""
+    cfg, h, w = block.cfg, tokens.h, tokens.w
+
+    def self_attend(x, wt):
+        y = wt.norm1(x)
+        kv = block._reduce(y, wt, h, w)
+        return x + scaled_dot_attention(wt.q(y), wt.k(kv), wt.v(kv), cfg.heads, proj=wt.proj)
+
+    weights = {"c": block.cur, "p": block.ref, "r": block.ref}
+    x = {"c": self_attend(tokens.c, block.cur), "p": self_attend(tokens.p, block.ref),
+         "r": self_attend(tokens.r, block.ref)}
+    if block.mode != "self_only":
+        q, k, v = {}, {}, {}
+        for b, wt in weights.items():
+            xn = wt.norm_cross(x[b])
+            kv = block._reduce(xn, wt, h, w)
+            q[b], k[b], v[b] = wt.q(xn), wt.k(kv), wt.v(kv)
+        visible = {"rma": {"c": "cpr", "p": "pr", "r": "r"},
+                   "motion_only": {"c": "cp", "p": "p", "r": "r"},
+                   "full": {"c": "cpr", "p": "cpr", "r": "cpr"}}[block.mode]
+        a = {}
+        for b, keys in visible.items():
+            ks = k[keys] if len(keys) == 1 else T.concat([k[j] for j in keys], axis=1)
+            vs = v[keys] if len(keys) == 1 else T.concat([v[j] for j in keys], axis=1)
+            a[b] = weights[b].proj_cross(scaled_dot_attention(q[b], ks, vs, cfg.heads))
+        x = {b: x[b] + a[b] for b in x}
+    return {b: x[b] + weights[b].mlp(weights[b].norm2(x[b])) for b in x}
+
+
+@pytest.mark.parametrize("mode", ATTENTION_MODES)
+def test_block_matches_joint_oracle(rng, mode):
+    block = RMABlock(AttentionConfig(heads=2, head_dim=4, sr_ratio=2), rng, mode=mode)
+    tokens = BranchTokens(*(Tensor(rng.normal(size=(1, 16, 8))) for _ in range(3)), 4, 4)
+    want = _joint_block_oracle(block, tokens)
+    out = block(tokens)
+    for b in "cpr":
+        np.testing.assert_array_equal(getattr(out, b).data, want[b].data, err_msg=b)
+    if mode != "full":
+        r_out, k_r, v_r = block.reference_step(tokens.r, 4, 4)
+        np.testing.assert_array_equal(r_out.data, want["r"].data)
+        assert (k_r is None) == (mode == "self_only")
+
+
+def test_full_mode_has_no_reference_step(rng):
+    block = RMABlock(AttentionConfig(heads=2, head_dim=4), rng, mode="full")
+    base = _tokens(rng)
+    with pytest.raises(ConfigurationError):
+        block.reference_step(base.r, base.h, base.w)
 
 
 def test_full_mode_breaks_asymmetry(rng):

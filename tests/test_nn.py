@@ -156,6 +156,8 @@ def test_checkpoint_round_trip(tmp_path, rng):
     load_checkpoint(path, other)
     for (_, a), (_, b) in zip(net.named_parameters(), other.named_parameters()):
         np.testing.assert_array_equal(a.data, b.data)
+        # the optimizer and gradcheck write parameters in place
+        assert b.data.dtype == np.float64 and b.data.flags.writeable
 
 
 def test_checkpoint_rejects_mismatched_model(tmp_path, rng):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from srrnet import tensor as T
+from srrnet.backbone import FrameTriplet, ReferenceSlot, RMABackbone
 from srrnet.data import SequenceRecord, StaticRecord
 from srrnet.decoder import PredictionPair
 from srrnet.model import build_model
@@ -17,7 +18,6 @@ from srrnet.pipeline import (
     TrainSchedule,
     compute_loss,
     infer_sequence,
-    init_session,
     sample_static_triplet,
     sample_training_triplet,
     train,
@@ -333,12 +333,150 @@ def test_session_errors():
         InferenceSession(model, reference_mode="bogus")
     with pytest.raises(ConfigurationError):
         infer_sequence(model, [])
-    session = init_session(model, _frames(1)[0])
+    session = InferenceSession(model).start(_frames(1)[0])
     with pytest.raises(RuntimeError):
         InferenceSession(model).step(_frames(1)[0])
     session.step(_frames(1)[0])
     with pytest.raises(ConfigurationError):
         session.step(np.zeros((3, 64, 64)))
+
+
+# ---------------------------------------------------------------------------
+# reference slot: the session's cached reference encoding
+
+
+class RecordingModel:
+    """Passes triplets through to a real model, keeping their input arrays."""
+
+    def __init__(self, model):
+        self.model = model
+        self.inputs = []
+
+    def __call__(self, triplet):
+        self.inputs.append((triplet.c_img.data, triplet.p_in.data, triplet.r_in.data))
+        return self.model(triplet)
+
+
+# with a reference change on frames 3 and 5 in scored mode
+SLOT_SCORES = [1.0, 1.0, 0.5, 0.6, 0.4, 0.45]
+
+
+def _synth_frames(n=len(SLOT_SCORES), size=64):
+    from srrnet.synth import SynthParams, generate_arrays
+    frames, _ = generate_arrays(SynthParams(seed=4, frames=n, size=size,
+                                            motion_amplitude=1.5))
+    return frames
+
+
+@pytest.fixture(scope="module")
+def slot_frames():
+    return _synth_frames()
+
+
+@pytest.mark.parametrize("attention_mode", ["rma", "self_only", "motion_only", "full"])
+@pytest.mark.parametrize("reference_mode", ["scored", "random", "off"])
+def test_cached_session_matches_uncached_model(slot_frames, reference_mode, attention_mode):
+    model = build_model("desk", attention_mode=attention_mode, seed=0)
+    recorder = RecordingModel(model)
+    results = infer_sequence(recorder, slot_frames, reference_mode=reference_mode,
+                             seed=3, score_override=lambda i: SLOT_SCORES[i])
+    assert len(results) == len(recorder.inputs) == len(slot_frames)
+    for res, (c, p, r) in zip(results, recorder.inputs):
+        with T.no_grad():
+            pred = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r)))
+        np.testing.assert_array_equal(res.o_msk, pred.o_msk[0])
+        np.testing.assert_array_equal(res.o_err, pred.o_err.data[0])
+        assert res.score == pred.score_value
+
+
+def _count_encodes(monkeypatch):
+    calls = []
+    real = RMABackbone.encode_reference
+
+    def counting(self, r_in):
+        calls.append(r_in.data.copy())
+        return real(self, r_in)
+
+    monkeypatch.setattr(RMABackbone, "encode_reference", counting)
+    return calls
+
+
+@pytest.mark.parametrize("reference_mode", ["scored", "off"])
+def test_reference_encoded_once_per_reference_change(monkeypatch, slot_frames, reference_mode):
+    calls = _count_encodes(monkeypatch)
+    recorder = RecordingModel(build_model("desk", seed=0))
+    results = infer_sequence(recorder, slot_frames, reference_mode=reference_mode,
+                             score_override=lambda i: SLOT_SCORES[i])
+    r_ins = [r for _, _, r in recorder.inputs]
+    changes = sum(not np.array_equal(a, b) for a, b in zip(r_ins, r_ins[1:]))
+    assert len(calls) == 1 + changes
+    for encoded in calls:
+        assert any(np.array_equal(encoded, r) for r in r_ins)
+    if reference_mode == "scored":
+        updates = [r.updated for r in results]
+        assert updates == [False, False, True, False, True, False]
+        assert len(calls) == 1 + sum(updates) == 3
+    else:  # off: R is the previous frame, which differs on every frame after the first
+        assert len(calls) >= len(slot_frames) - 1
+
+
+def test_full_attention_never_caches_the_reference(monkeypatch, slot_frames):
+    calls = _count_encodes(monkeypatch)
+    session = InferenceSession(build_model("desk", attention_mode="full", seed=0))
+    session.start(slot_frames[0])
+    for frame in slot_frames[:3]:
+        session.step(frame)
+    assert calls == []
+    assert session.reference_slot.stages is None
+
+
+def test_session_start_empties_the_reference_slot(slot_frames):
+    session = InferenceSession(build_model("desk", seed=0)).start(slot_frames[0])
+    assert session.reference_slot.stages is None
+    session.step(slot_frames[0])
+    assert session.reference_slot.stages is not None
+    session.start(slot_frames[1])
+    assert session.reference_slot.stages is None
+    assert session.reference_slot.r_in is None
+
+
+def test_reference_slot_is_refilled_for_another_model(slot_frames):
+    c = slot_frames[1][None]
+    pr = np.concatenate([slot_frames[0], np.zeros((1, 64, 64))], axis=0)[None]
+    slot = ReferenceSlot()
+    with T.no_grad():
+        for seed in (0, 1):
+            model = build_model("desk", seed=seed)
+            cached = model(FrameTriplet(Tensor(c), Tensor(pr), Tensor(pr), reference=slot))
+            plain = model(FrameTriplet(Tensor(c), Tensor(pr), Tensor(pr)))
+            assert slot.backbone is model.backbone
+            np.testing.assert_array_equal(cached.o_err.data, plain.o_err.data)
+
+
+def test_filled_slot_is_ignored_with_grad_on(slot_frames):
+    model = build_model("desk", seed=0)
+    c = slot_frames[2][None]
+    p = np.concatenate([slot_frames[1], np.ones((1, 64, 64))], axis=0)[None]
+    r = np.concatenate([slot_frames[0], np.zeros((1, 64, 64))], axis=0)[None]
+    slot = ReferenceSlot()
+    with T.no_grad():
+        model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r), reference=slot))
+    assert slot.stages is not None
+
+    grads = []
+    for reference in (slot, None):
+        for prm in model.parameters():
+            prm.grad = None
+        pred = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r), reference=reference))
+        T.backward(T.mean(pred.supervision_logits * pred.supervision_logits)
+                   + T.mean(pred.o_err))
+        grads.append({name: prm.grad for name, prm in model.named_parameters()})
+    with_slot, without = grads
+    for name, grad in without.items():
+        assert with_slot[name] is not None, name
+        np.testing.assert_array_equal(with_slot[name], grad, err_msg=name)
+    ref_names = [n for n in with_slot if n.startswith("backbone.") and ".ref." in n]
+    assert ref_names and all(np.any(with_slot[n] != 0) for n in ref_names)
 
 
 class CausalFrames:
