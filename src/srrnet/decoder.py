@@ -54,9 +54,18 @@ class PredictionPair:
 
 
 def channel_linear(x_map: Tensor, linear: Linear) -> Tensor:
-    """Apply a pointwise linear map over the channel axis of a B x C x H x W tensor."""
-    y = linear(T.transpose(x_map, (0, 2, 3, 1)))
-    return T.transpose(y, (0, 3, 1, 2))
+    """Apply a pointwise linear map over the channel axis of a B x C x H x W tensor.
+
+    The map is folded to a B x (H*W) x C token view rather than transposed to
+    B x H x W x C: numpy runs a 4-d matmul as one GEMM per image row, each
+    repacking the whole weight, while this view gets one GEMM per batch item.
+    The fold is a view for NCHW-contiguous and channels-last maps alike, so
+    nothing is copied.
+    """
+    batch, channels, height, width = x_map.shape
+    tokens = T.transpose(T.reshape(x_map, (batch, channels, height * width)), (0, 2, 1))
+    y = T.transpose(linear(tokens), (0, 2, 1))
+    return T.reshape(y, (batch, y.shape[1], height, width))
 
 
 def binary_mask_from_logits(logits: Tensor | np.ndarray) -> np.ndarray:

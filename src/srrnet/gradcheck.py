@@ -37,26 +37,6 @@ def fd_gradient(loss_fn: Callable[[], Tensor], storage: np.ndarray,
     return (f_plus - f_minus) / (2.0 * step)
 
 
-def check_tensor_grad(loss_fn: Callable[[], Tensor], t: Tensor,
-                      indices=None, step: float = DEFAULT_STEP) -> float:
-    """Max relative error between backward and finite-difference gradients.
-
-    Runs one backward pass, then probes the given flat indices (all entries
-    when None).
-    """
-    t.grad = None
-    loss = loss_fn()
-    T.backward(loss)
-    analytic = t.grad.reshape(-1) if t.grad is not None else np.zeros(t.size)
-    if indices is None:
-        indices = range(t.size)
-    worst = 0.0
-    for i in indices:
-        fd = fd_gradient(loss_fn, t.data, i, step)
-        worst = max(worst, relative_error(fd, analytic[i]))
-    return worst
-
-
 @dataclass
 class ParamCheck:
     name: str

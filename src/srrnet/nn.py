@@ -21,18 +21,11 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 
 class Parameter(Tensor):
-    """A trainable tensor with a hierarchical name and a freeze switch."""
+    """A trainable tensor with a hierarchical name."""
 
     def __init__(self, data, name: str = ""):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.frozen = False
-
-    def freeze(self):
-        self.frozen = True
-
-    def unfreeze(self):
-        self.frozen = False
 
 
 class Module:
@@ -144,7 +137,7 @@ class AdamW:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for i, p in enumerate(self.params):
-            if p.frozen or p.grad is None:
+            if p.grad is None:
                 continue
             g = p.grad
             self._m[i] = b1 * self._m[i] + (1.0 - b1) * g

@@ -56,8 +56,6 @@ def _as_array(x) -> np.ndarray:
 class Tensor:
     """A dense float64 array, optionally participating in the gradient tape."""
 
-    frozen = False  # overridden per-instance on frozen Parameters
-
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
@@ -150,8 +148,6 @@ def _accumulate(t: Tensor, g: np.ndarray):
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    if t.frozen:
-        return  # frozen parameters keep a zero gradient by contract
     t.grad += g
 
 
@@ -426,7 +422,10 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
             f"conv2d output extent {oh}x{ow} is not positive "
             f"(input {height}x{width}, kernel {kh}x{kw}, stride {stride}, padding {padding})"
         )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = x.data
+    if padding:
+        xp = np.zeros((batch, in_ch, height + 2 * padding, width + 2 * padding))
+        xp[:, :, padding:padding + height, padding:padding + width] = x.data
     sb, sc, sh, sw = xp.strides
     cols = as_strided(xp, (batch, in_ch, kh, kw, oh, ow),
                       (sb, sc, sh, sw, sh * stride, sw * stride))
@@ -434,7 +433,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     wmat = w.data.reshape(out_ch, in_ch * kh * kw)
     out = np.matmul(wmat, cols).reshape(batch, out_ch, oh, ow)
     if b is not None:
-        out = out + b.data.reshape(1, out_ch, 1, 1)
+        out += b.data.reshape(1, out_ch, 1, 1)
 
     def bwd(g):
         g2 = g.reshape(batch, out_ch, oh * ow)

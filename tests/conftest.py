@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from srrnet import tensor as T
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic and its runtime bounded; no per-example deadline, because a
+# shared host's timing would make them flaky.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def fd_grad(loss_fn, tensor, step: float = 1e-6) -> np.ndarray:

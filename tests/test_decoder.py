@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from srrnet import nn
 from srrnet import tensor as T
 from srrnet.decoder import (
     DecoderConfig,
@@ -42,6 +43,57 @@ def test_channel_linear_matches_einsum(rng):
     expected = np.einsum("bchw,co->bohw", x, lin.weight.data) + \
         lin.bias.data[None, :, None, None]
     np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def _per_pixel_channel_linear(x_map, linear):
+    """The 4-d formulation: the linear map applied to a channels-last view."""
+    y = linear(T.transpose(x_map, (0, 2, 3, 1)))
+    return T.transpose(y, (0, 3, 1, 2))
+
+
+@pytest.mark.parametrize("out_features", [1, 2, 64])
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("channels_last", [False, True])
+def test_channel_linear_is_bitwise_the_per_pixel_formula(rng, out_features, batch,
+                                                         channels_last):
+    lin = Linear(96, out_features, rng)
+    lin.bias.data = rng.normal(size=out_features)
+    x = rng.normal(size=(batch, 96, 16, 16))
+    if channels_last:
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    wt = Tensor(rng.normal(size=(batch, out_features, 16, 16)))
+    results = []
+    for fn in (channel_linear, _per_pixel_channel_linear):
+        lin.zero_grad()
+        xt = Tensor(x, requires_grad=True)
+        y = fn(xt, lin)
+        T.backward(T.tensor_sum(y * wt))
+        results.append((y.data, lin.weight.grad, lin.bias.grad, xt.grad))
+    (y, gw, gb, gx), (y_ref, gw_ref, gb_ref, gx_ref) = results
+    np.testing.assert_array_equal(y, y_ref)
+    np.testing.assert_allclose(gw, gw_ref, rtol=1e-10)
+    np.testing.assert_allclose(gb, gb_ref, rtol=1e-10)
+    np.testing.assert_allclose(gx, gx_ref, rtol=1e-10)
+
+
+def test_decoder_projections_get_at_most_3d_operands(desk_model, rng, monkeypatch):
+    """A 4-d operand makes numpy run one GEMM per image row instead of per image."""
+    dec = desk_model.decoder
+    projections = dec.fuse_linears + [dec.fuse_all_linear, dec.mask_head, dec.err_head]
+    weights = {id(lin.weight) for lin in projections}
+    operand_ndims = []
+    matmul = nn.matmul
+
+    def recording_matmul(a, b):
+        if id(b) in weights:
+            operand_ndims.append(a.ndim)
+        return matmul(a, b)
+
+    monkeypatch.setattr(nn, "matmul", recording_matmul)
+    with T.no_grad():
+        desk_model(make_triplet(rng, size=64))
+    assert len(operand_ndims) == len(projections)
+    assert max(operand_ndims) <= 3
 
 
 def test_decoder_config_validation():

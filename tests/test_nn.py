@@ -116,16 +116,6 @@ def test_adamw_weight_decay_is_decoupled():
     np.testing.assert_allclose(p.data, 2.0 - 0.1 * 0.01 * 2.0, atol=1e-12)
 
 
-def test_adamw_skips_frozen_parameters():
-    p = Parameter(np.array([1.0]))
-    p.freeze()
-    p.grad = np.array([10.0])
-    AdamW([p], lr=0.1).step()
-    np.testing.assert_array_equal(p.data, [1.0])
-    p.unfreeze()
-    assert not p.frozen
-
-
 def test_adamw_reduces_quadratic_loss(rng):
     p = Parameter(rng.normal(size=5))
     opt = AdamW([p], lr=0.05, weight_decay=0.0)

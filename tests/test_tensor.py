@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from scipy import special
 
 from srrnet import tensor as T
@@ -90,6 +91,28 @@ def test_conv2d_matches_loop_oracle(rng, stride, padding):
     got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
     np.testing.assert_allclose(got, _conv2d_loop_oracle(x, w, b, stride, padding),
                                atol=1e-12)
+
+
+@given(batch=st.integers(1, 2), in_ch=st.integers(1, 3), out_ch=st.integers(1, 3),
+       height=st.integers(1, 7), width=st.integers(1, 7), kernel=st.integers(1, 4),
+       stride=st.integers(1, 3), padding=st.sampled_from([0, 1, 3]),
+       channels_last=st.booleans(), bias=st.booleans(), seed=st.integers(0, 2**16))
+def test_conv2d_matches_loop_oracle_on_any_layout(batch, in_ch, out_ch, height, width,
+                                                  kernel, stride, padding,
+                                                  channels_last, bias, seed):
+    assume(height + 2 * padding >= kernel and width + 2 * padding >= kernel)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, in_ch, height, width))
+    if channels_last:
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    w = rng.normal(size=(out_ch, in_ch, kernel, kernel))
+    b = rng.normal(size=out_ch) if bias else None
+    x_before = x.copy()
+    got = T.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
+                   stride=stride, padding=padding).data
+    np.testing.assert_allclose(got, _conv2d_loop_oracle(x, w, b, stride, padding),
+                               atol=1e-12)
+    np.testing.assert_array_equal(x, x_before)
 
 
 def _bilinear_loop_oracle(x, out_h, out_w):
@@ -287,6 +310,24 @@ def test_conv2d_grads(rng, stride, padding):
     assert_grad_matches(loss, b)
 
 
+@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 3)])
+def test_conv2d_grads_on_a_channels_last_view(rng, stride, padding):
+    """conv2d reads a non-contiguous input in place and never writes it."""
+    x = leaf(rng, 2, 5, 6, 2)  # B x H x W x C storage
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    assert not T.transpose(x, (0, 3, 1, 2)).data.flags.c_contiguous
+    conv = lambda: T.conv2d(T.transpose(x, (0, 3, 1, 2)), w, b, stride=stride,
+                            padding=padding)
+    wt = Tensor(rng.normal(size=conv().shape))
+    loss = lambda: T.tensor_sum(conv() * wt)
+    x_before = x.data.copy()
+    assert_grad_matches(loss, x)
+    assert_grad_matches(loss, w)
+    assert_grad_matches(loss, b)
+    np.testing.assert_array_equal(x.data, x_before)
+
+
 def test_bilinear_resize_grads(rng):
     x = leaf(rng, 1, 2, 4, 5)
     wt = rng.normal(size=(1, 2, 7, 3))
@@ -327,13 +368,6 @@ def test_no_grad_builds_no_graph(rng):
     with T.no_grad():
         out = a * a
     assert not out.requires_grad and out._backward_fn is None
-
-
-def test_frozen_tensor_keeps_zero_grad(rng):
-    a = leaf(rng, 3)
-    a.frozen = True
-    T.backward(T.tensor_sum(a * a))
-    np.testing.assert_array_equal(a.grad, np.zeros(3))
 
 
 def test_backward_requires_scalar(rng):
