@@ -1,16 +1,18 @@
 """Four-stage pyramid encoder over the three frame branches.
 
-Each stage tokenizes its input with an overlapping strided convolution, runs a
-stack of asymmetric attention blocks, and reshapes the tokens back into
+Each stage tokenizes its input with an overlapping strided convolution (kernel
+7, stride 4, padding 3 in stage 1; kernel 3, stride 2, padding 1 after), runs
+a stack of asymmetric attention blocks, and reshapes the tokens back into
 feature maps. Stage ``i`` emits maps of extent ``H / 2^(i+1)``. The previous
 and reference branches share every weight set; the current branch has its own.
 
-Outside ``full`` attention mode the reference branch depends on nothing but
-its own input, so each stage encodes it first into a stage reference (the
-stage's R output map plus each block's cross keys/values) and runs the C and P
-branches against it. A ``ReferenceSlot`` on the input triplet lets a caller
-keep the encodings of all stages across calls with an unchanged reference
-input; it is used only with the gradient tape off.
+Where the attention mode lets R read only R (every mode but ``full``), the
+reference branch depends on nothing but its own input, so each stage encodes
+it first into a stage reference (the stage's R output map plus each block's
+cross keys/values) and runs the C and P branches against it. A
+``ReferenceSlot`` on the input triplet lets a caller keep the encodings of all
+stages across calls with an unchanged reference input; it is used only with
+the gradient tape off.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .attention import ATTENTION_MODES, AttentionConfig, BranchTokens, RMABlock
+from .attention import (ATTENTION_MODES, AttentionConfig, BranchTokens, RMABlock,
+                        reference_is_separable)
 from .nn import Conv2d, LayerNorm, Module
 from .tensor import ConfigurationError, Tensor
 
@@ -31,9 +34,6 @@ class StageConfig:
     channels: int
     depth: int
     attention: AttentionConfig
-    embed_kernel: int = 3
-    embed_stride: int = 2
-    embed_padding: int = 1
 
     def __post_init__(self):
         if self.attention.channels != self.channels:
@@ -46,7 +46,7 @@ class StageReference:
     """One stage's encoded reference branch."""
 
     r_map: Tensor  # B x Ch x H_i x W_i, the stage's R output
-    kv: list       # per block (k_r, v_r); (None, None) in self_only mode
+    kv: list       # per block (k_r, v_r); (None, None) without a cross stage
 
 
 @dataclass
@@ -130,20 +130,19 @@ def _tokens_to_map(tokens: Tensor, h: int, w: int) -> Tensor:
 
 
 class BackboneStage(Module):
-    def __init__(self, in_c: int, in_pr: int, cfg: StageConfig, rng: np.random.Generator,
-                 attention_mode: str):
-        self.attention_mode = attention_mode
-        self.embed_c = PatchEmbed(in_c, cfg.channels, cfg.embed_kernel,
-                                  cfg.embed_stride, cfg.embed_padding, rng)
-        self.embed_pr = PatchEmbed(in_pr, cfg.channels, cfg.embed_kernel,
-                                   cfg.embed_stride, cfg.embed_padding, rng)
+    def __init__(self, index: int, in_c: int, in_pr: int, cfg: StageConfig,
+                 rng: np.random.Generator, attention_mode: str):
+        self.separable_reference = reference_is_separable(attention_mode)
+        kernel, stride, padding = (7, 4, 3) if index == 0 else (3, 2, 1)
+        self.embed_c = PatchEmbed(in_c, cfg.channels, kernel, stride, padding, rng)
+        self.embed_pr = PatchEmbed(in_pr, cfg.channels, kernel, stride, padding, rng)
         self.blocks = [RMABlock(cfg.attention, rng, mode=attention_mode)
                        for _ in range(cfg.depth)]
         self.norm_c = LayerNorm(cfg.channels)
         self.norm_pr = LayerNorm(cfg.channels)
 
     def encode_reference(self, r_map: Tensor) -> StageReference:
-        """Run the R branch of this stage alone (not in ``full`` mode)."""
+        """Run the R branch of this stage alone (only where R reads only R)."""
         r, h, w = self.embed_pr(r_map)
         kv = []
         for block in self.blocks:
@@ -155,12 +154,12 @@ class BackboneStage(Module):
                  reference: Optional[StageReference] = None):
         """Stage outputs (c, p, r) as maps.
 
-        Outside ``full`` mode, ``reference`` is this stage's encoding of
+        Where R reads only R, ``reference`` is this stage's encoding of
         ``r_map`` (encoded here when not given) and ``r_map`` is not read.
         """
         c, h, w = self.embed_c(c_map)
         p, _, _ = self.embed_pr(p_map)
-        if self.attention_mode == "full":
+        if not self.separable_reference:
             r, _, _ = self.embed_pr(r_map)
             tokens = BranchTokens(c, p, r, h, w)
             for block in self.blocks:
@@ -186,11 +185,6 @@ class RMABackbone(Module):
             raise ConfigurationError(f"expected 4 stage configs, got {len(stages)}")
         if attention_mode not in ATTENTION_MODES:
             raise ConfigurationError(f"unknown attention mode {attention_mode!r}")
-        if stages[0].embed_stride != 4:
-            raise ConfigurationError("stage-1 embedding stride must be 4")
-        for i, s in enumerate(stages[1:], start=2):
-            if s.embed_stride != 2:
-                raise ConfigurationError(f"stage-{i} embedding stride must be 2")
         for prev, cur in zip(stages, stages[1:]):
             if cur.channels < prev.channels:
                 raise ConfigurationError("stage channels must be nondecreasing")
@@ -198,13 +192,13 @@ class RMABackbone(Module):
         self.attention_mode = attention_mode
         built = []
         in_c, in_pr = 3, 4
-        for cfg in stages:
-            built.append(BackboneStage(in_c, in_pr, cfg, rng, attention_mode))
+        for i, cfg in enumerate(stages):
+            built.append(BackboneStage(i, in_c, in_pr, cfg, rng, attention_mode))
             in_c = in_pr = cfg.channels
         self.stages = built
 
     def encode_reference(self, r_in: Tensor) -> list[StageReference]:
-        """Encode the R branch through every stage (not in ``full`` mode)."""
+        """Encode the R branch through every stage (only where R reads only R)."""
         memory = []
         r = r_in
         for stage in self.stages:
@@ -215,12 +209,12 @@ class RMABackbone(Module):
     def _cached_reference(self, triplet: FrameTriplet) -> Optional[list[StageReference]]:
         """The reference encoding from the triplet's slot, refilled when stale.
 
-        ``None`` (each stage then encodes R itself) without a slot, in
-        ``full`` mode, and while the gradient tape is on: cached tensors carry
+        ``None`` (each stage then encodes R itself) without a slot, where R
+        reads C or P (``full`` mode), and while the gradient tape is on: cached tensors carry
         no graph, so gradients would not reach R's weights.
         """
         slot = triplet.reference
-        if slot is None or self.attention_mode == "full" or T.grad_enabled():
+        if slot is None or not reference_is_separable(self.attention_mode) or T.grad_enabled():
             return None
         r_in = triplet.r_in.data
         if slot.backbone is not self or not np.array_equal(slot.r_in, r_in):

@@ -1,16 +1,16 @@
 """Dual-purpose decoder: fused mask prediction plus a pixel-wise error estimate.
 
 The twelve pyramid maps are fused stage-by-stage to a common quarter-resolution
-grid, combined, and fed to two heads: a two-channel mask head (argmax gives the
-binary mask, ties classify as background) and an error head that estimates the
-per-pixel deviation of that mask from the unseen ground truth. The spatial
-mean of the error map is the frame's predicted-quality score.
+grid, combined, and fed to two heads: a two-channel mask head (its logits are
+resized to the input extent, where argmax gives the binary mask, ties
+classifying as background) and an error head that estimates the per-pixel
+deviation of that mask from the unseen ground truth. The spatial mean of the
+error map is the frame's predicted-quality score.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .tensor import ConfigurationError, Tensor
 class DecoderConfig:
     ch_prime: int          # fusion width
     ch_double_prime: int   # head width
-    full_resolution: bool = True
     error_activation: str = "sigmoid"  # "sigmoid" for |error| targets, "tanh" for signed
 
     def __post_init__(self):
@@ -38,19 +37,15 @@ class DecoderConfig:
 class PredictionPair:
     """Decoder output: mask logits, binary mask, error map, scalar score."""
 
-    mask_logits: Tensor            # B x 2 x (H/4) x (W/4)
-    mask_logits_full: Optional[Tensor]  # B x 2 x H x W when full_resolution is set
-    o_msk: np.ndarray              # B x 1 x H x W, values in {0, 1}
-    o_err: Tensor                  # B x 1 x (H/4) x (W/4), values in (0, 1)
-    score: Tensor                  # scalar, spatial mean of o_err
+    mask_logits: Tensor         # B x 2 x (H/4) x (W/4)
+    supervision_logits: Tensor  # B x 2 x H x W, mask_logits resized to the input
+    o_msk: np.ndarray           # B x 1 x H x W, values in {0, 1}
+    o_err: Tensor               # B x 1 x (H/4) x (W/4), values in (0, 1)
+    score: Tensor               # scalar, spatial mean of o_err
 
     @property
     def score_value(self) -> float:
         return float(self.score.data)
-
-    @property
-    def supervision_logits(self) -> Tensor:
-        return self.mask_logits_full if self.mask_logits_full is not None else self.mask_logits
 
 
 def channel_linear(x_map: Tensor, linear: Linear) -> Tensor:
@@ -109,15 +104,18 @@ class DualPurposeDecoder(Module):
         f = channel_linear(T.concat(fused_stages, axis=1), self.fuse_all_linear)
         return self.fuse_conv(f)
 
+    def fuse(self, features: PyramidFeatures) -> Tensor:
+        """The fused map ``f`` both heads read, on the stage-1 grid."""
+        target_h, target_w = features.c[0].shape[2], features.c[0].shape[3]
+        return self.fuse_all([self.fuse_stage(features.c[i], features.p[i], features.r[i],
+                                              target_h, target_w, i)
+                              for i in range(4)])
+
     def predict_mask(self, f: Tensor, full_h: int, full_w: int):
+        """Quarter-resolution logits, the logits at full_h x full_w, and the binary mask."""
         m = channel_linear(f, self.mask_head)
-        logits_full = None
-        if self.cfg.full_resolution:
-            logits_full = T.bilinear_resize(m, full_h, full_w)
-            o_msk = binary_mask_from_logits(logits_full)
-        else:
-            o_msk = binary_mask_from_logits(m)
-        return m, logits_full, o_msk
+        logits_full = T.bilinear_resize(m, full_h, full_w)
+        return m, logits_full, binary_mask_from_logits(logits_full)
 
     def predict_error(self, f: Tensor, m: Tensor) -> Tensor:
         # The mask logits enter through a stop-gradient boundary so error-branch
@@ -126,15 +124,11 @@ class DualPurposeDecoder(Module):
         raw = channel_linear(f_prime, self.err_head)
         if self.cfg.error_activation == "sigmoid":
             return T.sigmoid(raw)
-        return T.sigmoid(raw) * 2.0 - 1.0  # tanh-equivalent range (-1, 1)
+        return T.sigmoid(raw) * 2.0 - 1.0  # 2σ(x) − 1 = tanh(x/2), range (-1, 1)
 
     def __call__(self, features: PyramidFeatures, full_h: int, full_w: int) -> PredictionPair:
-        target_h, target_w = features.c[0].shape[2], features.c[0].shape[3]
-        fused = [self.fuse_stage(features.c[i], features.p[i], features.r[i],
-                                 target_h, target_w, i)
-                 for i in range(4)]
-        f = self.fuse_all(fused)
+        f = self.fuse(features)
         m, logits_full, o_msk = self.predict_mask(f, full_h, full_w)
         o_err = self.predict_error(f, m)
-        return PredictionPair(mask_logits=m, mask_logits_full=logits_full,
+        return PredictionPair(mask_logits=m, supervision_logits=logits_full,
                               o_msk=o_msk, o_err=o_err, score=mae_score(o_err))

@@ -92,12 +92,8 @@ def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
         mask_logits0 = pred0.mask_logits.data.copy()
 
     def loss_fn() -> Tensor:
-        features = model.backbone(triplet)
         dec = model.decoder
-        th, tw = features.c[0].shape[2], features.c[0].shape[3]
-        fused = [dec.fuse_stage(features.c[i], features.p[i], features.r[i],
-                                th, tw, i) for i in range(4)]
-        f = dec.fuse_all(fused)
+        f = dec.fuse(model.backbone(triplet))
         _, logits_full, _ = dec.predict_mask(f, size, size)
         o_err = dec.predict_error(f, Tensor(mask_logits0))
         logit_diff = T.narrow(logits_full, 1, 1, 1) - T.narrow(logits_full, 1, 0, 1)

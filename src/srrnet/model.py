@@ -32,17 +32,13 @@ class ModelConfig:
         return [s.channels for s in self.stages]
 
 
-def _stage(channels: int, depth: int, heads: int, sr: int,
-           kernel: int, stride: int, padding: int) -> StageConfig:
+def _stage(channels: int, depth: int, heads: int, sr: int) -> StageConfig:
     if channels % heads:
         raise ConfigurationError(f"channels {channels} not divisible by heads {heads}")
     return StageConfig(
         channels=channels,
         depth=depth,
         attention=AttentionConfig(heads=heads, head_dim=channels // heads, sr_ratio=sr),
-        embed_kernel=kernel,
-        embed_stride=stride,
-        embed_padding=padding,
     )
 
 
@@ -53,12 +49,7 @@ def desk_config(attention_mode: str = "rma",
     depths = [1, 1, 1, 1]
     heads = [1, 2, 2, 4]
     sr = [1, 1, 1, 1]
-    stages = [
-        _stage(channels[0], depths[0], heads[0], sr[0], kernel=7, stride=4, padding=3),
-        _stage(channels[1], depths[1], heads[1], sr[1], kernel=3, stride=2, padding=1),
-        _stage(channels[2], depths[2], heads[2], sr[2], kernel=3, stride=2, padding=1),
-        _stage(channels[3], depths[3], heads[3], sr[3], kernel=3, stride=2, padding=1),
-    ]
+    stages = [_stage(*spec) for spec in zip(channels, depths, heads, sr)]
     decoder = DecoderConfig(ch_prime=64, ch_double_prime=32,
                             error_activation=error_activation)
     return ModelConfig(stages=stages, decoder=decoder, attention_mode=attention_mode)
@@ -71,12 +62,7 @@ def full_config(attention_mode: str = "rma",
     depths = [3, 4, 6, 3]
     heads = [1, 2, 5, 8]
     sr = [8, 4, 2, 1]
-    stages = [
-        _stage(channels[0], depths[0], heads[0], sr[0], kernel=7, stride=4, padding=3),
-        _stage(channels[1], depths[1], heads[1], sr[1], kernel=3, stride=2, padding=1),
-        _stage(channels[2], depths[2], heads[2], sr[2], kernel=3, stride=2, padding=1),
-        _stage(channels[3], depths[3], heads[3], sr[3], kernel=3, stride=2, padding=1),
-    ]
+    stages = [_stage(*spec) for spec in zip(channels, depths, heads, sr)]
     decoder = DecoderConfig(ch_prime=1024, ch_double_prime=256,
                             error_activation=error_activation)
     return ModelConfig(stages=stages, decoder=decoder, attention_mode=attention_mode)

@@ -68,27 +68,22 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndar
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.weight = Parameter(_trunc_normal(rng, (in_features, out_features)))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.bias = Parameter(np.zeros(out_features))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.weight)
-        if self.bias is not None:
-            y = add(y, self.bias)
-        return y
+        return add(matmul(x, self.weight), self.bias)
 
 
 class Conv2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, stride: int = 1, padding: int = 0,
-                 bias: bool = True):
+                 rng: np.random.Generator, stride: int = 1, padding: int = 0):
         fan_in = in_channels * kernel_size * kernel_size
         std = math.sqrt(2.0 / fan_in)
         self.weight = Parameter(
             rng.normal(0.0, std, size=(out_channels, in_channels, kernel_size, kernel_size)))
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        self.bias = Parameter(np.zeros(out_channels))
         self.stride = stride
         self.padding = padding
 

@@ -10,7 +10,6 @@ from srrnet.attention import (
     BranchTokens,
     BranchWeights,
     RMABlock,
-    build_joint_kv,
     scaled_dot_attention,
 )
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
@@ -62,19 +61,6 @@ def test_scaled_dot_attention_errors(rng):
         scaled_dot_attention(q, k, Tensor(rng.normal(size=(1, 6, 6))), heads=2)
 
 
-def test_build_joint_kv_row_order(rng):
-    parts = {name: Tensor(rng.normal(size=(1, 3, 4))) for name in
-             ("k_c", "v_c", "k_p", "v_p", "k_r", "v_r")}
-    k_u, v_u, k_w, v_w = build_joint_kv(parts["k_c"], parts["v_c"], parts["k_p"],
-                                        parts["v_p"], parts["k_r"], parts["v_r"])
-    np.testing.assert_array_equal(
-        k_u.data, np.concatenate([parts["k_p"].data, parts["k_r"].data], axis=1))
-    np.testing.assert_array_equal(
-        k_w.data, np.concatenate([parts["k_c"].data, parts["k_p"].data,
-                                  parts["k_r"].data], axis=1))
-    assert v_u.shape == (1, 6, 4) and v_w.shape == (1, 9, 4)
-
-
 # ---------------------------------------------------------------------------
 # configuration validation
 
@@ -85,8 +71,6 @@ def test_attention_config_validation():
         AttentionConfig(heads=0, head_dim=4)
     with pytest.raises(ConfigurationError):
         AttentionConfig(heads=2, head_dim=4, sr_ratio=3)
-    with pytest.raises(ConfigurationError):
-        AttentionConfig(heads=2, head_dim=4, mlp_ratio=0.5)
 
 
 def test_branch_tokens_validation(rng):
@@ -166,18 +150,35 @@ def _joint_block_oracle(block, tokens):
     return {b: x[b] + weights[b].mlp(weights[b].norm2(x[b])) for b in x}
 
 
+def _block_grads(block, out):
+    """Parameter gradients of a fixed loss on the three branch outputs."""
+    block.zero_grad()
+    T.backward(T.mean(out["c"] * out["c"]) + T.mean(out["p"] * out["p"])
+               + T.mean(out["r"] * out["r"]))
+    grads = {name: p.grad for name, p in block.named_parameters()}
+    block.zero_grad()
+    return grads
+
+
 @pytest.mark.parametrize("mode", ATTENTION_MODES)
 def test_block_matches_joint_oracle(rng, mode):
     block = RMABlock(AttentionConfig(heads=2, head_dim=4, sr_ratio=2), rng, mode=mode)
     tokens = BranchTokens(*(Tensor(rng.normal(size=(1, 16, 8))) for _ in range(3)), 4, 4)
     want = _joint_block_oracle(block, tokens)
+    want_grads = _block_grads(block, want)
     out = block(tokens)
-    for b in "cpr":
-        np.testing.assert_array_equal(getattr(out, b).data, want[b].data, err_msg=b)
+    routes = {"call": {"c": out.c, "p": out.p, "r": out.r}}
     if mode != "full":
         r_out, k_r, v_r = block.reference_step(tokens.r, 4, 4)
-        np.testing.assert_array_equal(r_out.data, want["r"].data)
         assert (k_r is None) == (mode == "self_only")
+        c_out, p_out = block.current_step(tokens.c, tokens.p, k_r, v_r, 4, 4)
+        routes["split"] = {"c": c_out, "p": p_out, "r": r_out}
+    for route, got in routes.items():
+        for b in "cpr":
+            np.testing.assert_array_equal(got[b].data, want[b].data, err_msg=f"{route} {b}")
+        got_grads = _block_grads(block, got)
+        for name, g in want_grads.items():  # None (no gradient) must match None
+            np.testing.assert_array_equal(got_grads[name], g, err_msg=f"{route} {name}")
 
 
 def test_full_mode_has_no_reference_step(rng):
@@ -207,6 +208,17 @@ def test_motion_only_mode_c_sees_p_but_not_r(rng):
     poked_p = BranchTokens(base.c, Tensor(base.p.data + 1.0), base.r, base.h, base.w)
     a_c2, _, _ = block.attend_cross(poked_p)
     assert not np.array_equal(a_c0.data, a_c2.data)
+
+
+def test_self_only_mode_has_no_cross_stage(rng):
+    block = RMABlock(AttentionConfig(heads=2, head_dim=4), rng, mode="self_only")
+    base = _tokens(rng)
+    with pytest.raises(ConfigurationError, match="no cross stage"):
+        block.attend_cross(base)
+    out = block(base)
+    grads = _block_grads(block, {"c": out.c, "p": out.p, "r": out.r})
+    untouched = {name for name, g in grads.items() if g is None}
+    assert untouched == {n for n in grads if ".norm_cross." in n or ".proj_cross." in n}
 
 
 def test_self_only_mode_keeps_branches_independent(rng):

@@ -111,14 +111,6 @@ def test_backbone_config_validation(rng):
     gen = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
         RMABackbone(stages[:3], gen)
-    bad_stride = desk_config().stages
-    bad_stride[0].embed_stride = 2
-    with pytest.raises(ConfigurationError, match="stride"):
-        RMABackbone(bad_stride, gen)
-    bad_late = desk_config().stages
-    bad_late[2].embed_stride = 4
-    with pytest.raises(ConfigurationError, match="stride"):
-        RMABackbone(bad_late, gen)
     shrinking = desk_config().stages
     shrinking[3].channels = 4
     shrinking[3].attention.head_dim = 1

@@ -106,28 +106,13 @@ def test_decoder_config_validation():
 def test_prediction_shapes_and_score(desk_model, rng):
     pred = desk_model(make_triplet(rng, size=64))
     assert pred.mask_logits.shape == (1, 2, 16, 16)
-    assert pred.mask_logits_full.shape == (1, 2, 64, 64)
+    assert pred.supervision_logits.shape == (1, 2, 64, 64)
     assert pred.o_msk.shape == (1, 1, 64, 64)
     assert pred.o_err.shape == (1, 1, 16, 16)
     assert set(np.unique(pred.o_msk)) <= {0.0, 1.0}
     assert ((pred.o_err.data > 0) & (pred.o_err.data < 1)).all()
     assert abs(pred.score_value - pred.o_err.data.mean()) < 1e-15
     assert abs(float(mae_score(pred.o_err).data) - pred.o_err.data.mean()) < 1e-15
-
-
-def test_supervision_logits_prefers_full_resolution(desk_model, rng):
-    pred = desk_model(make_triplet(rng, size=32))
-    assert pred.supervision_logits is pred.mask_logits_full
-
-
-def test_quarter_resolution_mode(rng):
-    model = build_model("desk", seed=0)
-    model.decoder.cfg = DecoderConfig(ch_prime=64, ch_double_prime=32,
-                                      full_resolution=False)
-    pred = model(make_triplet(rng, size=32))
-    assert pred.mask_logits_full is None
-    assert pred.o_msk.shape == (1, 1, 8, 8)
-    assert pred.supervision_logits is pred.mask_logits
 
 
 def test_signed_error_activation_range(rng):

@@ -56,12 +56,6 @@ def test_linear_matches_manual(rng):
                                x @ lin.weight.data + lin.bias.data, atol=1e-14)
 
 
-def test_linear_no_bias(rng):
-    lin = Linear(4, 3, rng, bias=False)
-    assert lin.bias is None
-    assert [n for n, _ in lin.named_parameters()] == ["weight"]
-
-
 def test_trunc_normal_init_is_clipped(rng):
     lin = Linear(64, 64, rng)
     assert np.abs(lin.weight.data).max() <= 0.04 + 1e-12

@@ -259,7 +259,7 @@ class StubModel:
         o_err = Tensor(np.full((1, 1, h // 4, w // 4), value))
         logits = Tensor(np.zeros((1, 2, h // 4, w // 4)))
         full = Tensor(np.zeros((1, 2, h, w)))
-        return PredictionPair(mask_logits=logits, mask_logits_full=full,
+        return PredictionPair(mask_logits=logits, supervision_logits=full,
                               o_msk=np.zeros((1, 1, h, w)), o_err=o_err,
                               score=T.mean(o_err))
 
