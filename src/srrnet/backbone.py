@@ -188,7 +188,6 @@ class RMABackbone(Module):
         for prev, cur in zip(stages, stages[1:]):
             if cur.channels < prev.channels:
                 raise ConfigurationError("stage channels must be nondecreasing")
-        self.stage_configs = stages
         self.attention_mode = attention_mode
         built = []
         in_c, in_pr = 3, 4

@@ -3,6 +3,10 @@
 All randomness is governed by ``--seed``. A flat ``key=value`` config file can
 supply any long-option default; explicit flags win. Exit codes: 0 success,
 1 numeric/runtime failure, 2 usage error.
+
+``train`` fixes the model, ``--error-target`` included, and stores its config
+in the checkpoint (format 2; format-1 files are refused); ``infer`` and
+``trace-score`` take the model from the checkpoint and have no model flags.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from . import __version__
 from .data import load_sequence, load_static_pool, load_video_dataset
 from .gradcheck import gradcheck_model
 from .metrics import evaluate_dataset, format_report_table, write_report_csv
-from .model import FULL_SCALE_REFERENCE_PARAMS, build_model, preset_config
+from .decoder import ERROR_TARGETS
+from .model import FULL_SCALE_REFERENCE_PARAMS, build_model, load_model
 from .nn import count_parameters, load_checkpoint
 from .pipeline import (
     REFERENCE_MODES,
@@ -85,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--static-lr", type=float, default=6e-5)
     p.add_argument("--video-lr", type=float, default=1e-5)
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--error-target", choices=("absolute", "signed"), default="absolute")
+    p.add_argument("--error-target", choices=ERROR_TARGETS, default="absolute",
+                   help="what the error head predicts; stored in the checkpoint")
     p.add_argument("--crop", type=int, default=None)
     p.add_argument("--no-flip", action="store_true")
     p.add_argument("--mask-dropout", type=float, default=0.0,
@@ -95,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="sequential inference over a sequence directory")
     _add_common(p)
-    _add_model_flags(p)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
@@ -112,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace-score", help="score trace CSV with true MAE column")
     _add_common(p)
-    _add_model_flags(p)
     p.add_argument("--data", required=True, help="sequence directory with masks")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
@@ -177,16 +181,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     model = build_model(args.preset, attention_mode=args.attention_mode,
-                        seed=args.seed, error_activation=(
-                            "tanh" if args.error_target == "signed" else "sigmoid"))
+                        seed=args.seed, error_target=args.error_target)
     if args.checkpoint:
         load_checkpoint(args.checkpoint, model)
     schedule = TrainSchedule(
         static_iterations=args.static_iterations,
         video_iterations=args.video_iterations,
         static_lr=args.static_lr, video_lr=args.video_lr,
-        gamma=args.gamma, error_target=args.error_target,
-        seed=args.seed, flip=not args.no_flip, crop=args.crop,
+        gamma=args.gamma, seed=args.seed, flip=not args.no_flip, crop=args.crop,
         mask_dropout=args.mask_dropout)
     video = load_video_dataset(args.video_data) if args.video_data else None
     static = load_static_pool(args.static_data) if args.static_data else None
@@ -202,15 +204,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_model_for_inference(args):
-    model = build_model(args.preset, attention_mode=args.attention_mode,
-                        seed=args.seed)
-    load_checkpoint(args.checkpoint, model)
-    return model
-
-
 def _cmd_infer(args) -> int:
-    model = _load_model_for_inference(args)
+    model = load_model(args.checkpoint)
     record = load_sequence(args.data, require_masks=False)
     results = infer_sequence(model, record.frames,
                              reference_mode=args.reference_mode, seed=args.seed)
@@ -236,7 +231,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_trace_score(args) -> int:
-    model = _load_model_for_inference(args)
+    model = load_model(args.checkpoint)
     record = load_sequence(args.data, require_masks=True)
     results = infer_sequence(model, record.frames,
                              reference_mode=args.reference_mode, seed=args.seed)

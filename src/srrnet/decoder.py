@@ -19,18 +19,20 @@ from .backbone import PyramidFeatures
 from .nn import Conv2d, Linear, Module
 from .tensor import ConfigurationError, Tensor
 
+ERROR_TARGETS = ("absolute", "signed")
+
 
 @dataclass
 class DecoderConfig:
     ch_prime: int          # fusion width
     ch_double_prime: int   # head width
-    error_activation: str = "sigmoid"  # "sigmoid" for |error| targets, "tanh" for signed
+    error_target: str = "absolute"  # |gt - mask| in [0, 1], or signed gt - mask in [-1, 1]
 
     def __post_init__(self):
         if self.ch_prime <= 0 or self.ch_double_prime <= 0:
             raise ConfigurationError("decoder widths must be positive")
-        if self.error_activation not in ("sigmoid", "tanh"):
-            raise ConfigurationError(f"unknown error activation {self.error_activation!r}")
+        if self.error_target not in ERROR_TARGETS:
+            raise ConfigurationError(f"unknown error target {self.error_target!r}")
 
 
 @dataclass
@@ -40,7 +42,7 @@ class PredictionPair:
     mask_logits: Tensor         # B x 2 x (H/4) x (W/4)
     supervision_logits: Tensor  # B x 2 x H x W, mask_logits resized to the input
     o_msk: np.ndarray           # B x 1 x H x W, values in {0, 1}
-    o_err: Tensor               # B x 1 x (H/4) x (W/4), values in (0, 1)
+    o_err: Tensor               # B x 1 x (H/4) x (W/4), in (0, 1), or (-1, 1) if signed
     score: Tensor               # scalar, spatial mean of o_err
 
     @property
@@ -122,7 +124,7 @@ class DualPurposeDecoder(Module):
         # supervision cannot disturb mask behavior.
         f_prime = T.concat([f, m.detach()], axis=1)
         raw = channel_linear(f_prime, self.err_head)
-        if self.cfg.error_activation == "sigmoid":
+        if self.cfg.error_target == "absolute":
             return T.sigmoid(raw)
         return T.sigmoid(raw) * 2.0 - 1.0  # 2σ(x) − 1 = tanh(x/2), range (-1, 1)
 

@@ -20,6 +20,7 @@ from scipy import ndimage
 from .pnm import read_pgm
 
 _EPS = 1e-12
+MEASURES = ("s_alpha", "f_w_beta", "mae", "mdice", "miou")  # report column order
 
 
 def _validate_pair(pred: np.ndarray, gt: np.ndarray):
@@ -96,7 +97,6 @@ def _ssim_region(pred: np.ndarray, gt: np.ndarray) -> float:
 
 def _gt_centroid(gt: np.ndarray) -> tuple[int, int]:
     rows, cols = np.nonzero(gt > 0.5)
-    total = rows.size
     cy = int(round(rows.mean())) + 1
     cx = int(round(cols.mean())) + 1
     return cy, cx
@@ -213,22 +213,27 @@ class MetricReport:
     aggregation: str = "per_sequence"
 
 
-def compute_pair_metrics(pred: np.ndarray, gt: np.ndarray,
-                         soft_pred: np.ndarray | None = None) -> dict:
-    """All five measures for one frame. ``soft_pred`` feeds S and weighted F."""
-    soft = pred if soft_pred is None else soft_pred
+def compute_pair_metrics(pred: np.ndarray, gt: np.ndarray) -> dict:
+    """All five measures for one frame."""
     out = {
-        "s_alpha": s_measure(soft, gt),
+        "s_alpha": s_measure(pred, gt),
         "mae": mae((np.asarray(pred) > 0.5).astype(np.float64),
                    (np.asarray(gt) > 0.5).astype(np.float64)),
         "mdice": mdice(pred, gt),
         "miou": miou(pred, gt),
     }
     try:
-        out["f_w_beta"] = weighted_fbeta(soft, gt)
+        out["f_w_beta"] = weighted_fbeta(pred, gt)
     except ValueError:
         out["f_w_beta"] = np.nan
     return out
+
+
+def _mean_measures(rows: list[dict]) -> dict:
+    """Mean of each measure over rows; weighted F skips NaN (empty ground truth) rows."""
+    means = {key: float(np.mean([r[key] for r in rows])) for key in MEASURES if key != "f_w_beta"}
+    f_vals = [r["f_w_beta"] for r in rows if not np.isnan(r["f_w_beta"])]
+    return {**means, "f_w_beta": float(np.mean(f_vals)) if f_vals else float("nan")}
 
 
 def _sequence_frames(directory: Path) -> list[str]:
@@ -261,7 +266,7 @@ def evaluate_dataset(pred_dir, gt_dir, allow_missing: bool = False,
                 continue
             gt = read_pgm(seq / f"{stem}.pgm").astype(np.float64) / 255.0
             pred = read_pgm(pred_path).astype(np.float64) / 255.0
-            row = compute_pair_metrics(pred, gt, soft_pred=pred)
+            row = compute_pair_metrics(pred, gt)
             if np.isnan(row["f_w_beta"]):
                 skipped += 1
             rows.append(row)
@@ -271,17 +276,8 @@ def evaluate_dataset(pred_dir, gt_dir, allow_missing: bool = False,
             warnings.warn(
                 f"sequence {rel or gt_dir.name}: {skipped} empty-ground-truth frames "
                 "excluded from weighted-F averaging")
-        f_vals = [r["f_w_beta"] for r in rows if not np.isnan(r["f_w_beta"])]
-        sequences.append(SequenceMetrics(
-            name=rel or gt_dir.name,
-            n_frames=len(rows),
-            s_alpha=float(np.mean([r["s_alpha"] for r in rows])),
-            f_w_beta=float(np.mean(f_vals)) if f_vals else float("nan"),
-            mae=float(np.mean([r["mae"] for r in rows])),
-            mdice=float(np.mean([r["mdice"] for r in rows])),
-            miou=float(np.mean([r["miou"] for r in rows])),
-            f_skipped=skipped,
-        ))
+        sequences.append(SequenceMetrics(name=rel or gt_dir.name, n_frames=len(rows),
+                                         f_skipped=skipped, **_mean_measures(rows)))
         flat_rows.extend(rows)
     if missing and not allow_missing:
         raise FileNotFoundError(
@@ -290,53 +286,29 @@ def evaluate_dataset(pred_dir, gt_dir, allow_missing: bool = False,
     if not sequences:
         raise FileNotFoundError(f"no evaluable frames under {gt_dir}")
 
-    if flat:
-        f_vals = [r["f_w_beta"] for r in flat_rows if not np.isnan(r["f_w_beta"])]
-        report = MetricReport(
-            s_alpha=float(np.mean([r["s_alpha"] for r in flat_rows])),
-            f_w_beta=float(np.mean(f_vals)) if f_vals else float("nan"),
-            mae=float(np.mean([r["mae"] for r in flat_rows])),
-            mdice=float(np.mean([r["mdice"] for r in flat_rows])),
-            miou=float(np.mean([r["miou"] for r in flat_rows])),
-            per_sequence=sequences,
-            aggregation="per_frame_flat",
-        )
-    else:
-        f_seq = [s.f_w_beta for s in sequences if not np.isnan(s.f_w_beta)]
-        report = MetricReport(
-            s_alpha=float(np.mean([s.s_alpha for s in sequences])),
-            f_w_beta=float(np.mean(f_seq)) if f_seq else float("nan"),
-            mae=float(np.mean([s.mae for s in sequences])),
-            mdice=float(np.mean([s.mdice for s in sequences])),
-            miou=float(np.mean([s.miou for s in sequences])),
-            per_sequence=sequences,
-        )
-    return report
+    rows = flat_rows if flat else [vars(m) for m in sequences]
+    return MetricReport(per_sequence=sequences, **_mean_measures(rows),
+                        aggregation="per_frame_flat" if flat else "per_sequence")
 
 
 def write_report_csv(path, report: MetricReport):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["sequence", "frames", "s_alpha", "f_w_beta", "mae",
-                         "mdice", "miou"])
+        writer.writerow(["sequence", "frames", *MEASURES])
         for s in report.per_sequence:
-            writer.writerow([s.name, s.n_frames, f"{s.s_alpha:.6f}",
-                             f"{s.f_w_beta:.6f}", f"{s.mae:.6f}",
-                             f"{s.mdice:.6f}", f"{s.miou:.6f}"])
+            writer.writerow([s.name, s.n_frames, *(f"{getattr(s, k):.6f}" for k in MEASURES)])
         writer.writerow(["__overall__", sum(s.n_frames for s in report.per_sequence),
-                         f"{report.s_alpha:.6f}", f"{report.f_w_beta:.6f}",
-                         f"{report.mae:.6f}", f"{report.mdice:.6f}",
-                         f"{report.miou:.6f}"])
+                         *(f"{getattr(report, k):.6f}" for k in MEASURES)])
 
 
 def format_report_table(report: MetricReport) -> str:
+    def cells(m) -> str:
+        return "".join(f"{getattr(m, k):>10.4f}" for k in MEASURES)
+
     header = f"{'sequence':<20}{'frames':>8}{'S':>10}{'Fw':>10}{'MAE':>10}{'mDice':>10}{'mIoU':>10}"
     lines = [header, "-" * len(header)]
-    for s in report.per_sequence:
-        lines.append(f"{s.name:<20}{s.n_frames:>8}{s.s_alpha:>10.4f}{s.f_w_beta:>10.4f}"
-                     f"{s.mae:>10.4f}{s.mdice:>10.4f}{s.miou:>10.4f}")
+    lines += [f"{s.name:<20}{s.n_frames:>8}{cells(s)}" for s in report.per_sequence]
     lines.append("-" * len(header))
     lines.append(f"{'overall':<20}{sum(s.n_frames for s in report.per_sequence):>8}"
-                 f"{report.s_alpha:>10.4f}{report.f_w_beta:>10.4f}{report.mae:>10.4f}"
-                 f"{report.mdice:>10.4f}{report.miou:>10.4f}")
+                 f"{cells(report)}")
     return "\n".join(lines)

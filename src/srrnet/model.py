@@ -15,7 +15,7 @@ import numpy as np
 from .attention import AttentionConfig
 from .backbone import FrameTriplet, RMABackbone, StageConfig
 from .decoder import DecoderConfig, DualPurposeDecoder, PredictionPair
-from .nn import Module
+from .nn import Module, load_checkpoint, read_checkpoint_config
 from .tensor import ConfigurationError
 
 FULL_SCALE_REFERENCE_PARAMS = 53_790_000  # published headline parameter count
@@ -27,55 +27,28 @@ class ModelConfig:
     decoder: DecoderConfig
     attention_mode: str = "rma"
 
-    @property
-    def stage_channels(self) -> list[int]:
-        return [s.channels for s in self.stages]
 
-
-def _stage(channels: int, depth: int, heads: int, sr: int) -> StageConfig:
-    if channels % heads:
-        raise ConfigurationError(f"channels {channels} not divisible by heads {heads}")
-    return StageConfig(
-        channels=channels,
-        depth=depth,
-        attention=AttentionConfig(heads=heads, head_dim=channels // heads, sr_ratio=sr),
-    )
-
-
-def desk_config(attention_mode: str = "rma",
-                error_activation: str = "sigmoid") -> ModelConfig:
-    """Small configuration: fast forward passes, exact attention, checkable gradients."""
-    channels = [8, 16, 24, 32]
-    depths = [1, 1, 1, 1]
-    heads = [1, 2, 2, 4]
-    sr = [1, 1, 1, 1]
-    stages = [_stage(*spec) for spec in zip(channels, depths, heads, sr)]
-    decoder = DecoderConfig(ch_prime=64, ch_double_prime=32,
-                            error_activation=error_activation)
-    return ModelConfig(stages=stages, decoder=decoder, attention_mode=attention_mode)
-
-
-def full_config(attention_mode: str = "rma",
-                error_activation: str = "sigmoid") -> ModelConfig:
-    """Full-scale configuration, laid out to land near the published model size."""
-    channels = [64, 128, 320, 512]
-    depths = [3, 4, 6, 3]
-    heads = [1, 2, 5, 8]
-    sr = [8, 4, 2, 1]
-    stages = [_stage(*spec) for spec in zip(channels, depths, heads, sr)]
-    decoder = DecoderConfig(ch_prime=1024, ch_double_prime=256,
-                            error_activation=error_activation)
-    return ModelConfig(stages=stages, decoder=decoder, attention_mode=attention_mode)
-
-
-PRESETS = {"desk": desk_config, "full": full_config}
+# Per preset: stage channels, depths, heads and spatial-reduction ratios, then
+# the decoder's fusion and head widths. ``desk`` is small: fast forward passes,
+# exact attention, checkable gradients. ``full`` is laid out to land near the
+# published model size.
+PRESETS = {
+    "desk": ([8, 16, 24, 32], [1, 1, 1, 1], [1, 2, 2, 4], [1, 1, 1, 1], 64, 32),
+    "full": ([64, 128, 320, 512], [3, 4, 6, 3], [1, 2, 5, 8], [8, 4, 2, 1], 1024, 256),
+}
 
 
 def preset_config(name: str, attention_mode: str = "rma",
-                  error_activation: str = "sigmoid") -> ModelConfig:
+                  error_target: str = "absolute") -> ModelConfig:
     if name not in PRESETS:
         raise ConfigurationError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
-    return PRESETS[name](attention_mode=attention_mode, error_activation=error_activation)
+    channels, depths, heads, sr, ch_prime, ch_double_prime = PRESETS[name]
+    stages = [StageConfig(channels=ch, depth=depth,
+                          attention=AttentionConfig(heads=h, head_dim=ch // h, sr_ratio=r))
+              for ch, depth, h, r in zip(channels, depths, heads, sr)]
+    decoder = DecoderConfig(ch_prime=ch_prime, ch_double_prime=ch_double_prime,
+                            error_target=error_target)
+    return ModelConfig(stages=stages, decoder=decoder, attention_mode=attention_mode)
 
 
 class SRRNet(Module):
@@ -86,7 +59,8 @@ class SRRNet(Module):
         self.config = config
         self.backbone = RMABackbone(config.stages, rng,
                                     attention_mode=config.attention_mode)
-        self.decoder = DualPurposeDecoder(config.stage_channels, config.decoder, rng)
+        self.decoder = DualPurposeDecoder([s.channels for s in config.stages],
+                                          config.decoder, rng)
 
     def __call__(self, triplet: FrameTriplet) -> PredictionPair:
         features = self.backbone(triplet)
@@ -94,7 +68,19 @@ class SRRNet(Module):
 
 
 def build_model(preset: str = "desk", attention_mode: str = "rma",
-                seed: int = 0, error_activation: str = "sigmoid") -> SRRNet:
-    cfg = preset_config(preset, attention_mode=attention_mode,
-                        error_activation=error_activation)
+                seed: int = 0, error_target: str = "absolute") -> SRRNet:
+    cfg = preset_config(preset, attention_mode=attention_mode, error_target=error_target)
     return SRRNet(cfg, np.random.default_rng(seed))
+
+
+def load_model(path) -> SRRNet:
+    """Rebuild the model a checkpoint was saved from, with its weights."""
+    stored = read_checkpoint_config(path)
+    if stored is None:
+        raise ValueError(f"checkpoint {path} holds no model config")
+    stages = [StageConfig(**{**s, "attention": AttentionConfig(**s["attention"])})
+              for s in stored["stages"]]
+    model = SRRNet(ModelConfig(stages=stages, decoder=DecoderConfig(**stored["decoder"]),
+                               attention_mode=stored["attention_mode"]))
+    load_checkpoint(path, model)
+    return model

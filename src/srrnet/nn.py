@@ -1,7 +1,14 @@
-"""Parameter containers, layer modules, the AdamW optimizer, and checkpoints."""
+"""Parameter containers, layer modules, the AdamW optimizer, and checkpoints.
+
+A checkpoint (format 2) stores the model's config as JSON beside its float64
+parameters: loading refuses a model with another config, ``model.load_model``
+rebuilds the model from the file alone, and format-1 files are refused.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 from typing import Iterator, Optional
 
@@ -17,7 +24,7 @@ from .tensor import (
     matmul,
 )
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class Parameter(Tensor):
@@ -146,9 +153,23 @@ class AdamW:
             p.grad = None
 
 
+def _config_json(model: Module) -> str:
+    config = getattr(model, "config", None)  # a model's config dataclass; bare modules have none
+    return json.dumps(None if config is None else dataclasses.asdict(config), sort_keys=True)
+
+
+def _flatten(value, prefix: str = "") -> dict:
+    """A JSON value as {dotted field name: leaf value}."""
+    if isinstance(value, (dict, list)) and value:
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return {f: v for key, item in items for f, v in _flatten(item, f"{prefix}{key}.").items()}
+    return {prefix[:-1] or "config": value}
+
+
 def save_checkpoint(path, model: Module):
-    """Write all named parameters as little-endian float64 arrays with a version tag."""
-    arrays = {"__format_version__": np.asarray([CHECKPOINT_FORMAT_VERSION], dtype="<i8")}
+    """Write the model's config and all named parameters (little-endian float64)."""
+    arrays = {"__format_version__": np.asarray([CHECKPOINT_FORMAT_VERSION], dtype="<i8"),
+              "__config__": np.asarray(_config_json(model))}
     for name, p in model.named_parameters():
         if name in arrays:
             raise ValueError(f"duplicate parameter name: {name}")
@@ -156,13 +177,38 @@ def save_checkpoint(path, model: Module):
     np.savez(path, **arrays)
 
 
-def load_checkpoint(path, model: Module):
-    """Load parameters by name; names and shapes must match the model exactly."""
+def _stored_config(blob, path):
+    """The config in an open checkpoint; refuses every format but the current one."""
+    version = int(blob["__format_version__"][0])
+    if version == 1:
+        raise ValueError(f"checkpoint {path} is format 1, which predates the stored model "
+                         f"config; retrain to write format {CHECKPOINT_FORMAT_VERSION}")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format version {version}")
+    return json.loads(str(blob["__config__"]))
+
+
+def read_checkpoint_config(path):
+    """The config a checkpoint was saved with, as JSON values (None for a bare module)."""
     with np.load(path) as blob:
-        version = int(blob["__format_version__"][0])
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {version}")
-        stored = {k: blob[k] for k in blob.files if k != "__format_version__"}
+        return _stored_config(blob, path)
+
+
+def load_checkpoint(path, model: Module):
+    """Load parameters by name into a model built with the checkpoint's config.
+
+    A differing config, parameter name or shape raises ``ValueError``; a config
+    difference names the field and both values.
+    """
+    built = _flatten(json.loads(_config_json(model)))
+    with np.load(path) as blob:
+        saved = _flatten(_stored_config(blob, path))
+        for field in sorted(saved.keys() | built.keys()):
+            was, now = saved.get(field, "<absent>"), built.get(field, "<absent>")
+            if was != now:
+                raise ValueError(f"checkpoint {path} holds a model with {field}={was!r}, "
+                                 f"but the model to load has {field}={now!r}")
+        stored = {k: blob[k] for k in blob.files if not k.startswith("__")}
     model_params = dict(model.named_parameters())
     missing = sorted(set(model_params) - set(stored))
     extra = sorted(set(stored) - set(model_params))

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import FrameTriplet, ReferenceSlot
 from .data import SequenceRecord, StaticRecord
-from .decoder import binary_mask_from_logits
+from .decoder import ERROR_TARGETS, binary_mask_from_logits
 from .model import SRRNet
 from .nn import AdamW, save_checkpoint
 from .tensor import ConfigurationError, Tensor
@@ -39,7 +39,7 @@ class LossConfig:
     def __post_init__(self):
         if self.gamma < 0:
             raise ConfigurationError(f"gamma must be non-negative, got {self.gamma}")
-        if self.error_target not in ("absolute", "signed"):
+        if self.error_target not in ERROR_TARGETS:
             raise ConfigurationError(f"unknown error target {self.error_target!r}")
 
 
@@ -317,7 +317,6 @@ class TrainSchedule:
     static_lr: float = 6e-5
     video_lr: float = 1e-5
     gamma: float = 1.0
-    error_target: str = "absolute"
     seed: int = 0
     flip: bool = True
     crop: Optional[int] = None
@@ -362,7 +361,7 @@ def train(model: SRRNet, schedule: TrainSchedule,
           out_dir=None,
           progress: Optional[Callable[[int, dict], None]] = None) -> TrainResult:
     """Static pretrain then video fine-tune; either stage may be skipped."""
-    loss_cfg = LossConfig(gamma=schedule.gamma, error_target=schedule.error_target)
+    loss_cfg = LossConfig(gamma=schedule.gamma, error_target=model.config.decoder.error_target)
     rng = np.random.default_rng(schedule.seed)
     result = TrainResult()
 

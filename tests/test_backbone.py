@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srrnet.backbone import FrameTriplet, RMABackbone
-from srrnet.model import build_model, desk_config
+from srrnet.model import build_model, preset_config
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
 
@@ -107,17 +107,17 @@ def test_frame_triplet_coerces_arrays(rng):
 
 
 def test_backbone_config_validation(rng):
-    stages = desk_config().stages
+    stages = preset_config("desk").stages
     gen = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
         RMABackbone(stages[:3], gen)
-    shrinking = desk_config().stages
+    shrinking = preset_config("desk").stages
     shrinking[3].channels = 4
     shrinking[3].attention.head_dim = 1
     with pytest.raises(ConfigurationError, match="nondecreasing"):
         RMABackbone(shrinking, gen)
     with pytest.raises(ConfigurationError, match="mode"):
-        RMABackbone(desk_config().stages, gen, attention_mode="bogus")
+        RMABackbone(preset_config("desk").stages, gen, attention_mode="bogus")
 
 
 def test_desk_parameter_count_is_frozen(desk_model):

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from srrnet.cli import main
+from srrnet.data import load_sequence
+from srrnet.model import build_model
+from srrnet.nn import load_checkpoint
+from srrnet.pipeline import infer_sequence, write_score_trace
 from srrnet.pnm import read_pgm
 from srrnet.tensor import Tensor
 
@@ -94,6 +98,57 @@ def test_trace_score(workspace):
     assert rows[0] == ["frame_index", "score", "true_mae", "updated", "ref_frame_index"]
     assert len(rows) == 5
     assert all(r[2] != "" for r in rows[1:])  # ground truth present -> true MAE filled
+
+
+@pytest.fixture(scope="module")
+def full_signed_run(workspace):
+    """A checkpoint trained with non-default attention mode and error target."""
+    out = workspace / "full_signed"
+    assert run_cli("train", "--video-data", str(workspace / "video"),
+                   "--out", str(out), "--video-iterations", "2", "--video-lr", "1e-4",
+                   "--attention-mode", "full", "--error-target", "signed",
+                   "--seed", "0") == 0
+    return out / "checkpoint.npz"
+
+
+def test_trace_score_takes_the_model_from_the_checkpoint(workspace, full_signed_run, tmp_path):
+    seq = workspace / "video" / "seq0"
+    trace = tmp_path / "trace.csv"
+    assert run_cli("trace-score", "--data", str(seq), "--checkpoint", str(full_signed_run),
+                   "--out", str(trace), "--seed", "0") == 0
+    model = build_model("desk", attention_mode="full", seed=0, error_target="signed")
+    load_checkpoint(full_signed_run, model)
+    record = load_sequence(seq, require_masks=True)
+    expected = tmp_path / "expected.csv"
+    write_score_trace(expected, infer_sequence(model, record.frames, seed=0), record.masks)
+    assert trace.read_bytes() == expected.read_bytes()
+    with open(trace) as f:
+        scores = [float(r["score"]) for r in csv.DictReader(f)]
+    assert max(abs(v) for v in scores) < 0.25  # a sigmoid head would read about 0.5
+
+
+def test_train_resume_refuses_contradicting_flags(workspace, full_signed_run, capsys):
+    common = ["train", "--video-data", str(workspace / "video"),
+              "--checkpoint", str(full_signed_run), "--error-target", "signed"]
+    assert run_cli(*common, "--out", str(workspace / "resumed"),
+                   "--attention-mode", "full") == 0
+    capsys.readouterr()
+    assert run_cli(*common, "--out", str(workspace / "refused"),
+                   "--attention-mode", "rma") == 1
+    err = capsys.readouterr().err
+    assert "attention_mode='full'" in err and "attention_mode='rma'" in err
+
+
+@pytest.mark.parametrize("command, flag", [("infer", "--preset"), ("infer", "--attention-mode"),
+                                           ("trace-score", "--preset"),
+                                           ("trace-score", "--attention-mode")])
+def test_inference_commands_have_no_model_flags(workspace, command, flag):
+    value = "desk" if flag == "--preset" else "rma"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--data", str(workspace / "video" / "seq0"),
+                "--checkpoint", str(workspace / "run" / "checkpoint.npz"),
+                "--out", str(workspace / "unused"), flag, value)
+    assert exc.value.code == 2
 
 
 def test_infer_determinism(workspace, tmp_path):

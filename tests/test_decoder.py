@@ -100,7 +100,7 @@ def test_decoder_config_validation():
     with pytest.raises(ConfigurationError):
         DecoderConfig(ch_prime=0, ch_double_prime=8)
     with pytest.raises(ConfigurationError):
-        DecoderConfig(ch_prime=8, ch_double_prime=8, error_activation="relu")
+        DecoderConfig(ch_prime=8, ch_double_prime=8, error_target="relu")
 
 
 def test_prediction_shapes_and_score(desk_model, rng):
@@ -116,7 +116,7 @@ def test_prediction_shapes_and_score(desk_model, rng):
 
 
 def test_signed_error_activation_range(rng):
-    model = build_model("desk", seed=0, error_activation="tanh")
+    model = build_model("desk", seed=0, error_target="signed")
     pred = model(make_triplet(rng, size=32))
     assert ((pred.o_err.data > -1) & (pred.o_err.data < 1)).all()
 

@@ -1,9 +1,13 @@
 """PPM/PGM round trips, parse diagnostics, synthetic data, dataset loading."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from srrnet.data import DatasetError, load_sequence, load_static_pool, load_video_dataset
 from srrnet.pnm import (
@@ -71,6 +75,42 @@ def test_header_comments_are_skipped(tmp_path):
     (tmp_path / "c.pgm").write_bytes(b"P5\n# a comment\n3 2\n# another\n255\n" + payload)
     np.testing.assert_array_equal(read_pgm(tmp_path / "c.pgm"),
                                   np.frombuffer(payload, dtype=np.uint8).reshape(2, 3))
+
+
+_extent = st.integers(1, 48)
+_comment = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+
+
+def _with_comments(raw: bytes, comments: list[str]) -> bytes:
+    """Put a '#' comment line after the magic and after each of width and height."""
+    magic, width, height, rest = raw.split(maxsplit=3)
+    lines = [magic, width, height]
+    for i, text in enumerate(comments):
+        lines[i] += b"\n#" + text.encode("ascii")
+    return b"\n".join(lines) + b"\n" + rest
+
+
+@given(image=hnp.arrays(np.uint8, st.tuples(_extent, _extent)),
+       comments=st.lists(_comment, max_size=3))
+def test_pgm_round_trips_any_payload(image, comments):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.pgm"
+        write_pgm(path, image)
+        np.testing.assert_array_equal(read_pgm(path), image)
+        path.write_bytes(_with_comments(path.read_bytes(), comments))
+        np.testing.assert_array_equal(read_pgm(path), image)
+
+
+@given(image=hnp.arrays(np.uint8, st.tuples(_extent, _extent, st.just(3))),
+       comments=st.lists(_comment, max_size=3))
+def test_frame_round_trips_any_payload(image, comments):
+    frame = image.transpose(2, 0, 1) / 255.0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.ppm"
+        write_frame(path, frame)
+        np.testing.assert_array_equal(read_ppm(path), image)
+        path.write_bytes(_with_comments(path.read_bytes(), comments))
+        np.testing.assert_array_equal(read_frame(path), frame)
 
 
 def test_parse_errors_carry_byte_offsets(tmp_path):

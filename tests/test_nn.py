@@ -1,9 +1,14 @@
 """Layers, parameter registration, the optimizer, and checkpoint round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from srrnet import tensor as T
+from srrnet.attention import ATTENTION_MODES
+from srrnet.decoder import ERROR_TARGETS
+from srrnet.model import SRRNet, build_model, load_model, preset_config
 from srrnet.nn import (
     AdamW,
     Conv2d,
@@ -19,6 +24,7 @@ from srrnet.nn import (
 from srrnet.tensor import ConfigurationError, Tensor
 
 from conftest import assert_grad_matches
+from test_backbone import make_triplet
 
 
 class TinyNet(Module):
@@ -168,5 +174,63 @@ def test_checkpoint_stores_little_endian_float64(tmp_path, rng):
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, net)
     with np.load(path) as blob:
-        assert int(blob["__format_version__"][0]) == 1
+        assert int(blob["__format_version__"][0]) == 2
         assert blob["fc.weight"].dtype == np.dtype("<f8")
+
+
+# ---------------------------------------------------------------------------
+# model checkpoints carry the model's config
+
+
+@pytest.mark.parametrize("error_target", ERROR_TARGETS)
+@pytest.mark.parametrize("attention_mode", ATTENTION_MODES)
+def test_load_model_rebuilds_the_saved_model(tmp_path, attention_mode, error_target):
+    net = build_model("desk", attention_mode=attention_mode, seed=3,
+                      error_target=error_target)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, net)
+    loaded = load_model(path)
+    assert dataclasses.asdict(loaded.config) == dataclasses.asdict(net.config)
+    for (name, a), (other, b) in zip(net.named_parameters(), loaded.named_parameters()):
+        assert name == other
+        np.testing.assert_array_equal(a.data, b.data)
+    triplet = make_triplet(np.random.default_rng(5), size=32)
+    with T.no_grad():
+        expected, got = net(triplet), loaded(triplet)
+    np.testing.assert_array_equal(got.o_err.data, expected.o_err.data)
+    np.testing.assert_array_equal(got.supervision_logits.data,
+                                  expected.supervision_logits.data)
+
+
+@pytest.mark.parametrize("field, saved, built", [
+    ("attention_mode", "rma", "full"),
+    ("decoder.error_target", "absolute", "signed"),
+    ("decoder.ch_double_prime", 32, 16),
+    ("stages.0.depth", 1, 2),
+    ("stages.2.attention.sr_ratio", 1, 2),
+])
+def test_checkpoint_refuses_a_model_with_another_config(tmp_path, field, saved, built):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, SRRNet(preset_config("desk")))
+    cfg = preset_config("desk")
+    *owners, leaf = field.split(".")
+    owner = cfg
+    for key in owners:
+        owner = owner[int(key)] if key.isdigit() else getattr(owner, key)
+    setattr(owner, leaf, built)
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path, SRRNet(cfg))
+    message = str(exc.value)
+    assert f"holds a model with {field}={saved!r}" in message
+    assert f"the model to load has {field}={built!r}" in message
+
+
+def test_checkpoint_refuses_format_1(tmp_path):
+    net = build_model("desk", seed=0)
+    arrays = {"__format_version__": np.asarray([1], dtype="<i8")}
+    arrays.update((name, p.data) for name, p in net.named_parameters())
+    path = tmp_path / "old.npz"
+    np.savez(path, **arrays)
+    for load in (lambda: load_checkpoint(path, net), lambda: load_model(path)):
+        with pytest.raises(ValueError, match="format 1, which predates the stored model config"):
+            load()

@@ -591,3 +591,20 @@ def test_train_raises_on_non_finite_loss(monkeypatch):
         train(model, schedule, video_sequences=[_tiny_sequence()])
     assert len(calls) == 2
     assert all(np.isfinite(p.data).all() for p in model.parameters())
+
+
+@pytest.mark.parametrize("error_target", ["absolute", "signed"])
+def test_train_supervises_the_error_target_the_model_was_built_for(monkeypatch, error_target):
+    import srrnet.pipeline as pipeline
+    real = pipeline.compute_loss
+    targets = []
+
+    def recording(logits, o_err, gt, cfg):
+        targets.append(cfg.error_target)
+        return real(logits, o_err, gt, cfg)
+
+    monkeypatch.setattr(pipeline, "compute_loss", recording)
+    model = build_model("desk", seed=1, error_target=error_target)
+    train(model, TrainSchedule(video_iterations=2, video_lr=1e-4, seed=9),
+          video_sequences=[_tiny_sequence()])
+    assert targets == [error_target, error_target]
