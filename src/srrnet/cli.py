@@ -152,11 +152,15 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
             if action.dest in values:
                 raw = values[action.dest]
                 if action.type is not None:
-                    typed[action.dest] = action.type(raw)
+                    value = action.type(raw)
                 elif isinstance(action, argparse._StoreTrueAction):
-                    typed[action.dest] = raw.lower() in ("1", "true", "yes")
+                    value = raw.lower() in ("1", "true", "yes")
                 else:
-                    typed[action.dest] = raw
+                    value = raw
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"config key {action.dest}={raw!r} is not one of "
+                                     f"{list(action.choices)}")
+                typed[action.dest] = value
         sub.set_defaults(**typed)
     return parser.parse_args(argv)
 

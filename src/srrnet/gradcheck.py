@@ -9,32 +9,34 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import FrameTriplet
+from .decoder import PredictionPair, mae_score
 from .model import SRRNet
+from .pipeline import compute_loss
 from .tensor import Tensor
 
-DEFAULT_STEP = 1e-4
+FD_STEP = 1e-4
 DEFAULT_TOL = 1e-3
 # Guard against division by vanishing gradients: below this scale the check is
 # effectively absolute.
 REL_ERR_FLOOR = 1e-6
 
 
-def relative_error(a: float, b: float, floor: float = REL_ERR_FLOOR) -> float:
-    return abs(a - b) / max(abs(a), abs(b), floor)
+def relative_error(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), REL_ERR_FLOOR)
 
 
 def fd_gradient(loss_fn: Callable[[], Tensor], storage: np.ndarray,
-                flat_index: int, step: float = DEFAULT_STEP) -> float:
+                flat_index: int) -> float:
     """Central finite difference of a scalar loss w.r.t. one stored entry."""
     flat = storage.reshape(-1)
     original = flat[flat_index]
     with T.no_grad():
-        flat[flat_index] = original + step
+        flat[flat_index] = original + FD_STEP
         f_plus = float(loss_fn().data)
-        flat[flat_index] = original - step
+        flat[flat_index] = original - FD_STEP
         f_minus = float(loss_fn().data)
     flat[flat_index] = original
-    return (f_plus - f_minus) / (2.0 * step)
+    return (f_plus - f_minus) / (2.0 * FD_STEP)
 
 
 @dataclass
@@ -62,11 +64,9 @@ class GradCheckReport:
 
 
 def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
-                    step: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
-                    seed: int = 0, gamma: float = 1.0,
-                    progress: Callable[[str, float], None] | None = None
+                    tol: float = DEFAULT_TOL, seed: int = 0, gamma: float = 1.0
                     ) -> GradCheckReport:
-    """Check every parameter tensor of the model on a random input triplet.
+    """Check the training loss's gradient for every parameter tensor on a random triplet.
 
     Entries are sampled per tensor (deterministically from the seed). Inputs
     are drawn in [-1, 1] at a reduced spatial extent to keep the full sweep
@@ -87,17 +87,16 @@ def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
     # checked is exactly the one backward computes.
     with T.no_grad():
         pred0 = model(triplet)
-        target = np.abs(gt - pred0.o_msk)
-        target = T.resize_array(target, pred0.o_err.shape[2], pred0.o_err.shape[3])
-        mask_logits0 = pred0.mask_logits.data.copy()
+    error_target = model.config.decoder.error_target
 
     def loss_fn() -> Tensor:
         dec = model.decoder
         f = dec.fuse(model.backbone(triplet))
-        _, logits_full, _ = dec.predict_mask(f, size, size)
-        o_err = dec.predict_error(f, Tensor(mask_logits0))
-        logit_diff = T.narrow(logits_full, 1, 1, 1) - T.narrow(logits_full, 1, 0, 1)
-        return T.bce_with_logits(logit_diff, gt) + gamma * T.mse(o_err, target)
+        m, logits_full, _ = dec.predict_mask(f, size, size)
+        o_err = dec.predict_error(f, pred0.mask_logits)
+        pred = PredictionPair(mask_logits=m, supervision_logits=logits_full,
+                              o_msk=pred0.o_msk, o_err=o_err, score=mae_score(o_err))
+        return compute_loss(pred, gt, gamma, error_target)[0]
 
     report = GradCheckReport(tol=tol)
     params = list(model.named_parameters())
@@ -111,10 +110,8 @@ def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
         indices = sorted(rng.choice(p.size, size=n, replace=False).tolist())
         worst = 0.0
         for i in indices:
-            fd = fd_gradient(loss_fn, p.data, i, step)
+            fd = fd_gradient(loss_fn, p.data, i)
             worst = max(worst, relative_error(fd, analytic[name][i]))
         report.checks.append(ParamCheck(name=name, max_rel_err=worst, entries=n))
-        if progress is not None:
-            progress(name, worst)
     model.zero_grad()
     return report

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import FrameTriplet, ReferenceSlot
 from .data import SequenceRecord, StaticRecord
-from .decoder import ERROR_TARGETS, binary_mask_from_logits
+from .decoder import ERROR_TARGETS, PredictionPair
 from .model import SRRNet
 from .nn import AdamW, save_checkpoint
 from .tensor import ConfigurationError, Tensor
@@ -31,41 +31,32 @@ REFERENCE_MODES = ("off", "random", "scored")
 # losses
 
 
-@dataclass
-class LossConfig:
-    gamma: float = 1.0
-    error_target: str = "absolute"  # or "signed"
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ConfigurationError(f"gamma must be non-negative, got {self.gamma}")
-        if self.error_target not in ERROR_TARGETS:
-            raise ConfigurationError(f"unknown error target {self.error_target!r}")
-
-
-def compute_loss(mask_logits: Tensor, o_err: Tensor, gt: np.ndarray,
-                 cfg: LossConfig) -> tuple[Tensor, dict]:
+def compute_loss(pred: PredictionPair, gt: np.ndarray, gamma: float,
+                 error_target: str) -> tuple[Tensor, dict]:
     """Segmentation BCE plus gamma-weighted MSE on the predicted error map.
 
-    ``mask_logits`` is the two-channel map at supervision resolution; the BCE
-    acts on the foreground-minus-background logit. The error target is derived
-    from the detached binary mask and resized to the error map's grid when the
-    resolutions differ.
+    The BCE acts on the foreground-minus-background logit of
+    ``pred.supervision_logits``. The error target is ``gt - pred.o_msk`` (its
+    absolute value unless ``error_target`` is ``"signed"``), resized to the
+    error map's grid when the resolutions differ; ``o_msk`` is an argmax, so
+    no gradient flows through the target.
     """
+    if error_target not in ERROR_TARGETS:
+        raise ConfigurationError(f"unknown error target {error_target!r}")
+    logits, o_err = pred.supervision_logits, pred.o_err
     gt = np.asarray(gt, dtype=np.float64)
-    if gt.shape[0] != mask_logits.shape[0] or gt.shape[2:] != tuple(mask_logits.shape[2:]):
+    if gt.shape[0] != logits.shape[0] or gt.shape[2:] != tuple(logits.shape[2:]):
         raise T.ShapeMismatchError(
-            f"ground truth shape {gt.shape} does not match logits {mask_logits.shape}")
-    logit_diff = T.narrow(mask_logits, 1, 1, 1) - T.narrow(mask_logits, 1, 0, 1)
+            f"ground truth shape {gt.shape} does not match logits {logits.shape}")
+    logit_diff = T.narrow(logits, 1, 1, 1) - T.narrow(logits, 1, 0, 1)
     bce = T.bce_with_logits(logit_diff, gt)
 
-    o_msk = binary_mask_from_logits(mask_logits)  # detached by construction
-    raw = gt - o_msk
-    target = np.abs(raw) if cfg.error_target == "absolute" else raw
+    raw = gt - pred.o_msk
+    target = np.abs(raw) if error_target == "absolute" else raw
     if target.shape[2:] != tuple(o_err.shape[2:]):
         target = T.resize_array(target, o_err.shape[2], o_err.shape[3])
     mse = T.mse(o_err, target)
-    total = bce + cfg.gamma * mse
+    total = bce + gamma * mse
     return total, {"bce": float(bce.data), "mse": float(mse.data),
                    "total": float(total.data)}
 
@@ -137,22 +128,21 @@ def triplet_to_input(trip: TrainTriplet) -> tuple[FrameTriplet, np.ndarray]:
 # augmentation
 
 
-def _augment(trip: TrainTriplet, rng: np.random.Generator, flip: bool,
-             crop: Optional[int], mask_dropout: float = 0.0) -> TrainTriplet:
+def _augment(trip: TrainTriplet, rng: np.random.Generator,
+             schedule: TrainSchedule) -> TrainTriplet:
     arrays = [trip.c_img, trip.c_gt, trip.p_img, trip.p_seg, trip.r_img, trip.r_seg]
-    if flip and rng.random() < 0.5:
+    if schedule.flip and rng.random() < 0.5:
         arrays = [a[..., ::-1].copy() for a in arrays]
     # Bootstrap augmentation: inference starts from a degenerate triplet whose
     # mask channels are all zero, so training must sometimes show that regime.
-    if mask_dropout > 0.0:
-        if rng.random() < mask_dropout:
+    if schedule.mask_dropout > 0.0:
+        if rng.random() < schedule.mask_dropout:
             arrays[3] = np.zeros_like(arrays[3])
-        if rng.random() < mask_dropout:
+        if rng.random() < schedule.mask_dropout:
             arrays[5] = np.zeros_like(arrays[5])
+    crop = schedule.crop
     if crop is not None:
         h, w = arrays[0].shape[-2:]
-        if crop % 32:
-            raise ConfigurationError(f"crop size {crop} must be divisible by 32")
         if crop < h or crop < w:
             top = int(rng.integers(0, h - crop + 1))
             left = int(rng.integers(0, w - crop + 1))
@@ -199,16 +189,13 @@ class StepResult:
 class InferenceSession:
     """Strictly sequential single-pass inference with score-driven memory."""
 
-    def __init__(self, model: SRRNet, reference_mode: str = "scored",
-                 seed: int = 0,
-                 score_override: Optional[Callable[[int], float]] = None):
+    def __init__(self, model: SRRNet, reference_mode: str = "scored", seed: int = 0):
         if reference_mode not in REFERENCE_MODES:
             raise ConfigurationError(
                 f"unknown reference mode {reference_mode!r}; expected one of {REFERENCE_MODES}")
         self.model = model
         self.reference_mode = reference_mode
         self.rng = np.random.default_rng(seed)
-        self.score_override = score_override
         self.memory: Optional[MemoryState] = None
         self.prev_img: Optional[np.ndarray] = None
         self.prev_msk: Optional[np.ndarray] = None
@@ -259,10 +246,8 @@ class InferenceSession:
         o_err = pred.o_err.data[0]
         score = pred.score_value
         index = self.frame_counter
-        decision_score = (self.score_override(index)
-                          if self.score_override is not None else score)
 
-        updated = self.memory.update(index, frame, o_msk, decision_score)
+        updated = self.memory.update(index, frame, o_msk, score)
         self.prev_img = frame
         self.prev_msk = o_msk
         if self.reference_mode == "random":
@@ -274,14 +259,11 @@ class InferenceSession:
 
 
 def infer_sequence(model: SRRNet, frames: Sequence[np.ndarray],
-                   reference_mode: str = "scored", seed: int = 0,
-                   score_override: Optional[Callable[[int], float]] = None
-                   ) -> list[StepResult]:
+                   reference_mode: str = "scored", seed: int = 0) -> list[StepResult]:
     """Run the session over an ordered frame source, one pass, no lookahead."""
     if len(frames) == 0:
         raise ConfigurationError("empty sequence")
-    session = InferenceSession(model, reference_mode=reference_mode, seed=seed,
-                               score_override=score_override)
+    session = InferenceSession(model, reference_mode=reference_mode, seed=seed)
     results = []
     for t in range(len(frames)):
         frame = frames[t]
@@ -321,8 +303,17 @@ class TrainSchedule:
     flip: bool = True
     crop: Optional[int] = None
     mask_dropout: float = 0.0  # probability of zeroing each mask input channel
-    weight_decay: float = 1e-2
     log_every: int = 50
+
+    def __post_init__(self):
+        for name in ("static_iterations", "video_iterations", "static_lr", "video_lr", "gamma"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.crop is not None and (self.crop <= 0 or self.crop % 32):
+            raise ConfigurationError(f"crop must be a positive multiple of 32, got {self.crop}")
+        if not 0.0 <= self.mask_dropout <= 1.0:
+            raise ConfigurationError(f"mask_dropout must be in [0, 1], got {self.mask_dropout}")
 
 
 @dataclass
@@ -334,15 +325,15 @@ class TrainResult:
 
 def _train_stage(model: SRRNet, sample: Callable[[np.random.Generator], TrainTriplet],
                  iterations: int, lr: float, schedule: TrainSchedule,
-                 loss_cfg: LossConfig, rng: np.random.Generator, stage: str,
-                 trace: list, progress: Optional[Callable[[int, dict], None]] = None):
-    opt = AdamW(model.parameters(), lr=lr, weight_decay=schedule.weight_decay)
+                 rng: np.random.Generator, stage: str, trace: list,
+                 progress: Optional[Callable[[int, dict], None]] = None):
+    error_target = model.config.decoder.error_target
+    opt = AdamW(model.parameters(), lr=lr)
     for it in range(iterations):
-        trip = _augment(sample(rng), rng, schedule.flip, schedule.crop,
-                        schedule.mask_dropout)
+        trip = _augment(sample(rng), rng, schedule)
         triplet, gt = triplet_to_input(trip)
         pred = model(triplet)
-        loss, parts = compute_loss(pred.supervision_logits, pred.o_err, gt, loss_cfg)
+        loss, parts = compute_loss(pred, gt, schedule.gamma, error_target)
         if not np.isfinite(loss.data).all():
             # a non-finite loss would poison every weight through the optimizer
             raise RuntimeError(
@@ -361,7 +352,6 @@ def train(model: SRRNet, schedule: TrainSchedule,
           out_dir=None,
           progress: Optional[Callable[[int, dict], None]] = None) -> TrainResult:
     """Static pretrain then video fine-tune; either stage may be skipped."""
-    loss_cfg = LossConfig(gamma=schedule.gamma, error_target=model.config.decoder.error_target)
     rng = np.random.default_rng(schedule.seed)
     result = TrainResult()
 
@@ -370,7 +360,7 @@ def train(model: SRRNet, schedule: TrainSchedule,
             raise ConfigurationError("static pretraining requested without a static pool")
         _train_stage(model, lambda r: sample_static_triplet(static_pool, r),
                      schedule.static_iterations, schedule.static_lr, schedule,
-                     loss_cfg, rng, "static", result.loss_trace, progress)
+                     rng, "static", result.loss_trace, progress)
 
     if schedule.video_iterations > 0:
         if not video_sequences:
@@ -382,7 +372,7 @@ def train(model: SRRNet, schedule: TrainSchedule,
             return sample_training_triplet(seq, r)
 
         _train_stage(model, sample_video, schedule.video_iterations,
-                     schedule.video_lr, schedule, loss_cfg, rng, "video",
+                     schedule.video_lr, schedule, rng, "video",
                      result.loss_trace, progress)
 
     if out_dir is not None:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pnm import write_frame, write_pgm
+from .pnm import write_frame, write_mask
 from .tensor import ConfigurationError, resize_array
 
 
@@ -125,7 +125,7 @@ def generate_sequence(params: SynthParams, out_dir) -> Path:
     frames, masks = generate_arrays(params)
     for i, (frame, mask) in enumerate(zip(frames, masks)):
         write_frame(out_dir / f"{i:05d}.ppm", frame)
-        write_pgm(out_dir / f"{i:05d}.pgm", (mask[0] >= 0.5).astype(np.uint8) * 255)
+        write_mask(out_dir / f"{i:05d}.pgm", mask)
     return out_dir
 
 
@@ -142,7 +142,7 @@ def generate_static_pool(seed: int, images: int, size: int, out_dir,
                              texture_grain=6 + 2 * category)
         frames, masks = generate_arrays(params)
         write_frame(out_dir / f"{i:05d}.ppm", frames[0])
-        write_pgm(out_dir / f"{i:05d}.pgm", (masks[0][0] >= 0.5).astype(np.uint8) * 255)
+        write_mask(out_dir / f"{i:05d}.pgm", masks[0])
         lines.append(f"{i:05d} cat{category}")
     (out_dir / "categories.txt").write_text("\n".join(lines) + "\n")
     return out_dir

@@ -16,12 +16,12 @@ from conftest import acceptance_lines
 from srrnet import tensor as T
 from srrnet.backbone import ATTENTION_MODES, FrameTriplet
 from srrnet.data import SequenceRecord
+from srrnet.decoder import PredictionPair, binary_mask_from_logits
 from srrnet.gradcheck import gradcheck_model
 from srrnet.model import FULL_SCALE_REFERENCE_PARAMS, build_model
 from srrnet.nn import AdamW, count_parameters
 from srrnet.pipeline import (
     REFERENCE_MODES,
-    LossConfig,
     compute_loss,
     infer_sequence,
     sample_training_triplet,
@@ -126,8 +126,8 @@ def test_criterion_4_protocol_oracle():
         n = int(gen.integers(1, 101))
         # two-decimal quantization forces ties, exercising the earliest-minimum rule
         scores = [float(s) for s in np.round(gen.random(n), 2)]
-        results = infer_sequence(StubModel(), [frame] * n, reference_mode="scored",
-                                 score_override=lambda i, s=scores: s[i])
+        results = infer_sequence(StubModel(scores=scores), [frame] * n,
+                                 reference_mode="scored")
         if [r.ref_frame_index for r in results] != prefix_argmin(scores):
             ok = False
             break
@@ -147,7 +147,10 @@ def test_criterion_5_loss_correctness(desk_model, rng):
     o_err = T.sigmoid(Tensor(np.zeros((1, 1, 2, 2))))
     gt = np.zeros((1, 1, 2, 2))
     gt[0, 0, 0, 0] = 1.0
-    total, parts = compute_loss(logits, o_err, gt, LossConfig(gamma=1.0))
+    pred = PredictionPair(mask_logits=logits, supervision_logits=logits,
+                          o_msk=binary_mask_from_logits(logits), o_err=o_err,
+                          score=T.mean(o_err))
+    total, parts = compute_loss(pred, gt, 1.0, "absolute")
     hand_ok = (abs(parts["bce"] - math.log(2.0)) < 1e-12
                and abs(parts["mse"] - 0.25) < 1e-12
                and abs(float(total.data) - (math.log(2.0) + 0.25)) < 1e-12)
@@ -157,8 +160,7 @@ def test_criterion_5_loss_correctness(desk_model, rng):
     full_gt = (rng.random((1, 1, 32, 32)) > 0.5).astype(np.float64)
     desk_model.zero_grad()
     pred = desk_model(trip)
-    loss, _ = compute_loss(pred.supervision_logits, pred.o_err, full_gt,
-                           LossConfig(gamma=0.0))
+    loss, _ = compute_loss(pred, full_gt, 0.0, "absolute")
     T.backward(loss)
     joint = {n: (p.grad.copy() if p.grad is not None else None)
              for n, p in desk_model.named_parameters()}
@@ -214,7 +216,6 @@ def test_criterion_6_overfit_and_score_trend():
     model = build_model("desk", seed=MODEL_SEED)
     opt = AdamW(model.parameters(), lr=LEARNING_RATE)
     gen = np.random.default_rng(TRAIN_RNG_SEED)
-    cfg = LossConfig(gamma=1.0)
     bces = []
     for _ in range(ITERATIONS):
         trip = sample_training_triplet(seq, gen)
@@ -224,7 +225,7 @@ def test_criterion_6_overfit_and_score_trend():
             trip.r_seg = np.zeros_like(trip.r_seg)
         triplet, gt = triplet_to_input(trip)
         pred = model(triplet)
-        loss, parts = compute_loss(pred.supervision_logits, pred.o_err, gt, cfg)
+        loss, parts = compute_loss(pred, gt, 1.0, "absolute")
         opt.zero_grad()
         T.backward(loss)
         opt.step()

@@ -139,6 +139,19 @@ def test_train_resume_refuses_contradicting_flags(workspace, full_signed_run, ca
     assert "attention_mode='full'" in err and "attention_mode='rma'" in err
 
 
+@pytest.mark.parametrize("flag, value, field", [("--static-iterations", "-1", "static_iterations"),
+                                               ("--video-iterations", "-1", "video_iterations"),
+                                               ("--video-lr", "-1", "video_lr"),
+                                               ("--gamma", "-1", "gamma"),
+                                               ("--crop", "40", "crop"),
+                                               ("--mask-dropout", "1.5", "mask_dropout")])
+def test_train_rejects_out_of_range_inputs(workspace, capsys, flag, value, field):
+    assert run_cli("train", "--video-data", str(workspace / "video"),
+                   "--out", str(workspace / "rejected"), flag, value) == 1
+    assert field in capsys.readouterr().err
+    assert not (workspace / "rejected").exists()
+
+
 @pytest.mark.parametrize("command, flag", [("infer", "--preset"), ("infer", "--attention-mode"),
                                            ("trace-score", "--preset"),
                                            ("trace-score", "--attention-mode")])
@@ -195,6 +208,15 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("bogus_key=1\n")
     assert run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_config_file_values_must_meet_the_flag_choices(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset=bogus\n")
+    assert run_cli("params", "--config", str(cfg)) == 2
+    assert "preset" in capsys.readouterr().err
+    cfg.write_text("preset=desk\nattention_mode=self_only\n")
+    assert run_cli("params", "--config", str(cfg)) == 0
 
 
 def test_usage_errors_exit_2():

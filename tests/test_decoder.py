@@ -12,9 +12,10 @@ from srrnet.decoder import (
     channel_linear,
     mae_score,
 )
+from srrnet.gradcheck import gradcheck_model
 from srrnet.model import build_model
 from srrnet.nn import Linear
-from srrnet.pipeline import compute_loss, LossConfig
+from srrnet.pipeline import compute_loss
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
 from test_backbone import make_triplet
@@ -121,6 +122,14 @@ def test_signed_error_activation_range(rng):
     assert ((pred.o_err.data > -1) & (pred.o_err.data < 1)).all()
 
 
+def test_gradcheck_covers_the_signed_error_head():
+    # the check runs the training loss with the model's own error target, so
+    # this sweeps the 2σ(x) − 1 head against the signed target gt − mask
+    report = gradcheck_model(build_model("desk", seed=0, error_target="signed"),
+                             samples_per_param=1)
+    assert report.passed, report.worst()
+
+
 def test_fuse_stage_resizes_to_common_grid(desk_model, rng):
     features = desk_model.backbone(make_triplet(rng, size=64))
     dec = desk_model.decoder
@@ -159,7 +168,7 @@ def test_total_loss_reaches_both_heads(desk_model, rng):
     trip = make_triplet(rng, size=32)
     pred = desk_model(trip)
     gt = (rng.random((1, 1, 32, 32)) > 0.5).astype(np.float64)
-    loss, _ = compute_loss(pred.supervision_logits, pred.o_err, gt, LossConfig())
+    loss, _ = compute_loss(pred, gt, 1.0, "absolute")
     T.backward(loss)
     assert desk_model.decoder.mask_head.weight.grad is not None
     assert desk_model.decoder.err_head.weight.grad is not None

@@ -1,6 +1,7 @@
 """Losses, samplers, reference memory protocol, sessions, and training."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,10 @@ import pytest
 from srrnet import tensor as T
 from srrnet.backbone import FrameTriplet, ReferenceSlot, RMABackbone
 from srrnet.data import SequenceRecord, StaticRecord
-from srrnet.decoder import PredictionPair
+from srrnet.decoder import PredictionPair, binary_mask_from_logits
 from srrnet.model import build_model
 from srrnet.pipeline import (
     InferenceSession,
-    LossConfig,
     MemoryState,
     TrainSchedule,
     compute_loss,
@@ -31,6 +31,13 @@ from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 # loss
 
 
+def prediction(logits: Tensor, o_err: Tensor) -> PredictionPair:
+    """A decoder output built from full-resolution logits and an error map."""
+    return PredictionPair(mask_logits=logits, supervision_logits=logits,
+                          o_msk=binary_mask_from_logits(logits), o_err=o_err,
+                          score=T.mean(o_err))
+
+
 def test_loss_hand_computed_case():
     # Zero logits everywhere: BCE = ln 2; the tie convention gives an all-zero
     # mask, so the error target equals the ground truth; constant 0.5 error map
@@ -39,7 +46,7 @@ def test_loss_hand_computed_case():
     o_err = T.sigmoid(Tensor(np.zeros((1, 1, 2, 2))))  # exactly 0.5
     gt = np.zeros((1, 1, 2, 2))
     gt[0, 0, 0, 0] = 1.0
-    total, parts = compute_loss(logits, o_err, gt, LossConfig(gamma=1.0))
+    total, parts = compute_loss(prediction(logits, o_err), gt, 1.0, "absolute")
     assert abs(parts["bce"] - math.log(2.0)) < 1e-12
     assert abs(parts["mse"] - 0.25) < 1e-12
     assert abs(float(total.data) - (math.log(2.0) + 0.25)) < 1e-12
@@ -50,8 +57,7 @@ def test_loss_total_is_exact_weighted_sum(desk_model, rng):
     pred = desk_model(make_triplet(rng, size=32))
     gt = (rng.random((1, 1, 32, 32)) > 0.5).astype(np.float64)
     for gamma in (0.0, 0.5, 2.0):
-        total, parts = compute_loss(pred.supervision_logits, pred.o_err, gt,
-                                    LossConfig(gamma=gamma))
+        total, parts = compute_loss(pred, gt, gamma, "absolute")
         assert parts["bce"] >= 0 and parts["mse"] >= 0
         assert float(total.data) == parts["bce"] + gamma * parts["mse"]
 
@@ -60,31 +66,35 @@ def test_loss_resizes_error_target_to_error_grid(desk_model, rng):
     from test_backbone import make_triplet
     pred = desk_model(make_triplet(rng, size=32))
     gt = (rng.random((1, 1, 32, 32)) > 0.5).astype(np.float64)
-    total, parts = compute_loss(pred.supervision_logits, pred.o_err, gt, LossConfig())
+    total, parts = compute_loss(pred, gt, 1.0, "absolute")
     assert np.isfinite(parts["mse"])
 
 
 def test_signed_error_target_changes_loss():
+    # a false positive at (0, 0) and a miss at (0, 1): the absolute target is
+    # 1 at both, the signed target -1 and +1; a zero error map scores both
+    # the same, a map of +1 at (0, 1) only fits the signed one there
     logits = Tensor(np.zeros((1, 2, 2, 2)))
-    o_err = T.sigmoid(Tensor(np.zeros((1, 1, 2, 2)))) * 2.0 - 1.0  # exactly 0
+    logits.data[0, 1, 0, 0] = 1.0
     gt = np.zeros((1, 1, 2, 2))
-    gt[0, 0, 0, 0] = 1.0
-    _, absolute = compute_loss(logits, o_err, gt, LossConfig(error_target="absolute"))
-    _, signed = compute_loss(logits, o_err, gt, LossConfig(error_target="signed"))
-    # target is gt either way here (mask is empty), but e.g. with a false
-    # positive they differ; check the config plumbing accepts both
-    assert abs(absolute["mse"] - signed["mse"]) < 1e-12
+    gt[0, 0, 0, 1] = 1.0
+    zero = T.sigmoid(Tensor(np.zeros((1, 1, 2, 2)))) * 2.0 - 1.0  # exactly 0
+    _, absolute = compute_loss(prediction(logits, zero), gt, 1.0, "absolute")
+    _, signed = compute_loss(prediction(logits, zero), gt, 1.0, "signed")
+    assert absolute["mse"] == signed["mse"] == 0.5
+    hit = Tensor(np.array([[[[-1.0, 1.0], [0.0, 0.0]]]]))
+    _, absolute = compute_loss(prediction(logits, hit), gt, 1.0, "absolute")
+    _, signed = compute_loss(prediction(logits, hit), gt, 1.0, "signed")
+    assert absolute["mse"] == 1.0 and signed["mse"] == 0.0
     with pytest.raises(ConfigurationError):
-        LossConfig(error_target="other")
-    with pytest.raises(ConfigurationError):
-        LossConfig(gamma=-1.0)
+        compute_loss(prediction(logits, zero), gt, 1.0, "other")
 
 
 def test_loss_shape_mismatch():
     logits = Tensor(np.zeros((1, 2, 4, 4)))
     o_err = Tensor(np.full((1, 1, 4, 4), 0.5))
     with pytest.raises(ShapeMismatchError):
-        compute_loss(logits, o_err, np.zeros((1, 1, 2, 2)), LossConfig())
+        compute_loss(prediction(logits, o_err), np.zeros((1, 1, 2, 2)), 1.0, "absolute")
 
 
 def test_gamma_zero_matches_mask_only_gradients(desk_model, rng):
@@ -94,8 +104,7 @@ def test_gamma_zero_matches_mask_only_gradients(desk_model, rng):
 
     desk_model.zero_grad()
     pred = desk_model(trip)
-    total, _ = compute_loss(pred.supervision_logits, pred.o_err, gt,
-                            LossConfig(gamma=0.0))
+    total, _ = compute_loss(pred, gt, 0.0, "absolute")
     T.backward(total)
     with_branch = {n: (p.grad.copy() if p.grad is not None else None)
                    for n, p in desk_model.named_parameters()}
@@ -278,15 +287,6 @@ def test_session_scores_drive_reference_memory():
     assert [r.ref_frame_index for r in results] == [0, 0, 2, 2, 4, 4]
 
 
-def test_session_score_override_hook():
-    model = StubModel()  # constant model score 0.5
-    injected = [0.9, 0.2, 0.4, 0.1]
-    results = infer_sequence(model, _frames(4), score_override=lambda i: injected[i])
-    assert [r.ref_frame_index for r in results] == [0, 1, 1, 3]
-    # the reported score stays the model's own prediction
-    assert [r.score for r in results] == pytest.approx([0.5] * 4)
-
-
 def test_session_reference_mode_off_duplicates_previous():
     model = StubModel(scores=[0.5, 0.4, 0.3, 0.2])
     frames = _frames(4)
@@ -346,15 +346,25 @@ def test_session_errors():
 
 
 class RecordingModel:
-    """Passes triplets through to a real model, keeping their input arrays."""
+    """Passes triplets through to a real model, keeping their input arrays.
 
-    def __init__(self, model):
+    The t-th prediction reports ``scores[t]`` as its score, so the session's
+    reference changes on scripted frames; the model's own score is kept in
+    ``model_scores``.
+    """
+
+    def __init__(self, model, scores):
         self.model = model
+        self.scores = scores
         self.inputs = []
+        self.model_scores = []
 
     def __call__(self, triplet):
         self.inputs.append((triplet.c_img.data, triplet.p_in.data, triplet.r_in.data))
-        return self.model(triplet)
+        pred = self.model(triplet)
+        self.model_scores.append(pred.score_value)
+        scripted = Tensor(np.array(self.scores[len(self.model_scores) - 1]))
+        return dataclasses.replace(pred, score=scripted)
 
 
 # with a reference change on frames 3 and 5 in scored mode
@@ -377,16 +387,15 @@ def slot_frames():
 @pytest.mark.parametrize("reference_mode", ["scored", "random", "off"])
 def test_cached_session_matches_uncached_model(slot_frames, reference_mode, attention_mode):
     model = build_model("desk", attention_mode=attention_mode, seed=0)
-    recorder = RecordingModel(model)
-    results = infer_sequence(recorder, slot_frames, reference_mode=reference_mode,
-                             seed=3, score_override=lambda i: SLOT_SCORES[i])
+    recorder = RecordingModel(model, SLOT_SCORES)
+    results = infer_sequence(recorder, slot_frames, reference_mode=reference_mode, seed=3)
     assert len(results) == len(recorder.inputs) == len(slot_frames)
-    for res, (c, p, r) in zip(results, recorder.inputs):
+    for res, score, (c, p, r) in zip(results, recorder.model_scores, recorder.inputs):
         with T.no_grad():
             pred = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r)))
         np.testing.assert_array_equal(res.o_msk, pred.o_msk[0])
         np.testing.assert_array_equal(res.o_err, pred.o_err.data[0])
-        assert res.score == pred.score_value
+        assert score == pred.score_value
 
 
 def _count_encodes(monkeypatch):
@@ -404,9 +413,8 @@ def _count_encodes(monkeypatch):
 @pytest.mark.parametrize("reference_mode", ["scored", "off"])
 def test_reference_encoded_once_per_reference_change(monkeypatch, slot_frames, reference_mode):
     calls = _count_encodes(monkeypatch)
-    recorder = RecordingModel(build_model("desk", seed=0))
-    results = infer_sequence(recorder, slot_frames, reference_mode=reference_mode,
-                             score_override=lambda i: SLOT_SCORES[i])
+    recorder = RecordingModel(build_model("desk", seed=0), SLOT_SCORES)
+    results = infer_sequence(recorder, slot_frames, reference_mode=reference_mode)
     r_ins = [r for _, _, r in recorder.inputs]
     changes = sum(not np.array_equal(a, b) for a, b in zip(r_ins, r_ins[1:]))
     assert len(calls) == 1 + changes
@@ -566,6 +574,20 @@ def test_train_two_stages_and_artifacts(tmp_path):
         np.testing.assert_array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("field, value", [("static_iterations", -1), ("video_iterations", -2),
+                                          ("static_lr", -1e-4), ("video_lr", -1.0),
+                                          ("gamma", -1.0), ("crop", 48), ("crop", 0),
+                                          ("mask_dropout", 1.5), ("mask_dropout", -0.1)])
+def test_train_schedule_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        TrainSchedule(**{field: value})
+
+
+def test_train_schedule_accepts_range_ends():
+    TrainSchedule(crop=64, mask_dropout=0.0, gamma=0.0)
+    TrainSchedule(mask_dropout=1.0)
+
+
 def test_train_stage_requirements():
     model = build_model("desk", seed=1)
     with pytest.raises(ConfigurationError):
@@ -599,9 +621,9 @@ def test_train_supervises_the_error_target_the_model_was_built_for(monkeypatch, 
     real = pipeline.compute_loss
     targets = []
 
-    def recording(logits, o_err, gt, cfg):
-        targets.append(cfg.error_target)
-        return real(logits, o_err, gt, cfg)
+    def recording(pred, gt, gamma, error_target):
+        targets.append(error_target)
+        return real(pred, gt, gamma, error_target)
 
     monkeypatch.setattr(pipeline, "compute_loss", recording)
     model = build_model("desk", seed=1, error_target=error_target)
