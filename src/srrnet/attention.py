@@ -73,9 +73,8 @@ class BranchTokens:
                 f"spatial extent {self.h}x{self.w} does not match token count {self.c.shape[1]}")
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                         proj: Linear | None = None) -> Tensor:
-    """Multi-head softmax(QK^T / sqrt(d))V with merged heads, optionally projected."""
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head softmax(QK^T / sqrt(d))V with merged heads."""
     batch, n_q, channels = q.shape
     n_k = k.shape[1]
     if n_k == 0:
@@ -93,10 +92,9 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     kh = split(k, n_k)
     vh = split(v, n_k)
     scores = T.matmul(qh, T.transpose(kh, (0, 1, 3, 2)))
-    attn = T.softmax(scores, axis=-1, scale=1.0 / math.sqrt(head_dim))
+    attn = T.softmax(scores, scale=1.0 / math.sqrt(head_dim))
     out = T.matmul(attn, vh)
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch, n_q, channels))
-    return proj(out) if proj is not None else out
+    return T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch, n_q, channels))
 
 
 class BranchWeights(Module):
@@ -159,9 +157,8 @@ class RMABlock(Module):
     def _self_attend(self, x: Tensor, weights: BranchWeights, h: int, w: int) -> Tensor:
         y = weights.norm1(x)
         kv = self._reduce(y, weights, h, w)
-        out = scaled_dot_attention(weights.q(y), weights.k(kv), weights.v(kv),
-                                   self.cfg.heads, proj=weights.proj)
-        return x + out
+        out = scaled_dot_attention(weights.q(y), weights.k(kv), weights.v(kv), self.cfg.heads)
+        return x + weights.proj(out)
 
     def _mlp(self, x: Tensor, weights: BranchWeights) -> Tensor:
         return x + weights.mlp(weights.norm2(x))
@@ -191,8 +188,8 @@ class RMABlock(Module):
             joint[keys] = kv[keys] if len(keys) == 1 else (
                 T.concat([kv[j][0] for j in keys], axis=1),
                 T.concat([kv[j][1] for j in keys], axis=1))
-        out = {b: scaled_dot_attention(q[b], *joint[visible[b]], self.cfg.heads,
-                                       proj=self._weights(b).proj_cross)
+        out = {b: self._weights(b).proj_cross(
+                   scaled_dot_attention(q[b], *joint[visible[b]], self.cfg.heads))
                for b in x}
         return out, {b: kv[b] for b in x}
 

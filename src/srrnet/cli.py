@@ -15,17 +15,16 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import load_sequence, load_static_pool, load_video_dataset
 from .gradcheck import gradcheck_model
 from .metrics import evaluate_dataset, format_report_table, write_report_csv
 from .decoder import ERROR_TARGETS
-from .model import FULL_SCALE_REFERENCE_PARAMS, build_model, load_model
+from .model import FULL_SCALE_REFERENCE_PARAMS, PRESETS, build_model, load_model
 from .nn import count_parameters, load_checkpoint
 from .pipeline import (
     REFERENCE_MODES,
+    StepResult,
     TrainSchedule,
     infer_sequence,
     train,
@@ -38,8 +37,12 @@ from .attention import ATTENTION_MODES
 
 def _read_config_file(path: str) -> dict:
     """Parse a flat key=value file into an argparse defaults dict."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -57,7 +60,7 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _add_model_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--preset", choices=("desk", "full"), default="desk")
+    parser.add_argument("--preset", choices=PRESETS, default="desk")
     parser.add_argument("--attention-mode", choices=ATTENTION_MODES, default="rma")
 
 
@@ -128,11 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--samples-per-param", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--gamma", type=float, default=1.0)
 
     p = sub.add_parser("params", help="parameter count per preset")
     _add_common(p)
-    _add_model_flags(p)
+    p.add_argument("--preset", choices=PRESETS, default="desk")
     return parser
 
 
@@ -208,18 +210,24 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_infer(args) -> int:
+def _infer_with_trace(args, trace_path, require_masks: bool) -> list[StepResult]:
+    """Run the checkpoint's model over ``--data`` once and write its score trace."""
     model = load_model(args.checkpoint)
-    record = load_sequence(args.data, require_masks=False)
+    record = load_sequence(args.data, require_masks=require_masks)
     results = infer_sequence(model, record.frames,
                              reference_mode=args.reference_mode, seed=args.seed)
+    gts = record.masks if len(record.masks) == len(record.frames) else None
+    write_score_trace(trace_path, results, gts)
+    return results
+
+
+def _cmd_infer(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    results = _infer_with_trace(args, out / "scores.csv", require_masks=False)
     for res in results:
         write_mask(out / f"{res.frame_index:05d}.pgm", res.o_msk)
         write_error_map(out / f"{res.frame_index:05d}_err.pgm", res.o_err)
-    gts = record.masks if len(record.masks) == len(record.frames) else None
-    write_score_trace(out / "scores.csv", results, gts)
     print(f"wrote {len(results)} masks to {out}")
     return 0
 
@@ -235,11 +243,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_trace_score(args) -> int:
-    model = load_model(args.checkpoint)
-    record = load_sequence(args.data, require_masks=True)
-    results = infer_sequence(model, record.frames,
-                             reference_mode=args.reference_mode, seed=args.seed)
-    write_score_trace(args.out, results, record.masks)
+    _infer_with_trace(args, args.out, require_masks=True)
     print(f"score trace: {args.out}")
     return 0
 
@@ -249,7 +253,7 @@ def _cmd_gradcheck(args) -> int:
                         seed=args.seed)
     report = gradcheck_model(model, size=args.size,
                              samples_per_param=args.samples_per_param,
-                             tol=args.tol, seed=args.seed, gamma=args.gamma)
+                             tol=args.tol, seed=args.seed)
     worst = report.worst()
     print(f"checked {len(report.checks)} parameter tensors; "
           f"max relative error {report.max_rel_err:.3e} "
@@ -262,8 +266,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    model = build_model(args.preset, attention_mode=args.attention_mode,
-                        seed=args.seed)
+    model = build_model(args.preset, seed=args.seed)
     total = count_parameters(model)
     print(f"preset {args.preset}: {total:,} parameters ({total / 1e6:.2f}M)")
     if args.preset == "full":

@@ -65,11 +65,9 @@ def channel_linear(x_map: Tensor, linear: Linear) -> Tensor:
     return T.reshape(y, (batch, y.shape[1], height, width))
 
 
-def binary_mask_from_logits(logits: Tensor | np.ndarray) -> np.ndarray:
+def binary_mask_from_logits(logits: Tensor) -> np.ndarray:
     """Argmax over the two-channel axis; equal logits classify as background."""
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    fg = (data[:, 1:2] > data[:, 0:1]).astype(np.float64)
-    return fg
+    return (logits.data[:, 1:2] > logits.data[:, 0:1]).astype(np.float64)
 
 
 def mae_score(o_err: Tensor) -> Tensor:

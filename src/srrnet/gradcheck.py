@@ -16,6 +16,7 @@ from .tensor import Tensor
 
 FD_STEP = 1e-4
 DEFAULT_TOL = 1e-3
+GAMMA = 1.0  # the loss weighs the error-map MSE and the mask BCE equally
 # Guard against division by vanishing gradients: below this scale the check is
 # effectively absolute.
 REL_ERR_FLOOR = 1e-6
@@ -64,8 +65,7 @@ class GradCheckReport:
 
 
 def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
-                    tol: float = DEFAULT_TOL, seed: int = 0, gamma: float = 1.0
-                    ) -> GradCheckReport:
+                    tol: float = DEFAULT_TOL, seed: int = 0) -> GradCheckReport:
     """Check the training loss's gradient for every parameter tensor on a random triplet.
 
     Entries are sampled per tensor (deterministically from the seed). Inputs
@@ -96,7 +96,7 @@ def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
         o_err = dec.predict_error(f, pred0.mask_logits)
         pred = PredictionPair(mask_logits=m, supervision_logits=logits_full,
                               o_msk=pred0.o_msk, o_err=o_err, score=mae_score(o_err))
-        return compute_loss(pred, gt, gamma, error_target)[0]
+        return compute_loss(pred, gt, GAMMA, error_target)[0]
 
     report = GradCheckReport(tol=tol)
     params = list(model.named_parameters())

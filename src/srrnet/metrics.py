@@ -20,6 +20,9 @@ from scipy import ndimage
 from .pnm import read_pgm
 
 _EPS = 1e-12
+S_ALPHA = 0.5  # S-measure weight of the object-aware term against the region-aware one
+F_BETA2 = 1.0  # weighted F-measure: beta squared
+SMOOTHING_SIZE, SMOOTHING_SIGMA = 7, 5.0  # weighted F-measure's Gaussian dependency kernel
 MEASURES = ("s_alpha", "f_w_beta", "mae", "mdice", "miou")  # report column order
 
 
@@ -118,8 +121,8 @@ def _s_region(pred: np.ndarray, gt: np.ndarray) -> float:
     return w1 * q1 + w2 * q2 + w3 * q3 + w4 * q4
 
 
-def s_measure(pred: np.ndarray, gt: np.ndarray, alpha: float = 0.5) -> float:
-    """Structure measure: alpha-weighted object-aware and region-aware terms.
+def s_measure(pred: np.ndarray, gt: np.ndarray) -> float:
+    """Structure measure: ``S_ALPHA``-weighted object-aware and region-aware terms.
 
     Degenerate all-background ground truth scores ``1 - mean(pred)``;
     all-foreground scores ``mean(pred)``.
@@ -132,7 +135,7 @@ def s_measure(pred: np.ndarray, gt: np.ndarray, alpha: float = 0.5) -> float:
         return float(1.0 - pred.mean())
     if y == 1.0:
         return float(pred.mean())
-    score = alpha * _s_object(pred, gt) + (1.0 - alpha) * _s_region(pred, gt)
+    score = S_ALPHA * _s_object(pred, gt) + (1.0 - S_ALPHA) * _s_region(pred, gt)
     return float(max(score, 0.0))
 
 
@@ -140,15 +143,15 @@ def s_measure(pred: np.ndarray, gt: np.ndarray, alpha: float = 0.5) -> float:
 # weighted F-measure
 
 
-def _gaussian_kernel(size: int = 7, sigma: float = 5.0) -> np.ndarray:
-    half = size // 2
+def _gaussian_kernel() -> np.ndarray:
+    half = SMOOTHING_SIZE // 2
     ax = np.arange(-half, half + 1, dtype=np.float64)
     xx, yy = np.meshgrid(ax, ax)
-    k = np.exp(-(xx * xx + yy * yy) / (2.0 * sigma * sigma))
+    k = np.exp(-(xx * xx + yy * yy) / (2.0 * SMOOTHING_SIGMA * SMOOTHING_SIGMA))
     return k / k.sum()
 
 
-def weighted_fbeta(pred: np.ndarray, gt: np.ndarray, beta2: float = 1.0) -> float:
+def weighted_fbeta(pred: np.ndarray, gt: np.ndarray) -> float:
     """Distance-weighted F-measure with Gaussian dependency smoothing.
 
     Raises ValueError on an empty ground truth; callers aggregating over a
@@ -180,10 +183,10 @@ def weighted_fbeta(pred: np.ndarray, gt: np.ndarray, beta2: float = 1.0) -> floa
     fp_w = weighted_error[bg].sum()
     recall = 1.0 - weighted_error[gt_bool].mean()
     precision = tp_w / (tp_w + fp_w) if (tp_w + fp_w) > 0 else 0.0
-    denom = recall + beta2 * precision
+    denom = recall + F_BETA2 * precision
     if denom <= 0:
         return 0.0
-    return float(max((1.0 + beta2) * precision * recall / denom, 0.0))
+    return float(max((1.0 + F_BETA2) * precision * recall / denom, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ asserted).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,11 +51,23 @@ def preset_config(name: str, attention_mode: str = "rma",
     return ModelConfig(stages=stages, decoder=decoder, attention_mode=attention_mode)
 
 
+class _ZeroDraws:
+    """A stand-in generator whose every draw is zeros."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.zeros(size)
+
+
 class SRRNet(Module):
-    """Backbone plus dual-purpose decoder: FrameTriplet in, PredictionPair out."""
+    """Backbone plus dual-purpose decoder: FrameTriplet in, PredictionPair out.
+
+    Without ``rng``, drawn weights start at zero and nothing is drawn (for
+    ``load_model``, which overwrites every weight from the checkpoint).
+    """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+        rng = rng if rng is not None else _ZeroDraws()
         self.config = config
         self.backbone = RMABackbone(config.stages, rng,
                                     attention_mode=config.attention_mode)

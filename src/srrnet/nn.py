@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -25,14 +25,17 @@ from .tensor import (
 )
 
 CHECKPOINT_FORMAT_VERSION = 2
+INIT_STD = 0.02  # Linear weights: normal, clipped to two standard deviations
+ADAMW_BETAS = (0.9, 0.999)
+ADAMW_EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
 
 class Parameter(Tensor):
-    """A trainable tensor with a hierarchical name."""
+    """A trainable tensor; its name is its attribute path in the owning module."""
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.name = name
 
 
 class Module:
@@ -47,7 +50,6 @@ class Module:
         for attr, value in self.__dict__.items():
             name = f"{prefix}{attr}"
             if isinstance(value, Parameter):
-                value.name = name
                 yield name, value
             elif isinstance(value, Module):
                 yield from value.named_parameters(f"{name}.")
@@ -69,9 +71,9 @@ def count_parameters(model: Module) -> int:
     return sum(p.data.size for p in model.parameters())
 
 
-def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    x = rng.normal(0.0, std, size=shape)
-    return np.clip(x, -2.0 * std, 2.0 * std)
+def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    x = rng.normal(0.0, INIT_STD, size=shape)
+    return np.clip(x, -2.0 * INIT_STD, 2.0 * INIT_STD)
 
 
 class Linear(Module):
@@ -99,13 +101,12 @@ class Conv2d(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, channels: int, eps: float = 1e-6):
+    def __init__(self, channels: int):
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return layer_norm(x, self.gamma, self.beta)
 
 
 class Mlp(Module):
@@ -120,24 +121,20 @@ class Mlp(Module):
 
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay."""
+    """Adaptive moments with decoupled weight decay (``ADAMW_*``, ``WEIGHT_DECAY``)."""
 
-    def __init__(self, params: list[Parameter], lr: float, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, params: list[Parameter], lr: float):
         if lr < 0:
             raise ConfigurationError(f"learning rate must be non-negative, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAMW_BETAS
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
@@ -146,7 +143,7 @@ class AdamW:
             self._v[i] = b2 * self._v[i] + (1.0 - b2) * g * g
             mhat = self._m[i] / (1.0 - b1 ** self.t)
             vhat = self._v[i] / (1.0 - b2 ** self.t)
-            p.data -= self.lr * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p.data)
+            p.data -= self.lr * (mhat / (np.sqrt(vhat) + ADAMW_EPS) + WEIGHT_DECAY * p.data)
 
     def zero_grad(self):
         for p in self.params:

@@ -10,7 +10,7 @@ prefix-argmin of the score stream (earliest minimum on ties).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -318,9 +318,9 @@ class TrainSchedule:
 
 @dataclass
 class TrainResult:
-    loss_trace: list = field(default_factory=list)  # (iteration, stage, bce, mse, total)
-    checkpoint_path: Optional[Path] = None
-    csv_path: Optional[Path] = None
+    checkpoint_path: Path
+    csv_path: Path
+    loss_trace: list  # (iteration, stage, bce, mse, total)
 
 
 def _train_stage(model: SRRNet, sample: Callable[[np.random.Generator], TrainTriplet],
@@ -346,14 +346,18 @@ def _train_stage(model: SRRNet, sample: Callable[[np.random.Generator], TrainTri
             progress(it + 1, parts)
 
 
-def train(model: SRRNet, schedule: TrainSchedule,
+def train(model: SRRNet, schedule: TrainSchedule, out_dir,
           video_sequences: Optional[Sequence[SequenceRecord]] = None,
           static_pool: Optional[Sequence[StaticRecord]] = None,
-          out_dir=None,
           progress: Optional[Callable[[int, dict], None]] = None) -> TrainResult:
-    """Static pretrain then video fine-tune; either stage may be skipped."""
+    """Static pretrain then video fine-tune; either stage may be skipped.
+
+    Writes ``loss.csv`` and ``checkpoint.npz`` into ``out_dir``.
+    """
     rng = np.random.default_rng(schedule.seed)
-    result = TrainResult()
+    out_dir = Path(out_dir)
+    result = TrainResult(checkpoint_path=out_dir / "checkpoint.npz",
+                         csv_path=out_dir / "loss.csv", loss_trace=[])
 
     if schedule.static_iterations > 0:
         if not static_pool:
@@ -375,16 +379,12 @@ def train(model: SRRNet, schedule: TrainSchedule,
                      schedule.video_lr, schedule, rng, "video",
                      result.loss_trace, progress)
 
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        result.csv_path = out_dir / "loss.csv"
-        with open(result.csv_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["iteration", "stage", "bce", "mse", "total"])
-            for row in result.loss_trace:
-                writer.writerow([row[0], row[1], f"{row[2]:.9f}", f"{row[3]:.9f}",
-                                 f"{row[4]:.9f}"])
-        result.checkpoint_path = out_dir / "checkpoint.npz"
-        save_checkpoint(result.checkpoint_path, model)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(result.csv_path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["iteration", "stage", "bce", "mse", "total"])
+        for row in result.loss_trace:
+            writer.writerow([row[0], row[1], f"{row[2]:.9f}", f"{row[3]:.9f}",
+                             f"{row[4]:.9f}"])
+    save_checkpoint(result.checkpoint_path, model)
     return result

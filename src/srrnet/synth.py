@@ -18,6 +18,10 @@ import numpy as np
 from .pnm import write_frame, write_mask
 from .tensor import ConfigurationError, resize_array
 
+OBJECT_SCALE = 0.22  # object radius as a fraction of the frame extent
+POOL_CATEGORIES = 3  # static pool categories, each with its own texture grain
+POOL_CONTRAST = 0.5
+
 
 @dataclass
 class SynthParams:
@@ -28,7 +32,6 @@ class SynthParams:
     contrast: float = 0.35
     motion_amplitude: float = 3.0
     occlusion_prob: float = 0.0
-    object_scale: float = 0.22  # object radius as a fraction of the frame extent
 
     def __post_init__(self):
         if not 0.0 <= self.contrast <= 1.0:
@@ -76,7 +79,7 @@ def generate_arrays(params: SynthParams) -> tuple[list[np.ndarray], list[np.ndar
     object_texture = ((1.0 - params.contrast) * object_texture
                       + params.contrast * distinct)
 
-    radius = params.object_scale * size
+    radius = OBJECT_SCALE * size
     rx = radius * rng.uniform(0.8, 1.2)
     ry = radius * rng.uniform(0.8, 1.2)
     wobble = [(rng.uniform(0.0, 0.12), rng.uniform(0.0, 2.0 * math.pi))
@@ -129,17 +132,15 @@ def generate_sequence(params: SynthParams, out_dir) -> Path:
     return out_dir
 
 
-def generate_static_pool(seed: int, images: int, size: int, out_dir,
-                         categories: int = 3, contrast: float = 0.5) -> Path:
+def generate_static_pool(seed: int, images: int, size: int, out_dir) -> Path:
     """Write a static pretraining pool with a per-image category manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = []
     for i in range(images):
-        category = i % categories
+        category = i % POOL_CATEGORIES
         params = SynthParams(seed=seed * 10_000 + i, frames=1, size=size,
-                             contrast=contrast,
-                             texture_grain=6 + 2 * category)
+                             contrast=POOL_CONTRAST, texture_grain=6 + 2 * category)
         frames, masks = generate_arrays(params)
         write_frame(out_dir / f"{i:05d}.ppm", frames[0])
         write_mask(out_dir / f"{i:05d}.pgm", masks[0])

@@ -276,35 +276,21 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _make(data, (a,), bwd)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = a.data.size
-        reduced_axes = tuple(range(a.ndim))
-    else:
-        reduced_axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        reduced_axes = tuple(ax % a.ndim for ax in reduced_axes)
-        count = int(np.prod([a.shape[ax] for ax in reduced_axes]))
+def mean(a: Tensor) -> Tensor:
+    """Mean over every entry, as a 0-d tensor."""
+    data = a.data.mean()
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, reduced_axes)
-        _accumulate(a, np.broadcast_to(g, a.shape) / count)
+        _accumulate(a, np.broadcast_to(g, a.shape) / a.data.size)
 
     return _make(data, (a,), bwd)
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-    if axis is None:
-        reduced_axes = tuple(range(a.ndim))
-    else:
-        reduced_axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        reduced_axes = tuple(ax % a.ndim for ax in reduced_axes)
+def tensor_sum(a: Tensor) -> Tensor:
+    """Sum over every entry, as a 0-d tensor."""
+    data = a.data.sum()
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, reduced_axes)
         _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
     return _make(data, (a,), bwd)
@@ -334,15 +320,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # nonlinearities
 
 
-def softmax(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
-    """softmax(a * scale) along ``axis``, computed in place in one fresh buffer."""
+def softmax(a: Tensor, scale: float = 1.0) -> Tensor:
+    """softmax(a * scale) along the last axis, computed in place in one fresh buffer."""
     y = a.data * scale
-    y -= y.max(axis=axis, keepdims=True)
+    y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         _accumulate(a, y * (g - inner) * scale)
 
     return _make(y, (a,), bwd)
@@ -373,7 +359,10 @@ def gelu(a: Tensor) -> Tensor:
     return _make(y, (a,), bwd)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+LAYER_NORM_EPS = 1e-6
+
+
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then apply an affine map."""
     if gamma.shape != (a.shape[-1],) or beta.shape != (a.shape[-1],):
         raise ShapeMismatchError(
@@ -382,7 +371,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
     var = (centered ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     y = xhat * gamma.data + beta.data
 
@@ -406,9 +395,8 @@ def _conv_output_extent(extent: int, kernel: int, stride: int, padding: int) -> 
     return (extent + 2 * padding - kernel) // stride + 1
 
 
-def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution over B x C x H x W inputs with an O x C x kh x kw kernel."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-d convolution over B x C x H x W inputs with an O x C x kh x kw kernel, plus bias."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeMismatchError(f"conv2d expects 4-d operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
@@ -432,8 +420,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     cols = np.ascontiguousarray(cols).reshape(batch, in_ch * kh * kw, oh * ow)
     wmat = w.data.reshape(out_ch, in_ch * kh * kw)
     out = np.matmul(wmat, cols).reshape(batch, out_ch, oh, ow)
-    if b is not None:
-        out += b.data.reshape(1, out_ch, 1, 1)
+    out += b.data.reshape(1, out_ch, 1, 1)
 
     def bwd(g):
         g2 = g.reshape(batch, out_ch, oh * ow)
@@ -449,11 +436,10 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
             if padding:
                 gxp = gxp[:, :, padding:padding + height, padding:padding + width]
             _accumulate(x, gxp)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out, parents, bwd)
+    return _make(out, (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +490,9 @@ def resize_array(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 # losses
 
 
-def bce_with_logits(logits: Tensor, targets) -> Tensor:
-    """Mean binary cross-entropy with a fused, overflow-safe sigmoid."""
-    t = np.asarray(targets.data if isinstance(targets, Tensor) else targets, dtype=np.float64)
+def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy with a fused, overflow-safe sigmoid; constant targets."""
+    t = np.asarray(targets, dtype=np.float64)
     if logits.shape != t.shape:
         raise ShapeMismatchError(f"bce_with_logits shapes disagree: {logits.shape} vs {t.shape}")
     x = logits.data
@@ -519,17 +505,16 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     return _make(np.asarray(data), (logits,), bwd)
 
 
-def mse(a: Tensor, b) -> Tensor:
-    """Mean squared error; the second operand may be a constant array."""
-    bt = _ensure_tensor(b)
-    if a.shape != bt.shape:
-        raise ShapeMismatchError(f"mse shapes disagree: {a.shape} vs {bt.shape}")
-    diff = a.data - bt.data
+def mse(a: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error against a constant target array."""
+    t = np.asarray(target, dtype=np.float64)
+    if a.shape != t.shape:
+        raise ShapeMismatchError(f"mse shapes disagree: {a.shape} vs {t.shape}")
+    diff = a.data - t
     data = np.asarray((diff ** 2).mean())
 
     def bwd(g):
         scale = g * 2.0 / diff.size
         _accumulate(a, scale * diff)
-        _accumulate(bt, -scale * diff)
 
-    return _make(data, (a, bt), bwd)
+    return _make(data, (a,), bwd)

@@ -127,7 +127,7 @@ def _joint_block_oracle(block, tokens):
     def self_attend(x, wt):
         y = wt.norm1(x)
         kv = block._reduce(y, wt, h, w)
-        return x + scaled_dot_attention(wt.q(y), wt.k(kv), wt.v(kv), cfg.heads, proj=wt.proj)
+        return x + wt.proj(scaled_dot_attention(wt.q(y), wt.k(kv), wt.v(kv), cfg.heads))
 
     weights = {"c": block.cur, "p": block.ref, "r": block.ref}
     x = {"c": self_attend(tokens.c, block.cur), "p": self_attend(tokens.p, block.ref),

@@ -154,14 +154,24 @@ def test_train_rejects_out_of_range_inputs(workspace, capsys, flag, value, field
 
 @pytest.mark.parametrize("command, flag", [("infer", "--preset"), ("infer", "--attention-mode"),
                                            ("trace-score", "--preset"),
-                                           ("trace-score", "--attention-mode")])
-def test_inference_commands_have_no_model_flags(workspace, command, flag):
-    value = "desk" if flag == "--preset" else "rma"
-    with pytest.raises(SystemExit) as exc:
-        run_cli(command, "--data", str(workspace / "video" / "seq0"),
+                                           ("trace-score", "--attention-mode"),
+                                           ("params", "--attention-mode"),
+                                           ("gradcheck", "--gamma")])
+def test_inference_commands_have_no_model_flags(workspace, capsys, command, flag):
+    """Flags a command does not take are usage errors.
+
+    ``infer``/``trace-score`` take the model from the checkpoint; ``params``
+    counts the same parameters in every attention mode; ``gradcheck`` weighs
+    the loss terms equally.
+    """
+    value = {"--preset": "desk", "--attention-mode": "rma", "--gamma": "1.0"}[flag]
+    required = ["--data", str(workspace / "video" / "seq0"),
                 "--checkpoint", str(workspace / "run" / "checkpoint.npz"),
-                "--out", str(workspace / "unused"), flag, value)
+                "--out", str(workspace / "unused")] if command in ("infer", "trace-score") else []
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *required, flag, value)
     assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_infer_determinism(workspace, tmp_path):
@@ -208,6 +218,10 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("bogus_key=1\n")
     assert run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
     assert "unknown config keys" in capsys.readouterr().err
+    # a config file that is missing or cannot be read is a usage error too
+    for unreadable in (tmp_path / "nope.cfg", tmp_path):
+        assert run_cli("synth", "--config", str(unreadable), "--out", str(tmp_path / "x")) == 2
+        assert f"error: cannot read config file {unreadable}" in capsys.readouterr().err
 
 
 def test_config_file_values_must_meet_the_flag_choices(tmp_path, capsys):
@@ -215,7 +229,7 @@ def test_config_file_values_must_meet_the_flag_choices(tmp_path, capsys):
     cfg.write_text("preset=bogus\n")
     assert run_cli("params", "--config", str(cfg)) == 2
     assert "preset" in capsys.readouterr().err
-    cfg.write_text("preset=desk\nattention_mode=self_only\n")
+    cfg.write_text("preset=desk\n")
     assert run_cli("params", "--config", str(cfg)) == 0
 
 

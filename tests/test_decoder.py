@@ -26,7 +26,7 @@ def test_binary_mask_ties_classify_as_background():
     logits[0, 1, 0, 0] = 1.0   # clear foreground
     logits[0, 0, 0, 1] = 1.0   # clear background
     # remaining two positions are exact ties
-    mask = binary_mask_from_logits(logits)
+    mask = binary_mask_from_logits(Tensor(logits))
     np.testing.assert_array_equal(mask[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
 

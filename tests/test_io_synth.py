@@ -22,7 +22,13 @@ from srrnet.pnm import (
     write_pgm,
     write_ppm,
 )
-from srrnet.synth import SynthParams, generate_arrays, generate_sequence, generate_static_pool
+from srrnet.synth import (
+    OBJECT_SCALE,
+    SynthParams,
+    generate_arrays,
+    generate_sequence,
+    generate_static_pool,
+)
 from srrnet.tensor import ConfigurationError
 
 
@@ -170,7 +176,7 @@ def test_synth_output_ranges_and_mask_area():
     params = SynthParams(seed=1, frames=6, size=64)
     frames, masks = generate_arrays(params)
     assert len(frames) == len(masks) == 6
-    nominal = math.pi * (params.object_scale * params.size) ** 2
+    nominal = math.pi * (OBJECT_SCALE * params.size) ** 2
     for frame, mask in zip(frames, masks):
         assert frame.shape == (3, 64, 64)
         assert frame.min() >= 0.0 and frame.max() <= 1.0
@@ -200,10 +206,10 @@ def test_synth_object_moves():
 
 
 def test_static_pool_layout(tmp_path):
-    out = generate_static_pool(1, 5, 32, tmp_path / "pool", categories=2)
+    out = generate_static_pool(1, 5, 32, tmp_path / "pool")
     manifest = (out / "categories.txt").read_text().splitlines()
-    assert manifest == ["00000 cat0", "00001 cat1", "00002 cat0",
-                       "00003 cat1", "00004 cat0"]
+    assert manifest == ["00000 cat0", "00001 cat1", "00002 cat2",
+                       "00003 cat0", "00004 cat1"]
     assert (out / "00004.ppm").exists() and (out / "00004.pgm").exists()
 
 
@@ -247,9 +253,9 @@ def test_load_video_dataset_layouts(tmp_path):
 
 
 def test_load_static_pool(tmp_path):
-    out = generate_static_pool(1, 4, 32, tmp_path / "pool", categories=2)
+    out = generate_static_pool(1, 4, 32, tmp_path / "pool")
     pool = load_static_pool(out)
-    assert [r.category for r in pool] == ["cat0", "cat1", "cat0", "cat1"]
+    assert [r.category for r in pool] == ["cat0", "cat1", "cat2", "cat0"]
     assert pool[0].image.shape == (3, 32, 32)
     (out / "categories.txt").write_text("00000\n")
     with pytest.raises(DatasetError, match="malformed"):

@@ -99,18 +99,18 @@ def test_zero_grad_clears_everything(rng):
 def test_adamw_first_step_matches_hand_computation():
     p = Parameter(np.array([1.0, -2.0]))
     p.grad = np.array([0.5, -0.25])
-    opt = AdamW([p], lr=0.1, weight_decay=0.0)
+    opt = AdamW([p], lr=0.1)
     opt.step()
-    # With bias correction the first step moves by lr * g / (|g| + eps).
-    expected = np.array([1.0, -2.0]) - 0.1 * np.array([0.5, -0.25]) / (
-        np.abs([0.5, -0.25]) + 1e-8)
-    np.testing.assert_allclose(p.data, expected, atol=1e-9)
+    # With bias correction the first step moves by lr * (g / (|g| + eps) + 0.01 * p).
+    w0, g = np.array([1.0, -2.0]), np.array([0.5, -0.25])
+    expected = w0 - 0.1 * (g / (np.abs(g) + 1e-8) + 0.01 * w0)
+    np.testing.assert_allclose(p.data, expected, atol=1e-12)
 
 
 def test_adamw_weight_decay_is_decoupled():
     p = Parameter(np.array([2.0]))
     p.grad = np.array([0.0])
-    opt = AdamW([p], lr=0.1, weight_decay=0.01)
+    opt = AdamW([p], lr=0.1)
     opt.step()
     # Zero gradient: only the decay term moves the weight.
     np.testing.assert_allclose(p.data, 2.0 - 0.1 * 0.01 * 2.0, atol=1e-12)
@@ -118,7 +118,7 @@ def test_adamw_weight_decay_is_decoupled():
 
 def test_adamw_reduces_quadratic_loss(rng):
     p = Parameter(rng.normal(size=5))
-    opt = AdamW([p], lr=0.05, weight_decay=0.0)
+    opt = AdamW([p], lr=0.05)
     first = float((p.data ** 2).sum())
     for _ in range(200):
         loss = T.tensor_sum(p * p)
@@ -200,6 +200,26 @@ def test_load_model_rebuilds_the_saved_model(tmp_path, attention_mode, error_tar
     np.testing.assert_array_equal(got.o_err.data, expected.o_err.data)
     np.testing.assert_array_equal(got.supervision_logits.data,
                                   expected.supervision_logits.data)
+
+
+def test_load_model_draws_no_weights_it_overwrites(tmp_path, monkeypatch):
+    net = build_model("desk", seed=3)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, net)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a random generator was created")
+
+    # Generator.normal cannot be patched (numpy's Generator is an immutable
+    # type), so refuse to create any generator at all.
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    blank = SRRNet(preset_config("desk"))
+    assert all(not p.data.any() for name, p in blank.named_parameters()
+               if not name.endswith(".gamma"))  # LayerNorm scales start at one
+    loaded = load_model(path)
+    for (name, a), (other, b) in zip(net.named_parameters(), loaded.named_parameters()):
+        assert name == other
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 @pytest.mark.parametrize("field, saved, built", [

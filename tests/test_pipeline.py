@@ -544,9 +544,11 @@ def test_train_is_deterministic(tmp_path):
     for run in range(2):
         model = build_model("desk", seed=1)
         schedule = TrainSchedule(video_iterations=3, video_lr=1e-4, seed=9)
-        result = train(model, schedule, video_sequences=[_tiny_sequence()])
+        result = train(model, schedule, tmp_path / f"run{run}",
+                       video_sequences=[_tiny_sequence()])
         losses.append([row[4] for row in result.loss_trace])
     assert losses[0] == losses[1]
+    assert (tmp_path / "run0" / "loss.csv").read_bytes() == (tmp_path / "run1" / "loss.csv").read_bytes()
 
 
 def test_train_two_stages_and_artifacts(tmp_path):
@@ -588,15 +590,16 @@ def test_train_schedule_accepts_range_ends():
     TrainSchedule(mask_dropout=1.0)
 
 
-def test_train_stage_requirements():
+def test_train_stage_requirements(tmp_path):
     model = build_model("desk", seed=1)
     with pytest.raises(ConfigurationError):
-        train(model, TrainSchedule(static_iterations=1))
+        train(model, TrainSchedule(static_iterations=1), tmp_path / "run")
     with pytest.raises(ConfigurationError):
-        train(model, TrainSchedule(video_iterations=1))
+        train(model, TrainSchedule(video_iterations=1), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
-def test_train_raises_on_non_finite_loss(monkeypatch):
+def test_train_raises_on_non_finite_loss(monkeypatch, tmp_path):
     import srrnet.pipeline as pipeline
     real = pipeline.compute_loss
     calls = []
@@ -610,13 +613,15 @@ def test_train_raises_on_non_finite_loss(monkeypatch):
     model = build_model("desk", seed=1)
     schedule = TrainSchedule(video_iterations=3, video_lr=1e-4, seed=9)
     with pytest.raises(RuntimeError, match="non-finite loss nan at video iteration 2"):
-        train(model, schedule, video_sequences=[_tiny_sequence()])
+        train(model, schedule, tmp_path / "run", video_sequences=[_tiny_sequence()])
     assert len(calls) == 2
+    assert not (tmp_path / "run").exists()
     assert all(np.isfinite(p.data).all() for p in model.parameters())
 
 
 @pytest.mark.parametrize("error_target", ["absolute", "signed"])
-def test_train_supervises_the_error_target_the_model_was_built_for(monkeypatch, error_target):
+def test_train_supervises_the_error_target_the_model_was_built_for(monkeypatch, tmp_path,
+                                                                  error_target):
     import srrnet.pipeline as pipeline
     real = pipeline.compute_loss
     targets = []
@@ -627,6 +632,6 @@ def test_train_supervises_the_error_target_the_model_was_built_for(monkeypatch, 
 
     monkeypatch.setattr(pipeline, "compute_loss", recording)
     model = build_model("desk", seed=1, error_target=error_target)
-    train(model, TrainSchedule(video_iterations=2, video_lr=1e-4, seed=9),
+    train(model, TrainSchedule(video_iterations=2, video_lr=1e-4, seed=9), tmp_path,
           video_sequences=[_tiny_sequence()])
     assert targets == [error_target, error_target]
