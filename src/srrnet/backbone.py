@@ -51,16 +51,21 @@ class StageReference:
 
 @dataclass
 class ReferenceSlot:
-    """A reference encoding kept across calls, valid for one ``r_in`` and backbone.
+    """What a model keeps across the calls of one inference session.
 
-    The backbone refills it whenever the triplet's ``r_in`` differs from the
-    stored one, so a stale slot can cost time but never change an output. It
-    assumes the backbone's weights do not change while the slot is filled.
+    The backbone keeps its reference encoding, valid for one ``r_in`` and
+    backbone; it refills it whenever the triplet's ``r_in`` differs from the
+    stored one, so a stale slot can cost time but never change an output. The
+    decoder keeps its folded fuse weights (see ``decoder``), valid for one
+    decoder and built again for another. Both assume the model's weights do
+    not change while the slot is filled.
     """
 
     backbone: Optional["RMABackbone"] = None
     r_in: Optional[np.ndarray] = None
     stages: Optional[list] = None  # StageReference per backbone stage
+    decoder: Optional[Module] = None  # the DualPurposeDecoder that built ``fold``
+    fold: Optional[tuple] = None      # ([W'_i] per stage, b'), see DualPurposeDecoder.folded
 
 
 @dataclass
@@ -68,7 +73,8 @@ class FrameTriplet:
     """Network input: current frame, previous frame+mask, reference frame+mask.
 
     ``reference`` optionally carries a slot in which the model may keep its
-    encoding of ``r_in`` for the next call with the same reference.
+    encoding of ``r_in`` for the next call with the same reference, and its
+    decoder's folded weights.
     """
 
     c_img: Tensor  # B x 3 x H x W

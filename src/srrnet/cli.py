@@ -1,8 +1,9 @@
 """Command-line surface: synth, train, infer, eval, trace-score, gradcheck, params.
 
-All randomness is governed by ``--seed``. A flat ``key=value`` config file can
-supply any long-option default; explicit flags win. Exit codes: 0 success,
-1 numeric/runtime failure, 2 usage error.
+All randomness is governed by ``--seed`` (``params`` draws nothing and has no
+``--seed``). A flat ``key=value`` config file can supply any long-option
+default; explicit flags win. Exit codes: 0 success, 1 numeric/runtime failure,
+2 usage error.
 
 ``train`` fixes the model, ``--error-target`` included, and stores its config
 in the checkpoint (format 2; format-1 files are refused); ``infer`` and
@@ -20,7 +21,8 @@ from .data import load_sequence, load_static_pool, load_video_dataset
 from .gradcheck import gradcheck_model
 from .metrics import evaluate_dataset, format_report_table, write_report_csv
 from .decoder import ERROR_TARGETS
-from .model import FULL_SCALE_REFERENCE_PARAMS, PRESETS, build_model, load_model
+from .model import (FULL_SCALE_REFERENCE_PARAMS, PRESETS, SRRNet, build_model, load_model,
+                    preset_config)
 from .nn import count_parameters, load_checkpoint
 from .pipeline import (
     REFERENCE_MODES,
@@ -53,10 +55,14 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0)
+def _add_config(parser: argparse.ArgumentParser):
     parser.add_argument("--config", type=str, default=None,
                         help="flat key=value config file; flags override it")
+
+
+def _add_common(parser: argparse.ArgumentParser):
+    parser.add_argument("--seed", type=int, default=0)
+    _add_config(parser)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser):
@@ -133,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-3)
 
     p = sub.add_parser("params", help="parameter count per preset")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--preset", choices=PRESETS, default="desk")
     return parser
 
@@ -186,10 +192,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    model = build_model(args.preset, attention_mode=args.attention_mode,
-                        seed=args.seed, error_target=args.error_target)
-    if args.checkpoint:
+    if args.checkpoint:  # every weight comes from the file, so none is drawn
+        model = SRRNet(preset_config(args.preset, attention_mode=args.attention_mode,
+                                     error_target=args.error_target))
         load_checkpoint(args.checkpoint, model)
+    else:
+        model = build_model(args.preset, attention_mode=args.attention_mode,
+                            seed=args.seed, error_target=args.error_target)
     schedule = TrainSchedule(
         static_iterations=args.static_iterations,
         video_iterations=args.video_iterations,
@@ -266,8 +275,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    model = build_model(args.preset, seed=args.seed)
-    total = count_parameters(model)
+    total = count_parameters(SRRNet(preset_config(args.preset)))  # draws no weights
     print(f"preset {args.preset}: {total:,} parameters ({total / 1e6:.2f}M)")
     if args.preset == "full":
         ratio = total / FULL_SCALE_REFERENCE_PARAMS

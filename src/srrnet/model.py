@@ -76,7 +76,7 @@ class SRRNet(Module):
 
     def __call__(self, triplet: FrameTriplet) -> PredictionPair:
         features = self.backbone(triplet)
-        return self.decoder(features, triplet.height, triplet.width)
+        return self.decoder(features, triplet.height, triplet.width, triplet.reference)
 
 
 def build_model(preset: str = "desk", attention_mode: str = "rma",

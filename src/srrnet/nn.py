@@ -7,6 +7,7 @@ rebuilds the model from the file alone, and format-1 files are refused.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -25,6 +26,7 @@ from .tensor import (
 )
 
 CHECKPOINT_FORMAT_VERSION = 2
+READ_CHUNK_BYTES = 1 << 18  # bytes per read while loading a checkpoint parameter
 INIT_STD = 0.02  # Linear weights: normal, clipped to two standard deviations
 ADAMW_BETAS = (0.9, 0.999)
 ADAMW_EPS = 1e-8
@@ -191,28 +193,60 @@ def read_checkpoint_config(path):
         return _stored_config(blob, path)
 
 
+def _open_array(blob, stack: contextlib.ExitStack, name: str):
+    """Open a checkpoint array and read its ``.npy`` header: ``(file, shape, fortran, dtype)``.
+
+    The file is left at the start of the data and closes with ``stack``.
+    """
+    f = stack.enter_context(blob.zip.open(f"{name}.npy"))
+    version = np.lib.format.read_magic(f)
+    read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                   else np.lib.format.read_array_header_2_0)
+    shape, fortran, dtype = read_header(f)
+    if dtype.hasobject:
+        raise ValueError(f"checkpoint array {name} holds Python objects")
+    return f, shape, fortran, dtype
+
+
+def _read_data(f, shape, fortran: bool, dtype) -> np.ndarray:
+    """The array data after an already-read header, read in place chunk by chunk."""
+    out = np.empty(shape[::-1] if fortran else shape, dtype=dtype)
+    view = memoryview(out).cast("B")
+    for start in range(0, len(view), READ_CHUNK_BYTES):
+        chunk = view[start:start + READ_CHUNK_BYTES]
+        if f.readinto(chunk) != len(chunk):
+            raise ValueError("checkpoint array data is truncated")
+    return out.T if fortran else out
+
+
 def load_checkpoint(path, model: Module):
     """Load parameters by name into a model built with the checkpoint's config.
 
-    A differing config, parameter name or shape raises ``ValueError``; a config
-    difference names the field and both values.
+    A differing config, parameter name or shape raises ``ValueError`` before
+    any parameter changes; a config difference names the field and both
+    values. The checks read only the ``.npy`` headers, and the parameters are
+    then filled one at a time from the same open files (each header is parsed
+    once), so a load holds at most one array beyond the model.
     """
     built = _flatten(json.loads(_config_json(model)))
-    with np.load(path) as blob:
+    model_params = dict(model.named_parameters())
+    with np.load(path) as blob, contextlib.ExitStack() as stack:
         saved = _flatten(_stored_config(blob, path))
         for field in sorted(saved.keys() | built.keys()):
             was, now = saved.get(field, "<absent>"), built.get(field, "<absent>")
             if was != now:
                 raise ValueError(f"checkpoint {path} holds a model with {field}={was!r}, "
                                  f"but the model to load has {field}={now!r}")
-        stored = {k: blob[k] for k in blob.files if not k.startswith("__")}
-    model_params = dict(model.named_parameters())
-    missing = sorted(set(model_params) - set(stored))
-    extra = sorted(set(stored) - set(model_params))
-    if missing or extra:
-        raise ValueError(f"checkpoint/model mismatch; missing={missing[:5]} extra={extra[:5]}")
-    for name, p in model_params.items():
-        if stored[name].shape != p.data.shape:
-            raise ValueError(
-                f"shape mismatch for {name}: checkpoint {stored[name].shape} vs model {p.data.shape}")
-        p.data = np.asarray(stored[name], dtype=np.float64)  # no copy when already float64
+        stored = {k for k in blob.files if not k.startswith("__")}
+        missing = sorted(set(model_params) - stored)
+        extra = sorted(stored - set(model_params))
+        if missing or extra:
+            raise ValueError(f"checkpoint/model mismatch; missing={missing[:5]} extra={extra[:5]}")
+        opened = {}
+        for name, p in model_params.items():
+            f, shape, fortran, dtype = opened[name] = _open_array(blob, stack, name)
+            if shape != p.data.shape:
+                raise ValueError(
+                    f"shape mismatch for {name}: checkpoint {shape} vs model {p.data.shape}")
+        for name, p in model_params.items():
+            p.data = np.asarray(_read_data(*opened[name]), dtype=np.float64)

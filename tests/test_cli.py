@@ -156,15 +156,17 @@ def test_train_rejects_out_of_range_inputs(workspace, capsys, flag, value, field
                                            ("trace-score", "--preset"),
                                            ("trace-score", "--attention-mode"),
                                            ("params", "--attention-mode"),
+                                           ("params", "--seed"),
                                            ("gradcheck", "--gamma")])
 def test_inference_commands_have_no_model_flags(workspace, capsys, command, flag):
     """Flags a command does not take are usage errors.
 
     ``infer``/``trace-score`` take the model from the checkpoint; ``params``
-    counts the same parameters in every attention mode; ``gradcheck`` weighs
-    the loss terms equally.
+    counts the same parameters in every attention mode and draws no weights;
+    ``gradcheck`` weighs the loss terms equally.
     """
-    value = {"--preset": "desk", "--attention-mode": "rma", "--gamma": "1.0"}[flag]
+    value = {"--preset": "desk", "--attention-mode": "rma", "--gamma": "1.0",
+             "--seed": "0"}[flag]
     required = ["--data", str(workspace / "video" / "seq0"),
                 "--checkpoint", str(workspace / "run" / "checkpoint.npz"),
                 "--out", str(workspace / "unused")] if command in ("infer", "trace-score") else []
@@ -188,6 +190,15 @@ def test_params_command(capsys):
     assert run_cli("params", "--preset", "desk") == 0
     out = capsys.readouterr().out
     assert "129,693" in out
+
+
+def test_params_counts_full_without_drawing(capsys, monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a random generator was created")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert run_cli("params", "--preset", "full") == 0
+    assert "preset full: 60,750,661 parameters" in capsys.readouterr().out
 
 
 def test_gradcheck_command(capsys):

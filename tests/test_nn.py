@@ -1,10 +1,17 @@
 """Layers, parameter registration, the optimizer, and checkpoint round-trips."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import srrnet
 from srrnet import tensor as T
 from srrnet.attention import ATTENTION_MODES
 from srrnet.decoder import ERROR_TARGETS
@@ -176,6 +183,122 @@ def test_checkpoint_stores_little_endian_float64(tmp_path, rng):
     with np.load(path) as blob:
         assert int(blob["__format_version__"][0]) == 2
         assert blob["fc.weight"].dtype == np.dtype("<f8")
+
+
+class Arrays(Module):
+    """A bare module of parameters with the given shapes."""
+
+    def __init__(self, shapes, fill: float = 0.0):
+        for i, shape in enumerate(shapes):
+            setattr(self, f"w{i}", Parameter(np.full(shape, fill + i)))
+
+
+@pytest.mark.parametrize("shapes", [
+    [(2, 3), (4,), (5, 4)],          # the last parameter has another shape
+    [(2, 3), (4,), (5, 5), (1,)],    # one parameter more than the file holds
+    [(2, 3), (4,)],                  # one parameter fewer
+])
+def test_failed_load_leaves_the_model_unchanged(tmp_path, shapes):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, Arrays([(2, 3), (4,), (5, 5)], fill=7.0))
+    target = Arrays(shapes)
+    before = {name: (p.data, p.data.copy()) for name, p in target.named_parameters()}
+    with pytest.raises(ValueError, match="mismatch"):
+        load_checkpoint(path, target)
+    for name, p in target.named_parameters():
+        array, values = before[name]
+        assert p.data is array, name
+        np.testing.assert_array_equal(p.data, values, err_msg=name)
+
+
+def _write_npz(path, arrays: dict, config="null"):
+    """A checkpoint written by plain ``np.savez``, as another writer might."""
+    np.savez(path, __format_version__=np.asarray([2], dtype="<i8"),
+             __config__=np.asarray(config), **arrays)
+
+
+def test_load_reads_fortran_ordered_and_float32_arrays(tmp_path):
+    w0 = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    w1 = np.arange(4, dtype=np.float32)
+    path = tmp_path / "foreign.npz"
+    _write_npz(path, {"w0": w0, "w1": w1})
+    target = Arrays([(2, 3), (4,)])
+    load_checkpoint(path, target)
+    np.testing.assert_array_equal(target.w0.data, w0)
+    np.testing.assert_array_equal(target.w1.data, w1)
+    assert target.w1.data.dtype == np.float64
+
+
+def test_load_refuses_truncated_array_data(tmp_path):
+    path = tmp_path / "short.npz"
+    _write_npz(path, {"w0": np.zeros(6)})
+    with zipfile.ZipFile(path) as src, zipfile.ZipFile(tmp_path / "cut.npz", "w") as dst:
+        for item in src.infolist():
+            data = src.read(item)
+            if item.filename == "w0.npy":
+                data = data[:-8]  # the header still promises six values
+            dst.writestr(item, data)
+    with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(tmp_path / "cut.npz", Arrays([(6,)]))
+
+
+def test_config_mismatch_leaves_the_model_unchanged(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, build_model("desk", seed=1))
+    target = build_model("desk", seed=2, error_target="signed")
+    before = [p.data.copy() for p in target.parameters()]
+    with pytest.raises(ValueError, match="decoder.error_target"):
+        load_checkpoint(path, target)
+    for p, values in zip(target.parameters(), before):
+        np.testing.assert_array_equal(p.data, values)
+
+
+LOAD_PROBE = """
+import sys
+import numpy as np
+from srrnet.nn import Module, Parameter, load_checkpoint
+
+def peak_bytes():
+    # VmHWM is this address space's own high-water mark; ru_maxrss would
+    # start at the forking parent's peak
+    with open("/proc/self/status") as f:
+        line = next(line for line in f if line.startswith("VmHWM:"))
+    return int(line.split()[1]) * 1024
+
+class Arrays(Module):
+    def __init__(self, n, size):
+        for i in range(n):
+            setattr(self, f"w{i}", Parameter(np.full(size, -1.0 - i)))
+
+model = Arrays(int(sys.argv[2]), int(sys.argv[3]))
+before = peak_bytes()
+load_checkpoint(sys.argv[1], model)
+rise = peak_bytes() - before
+assert all((p.data == i).all() for i, p in enumerate(model.parameters()))
+print(rise)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+def test_load_reads_one_parameter_at_a_time(tmp_path):
+    """Loading raises the peak resident size by about one parameter, not the file.
+
+    The child process builds a model of four 16 MB parameters and loads a
+    checkpoint of the same shapes into it. Reading every array before
+    assigning any would raise the peak by the whole 64 MB checkpoint.
+    """
+    n, size = 4, 2 * 1024 * 1024
+    path = tmp_path / "big.npz"
+    save_checkpoint(path, Arrays([(size,)] * n))
+    checkpoint_bytes = n * size * 8
+    src = str(Path(srrnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(LOAD_PROBE), str(path),
+                           str(n), str(size)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    rise = int(done.stdout.split()[-1])
+    assert rise < 0.5 * checkpoint_bytes, (rise, checkpoint_bytes)
 
 
 # ---------------------------------------------------------------------------

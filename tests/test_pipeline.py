@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from srrnet import tensor as T
+from srrnet.attention import ATTENTION_MODES
 from srrnet.backbone import FrameTriplet, ReferenceSlot, RMABackbone
 from srrnet.data import SequenceRecord, StaticRecord
-from srrnet.decoder import PredictionPair, binary_mask_from_logits
+from srrnet.decoder import (ERROR_TARGETS, DualPurposeDecoder, PredictionPair,
+                            binary_mask_from_logits)
 from srrnet.model import build_model
 from srrnet.pipeline import (
     InferenceSession,
@@ -391,8 +393,8 @@ def test_cached_session_matches_uncached_model(slot_frames, reference_mode, atte
     results = infer_sequence(recorder, slot_frames, reference_mode=reference_mode, seed=3)
     assert len(results) == len(recorder.inputs) == len(slot_frames)
     for res, score, (c, p, r) in zip(results, recorder.model_scores, recorder.inputs):
-        with T.no_grad():
-            pred = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r)))
+        with T.no_grad():  # a fresh slot: the same folded decoder, no cached reference
+            pred = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r), reference=ReferenceSlot()))
         np.testing.assert_array_equal(res.o_msk, pred.o_msk[0])
         np.testing.assert_array_equal(res.o_err, pred.o_err.data[0])
         assert score == pred.score_value
@@ -456,8 +458,10 @@ def test_reference_slot_is_refilled_for_another_model(slot_frames):
         for seed in (0, 1):
             model = build_model("desk", seed=seed)
             cached = model(FrameTriplet(Tensor(c), Tensor(pr), Tensor(pr), reference=slot))
-            plain = model(FrameTriplet(Tensor(c), Tensor(pr), Tensor(pr)))
+            plain = model(FrameTriplet(Tensor(c), Tensor(pr), Tensor(pr),
+                                       reference=ReferenceSlot()))
             assert slot.backbone is model.backbone
+            assert slot.decoder is model.decoder
             np.testing.assert_array_equal(cached.o_err.data, plain.o_err.data)
 
 
@@ -485,6 +489,71 @@ def test_filled_slot_is_ignored_with_grad_on(slot_frames):
         np.testing.assert_array_equal(with_slot[name], grad, err_msg=name)
     ref_names = [n for n in with_slot if n.startswith("backbone.") and ".ref." in n]
     assert ref_names and all(np.any(with_slot[n] != 0) for n in ref_names)
+
+
+FOLD_RTOL = 1e-12  # max |folded - factored| over max |factored|, per output
+
+
+def _max_rel_diff(got: np.ndarray, expected: np.ndarray) -> float:
+    return float(np.abs(got - expected).max() / np.abs(expected).max())
+
+
+@pytest.mark.parametrize("attention_mode", ATTENTION_MODES)
+@pytest.mark.parametrize("error_target", ERROR_TARGETS)
+@pytest.mark.parametrize("size", [64, 128])
+def test_slotted_forward_matches_the_factored_decoder(size, error_target, attention_mode):
+    """With a slot the decoder runs folded; it agrees with the factored chain."""
+    frames = _synth_frames(n=3, size=size)
+    model = build_model("desk", attention_mode=attention_mode, seed=2,
+                        error_target=error_target)
+    rng = np.random.default_rng(7)
+    for name, prm in model.named_parameters():
+        if name.endswith(".bias"):  # biases start at zero; the fold must carry them
+            prm.data = rng.normal(0.0, 0.05, size=prm.data.shape)
+    c = frames[2][None]
+    p = np.concatenate([frames[1], np.ones((1, size, size))], axis=0)[None]
+    r = np.concatenate([frames[0], np.zeros((1, size, size))], axis=0)[None]
+    slot = ReferenceSlot()
+    with T.no_grad():
+        plain = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r)))
+        folded = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r), reference=slot))
+    assert slot.decoder is model.decoder and slot.fold is not None
+    for name in ("mask_logits", "supervision_logits", "o_err"):
+        got, expected = getattr(folded, name).data, getattr(plain, name).data
+        assert _max_rel_diff(got, expected) <= FOLD_RTOL, name
+    assert abs(folded.score_value - plain.score_value) <= FOLD_RTOL * abs(plain.score_value)
+    np.testing.assert_array_equal(folded.o_msk, plain.o_msk)
+
+
+def test_fold_is_built_once_per_session(monkeypatch, slot_frames):
+    builds = []
+    real = DualPurposeDecoder._fold
+
+    def counting(self):
+        builds.append(self)
+        return real(self)
+
+    monkeypatch.setattr(DualPurposeDecoder, "_fold", counting)
+    model = build_model("desk", seed=0)
+    session = InferenceSession(model, reference_mode="off").start(slot_frames[0])
+    for frame in slot_frames:
+        session.step(frame)
+    assert builds == [model.decoder]
+    fold = session.reference_slot.fold
+
+    session.start(slot_frames[0])  # a new session starts from an empty slot
+    assert session.reference_slot.fold is None
+    session.step(slot_frames[0])
+    assert builds == [model.decoder] * 2
+
+    other = build_model("desk", seed=1)  # the same slot, another model
+    pr = np.concatenate([slot_frames[0], np.zeros((1, 64, 64))], axis=0)[None]
+    with T.no_grad():
+        other(FrameTriplet(Tensor(slot_frames[1][None]), Tensor(pr), Tensor(pr),
+                           reference=session.reference_slot))
+    assert builds == [model.decoder] * 2 + [other.decoder]
+    assert session.reference_slot.decoder is other.decoder
+    assert not np.array_equal(session.reference_slot.fold[0][0].data, fold[0][0].data)
 
 
 class CausalFrames:
