@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .attention import (ATTENTION_MODES, AttentionConfig, BranchTokens, RMABlock,
                         reference_is_separable)
-from .nn import Conv2d, LayerNorm, Module
+from .nn import Conv2d, LayerNorm, Module, weights_key
 from .tensor import ConfigurationError, Tensor
 
 
@@ -53,19 +53,21 @@ class StageReference:
 class ReferenceSlot:
     """What a model keeps across the calls of one inference session.
 
-    The backbone keeps its reference encoding, valid for one ``r_in`` and
-    backbone; it refills it whenever the triplet's ``r_in`` differs from the
-    stored one, so a stale slot can cost time but never change an output. The
-    decoder keeps its folded fuse weights (see ``decoder``), valid for one
-    decoder and built again for another. Both assume the model's weights do
-    not change while the slot is filled.
+    The backbone keeps its reference encoding, valid for one ``r_in``, one
+    backbone and one weights generation; the decoder keeps its collapsed form
+    (see ``decoder``), valid for one decoder and one weights generation. Each
+    part is keyed on ``nn.weights_key`` of its owner and rebuilt when the key
+    differs; ``nn.load_checkpoint`` and ``AdamW.step`` start a new weights
+    generation. A parameter written in place by any other means leaves the
+    slot stale, and a stale slot changes outputs: give the session a new slot
+    after such a write.
     """
 
-    backbone: Optional["RMABackbone"] = None
+    reference_key: Optional[tuple] = None  # weights_key of the backbone that encoded ``stages``
     r_in: Optional[np.ndarray] = None
     stages: Optional[list] = None  # StageReference per backbone stage
-    decoder: Optional[Module] = None  # the DualPurposeDecoder that built ``fold``
-    fold: Optional[tuple] = None      # ([W'_i] per stage, b'), see DualPurposeDecoder.folded
+    collapse_key: Optional[tuple] = None  # weights_key of the decoder that built ``collapse``
+    collapse: Optional[object] = None     # DecoderCollapse: 27-channel stage maps and biases
 
 
 @dataclass
@@ -74,7 +76,7 @@ class FrameTriplet:
 
     ``reference`` optionally carries a slot in which the model may keep its
     encoding of ``r_in`` for the next call with the same reference, and its
-    decoder's folded weights.
+    collapsed decoder.
     """
 
     c_img: Tensor  # B x 3 x H x W
@@ -222,11 +224,12 @@ class RMABackbone(Module):
         if slot is None or not reference_is_separable(self.attention_mode) or T.grad_enabled():
             return None
         r_in = triplet.r_in.data
-        if slot.backbone is not self or not np.array_equal(slot.r_in, r_in):
+        key = weights_key(self)
+        if slot.reference_key != key or not np.array_equal(slot.r_in, r_in):
             # drop the old encoding before building the new one
-            slot.backbone = slot.r_in = slot.stages = None
+            slot.reference_key = slot.r_in = slot.stages = None
             slot.stages = self.encode_reference(triplet.r_in)
-            slot.backbone, slot.r_in = self, r_in.copy()
+            slot.reference_key, slot.r_in = key, r_in.copy()
         return slot.stages
 
     def __call__(self, triplet: FrameTriplet) -> PyramidFeatures:

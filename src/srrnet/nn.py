@@ -33,6 +33,23 @@ ADAMW_EPS = 1e-8
 WEIGHT_DECAY = 0.01
 
 
+_weights_generation = 0  # moved on by load_checkpoint and AdamW.step; see weights_key
+
+
+def weights_key(module: Module) -> tuple:
+    """The key a cache built from ``module``'s weights is valid for.
+
+    It is the module and the weights generation, which ``load_checkpoint``
+    and ``AdamW.step`` move on before they write parameters in place.
+    """
+    return module, _weights_generation
+
+
+def _next_weights_generation():
+    global _weights_generation
+    _weights_generation += 1
+
+
 class Parameter(Tensor):
     """A trainable tensor; its name is its attribute path in the owning module."""
 
@@ -135,6 +152,7 @@ class AdamW:
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
+        _next_weights_generation()
         self.t += 1
         b1, b2 = ADAMW_BETAS
         for i, p in enumerate(self.params):
@@ -248,5 +266,6 @@ def load_checkpoint(path, model: Module):
             if shape != p.data.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: checkpoint {shape} vs model {p.data.shape}")
+        _next_weights_generation()
         for name, p in model_params.items():
             p.data = np.asarray(_read_data(*opened[name]), dtype=np.float64)

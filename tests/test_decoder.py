@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srrnet import nn
 from srrnet import tensor as T
+from srrnet.backbone import PyramidFeatures, ReferenceSlot
 from srrnet.decoder import (
+    ERROR_TARGETS,
     DecoderConfig,
     DualPurposeDecoder,
     binary_mask_from_logits,
@@ -19,6 +23,7 @@ from srrnet.pipeline import compute_loss
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
 from test_backbone import make_triplet
+from test_pipeline import FOLD_RTOL, _max_rel_diff
 
 
 def test_binary_mask_ties_classify_as_background():
@@ -185,3 +190,34 @@ def test_decoder_construction_matches_stage_channels(rng):
     assert dec.fuse_all_linear.weight.shape == (256, 64)
     assert dec.mask_head.weight.shape == (32, 2)
     assert dec.err_head.weight.shape == (34, 1)
+
+
+@settings(max_examples=100)
+@given(widths=st.lists(st.integers(1, 12), min_size=4, max_size=4),
+       ch_prime=st.integers(1, 24), ch_double_prime=st.integers(1, 24),
+       extent=st.tuples(st.sampled_from([32, 64, 96]), st.sampled_from([32, 64, 96])),
+       error_target=st.sampled_from(ERROR_TARGETS), seed=st.integers(0, 2 ** 16))
+def test_collapsed_decoder_matches_the_factored_chain(widths, ch_prime, ch_double_prime,
+                                                      extent, error_target, seed):
+    rng = np.random.default_rng(seed)
+    cfg = DecoderConfig(ch_prime=ch_prime, ch_double_prime=ch_double_prime,
+                        error_target=error_target)
+    dec = DualPurposeDecoder(widths, cfg, rng)
+    for prm in dec.parameters():  # every bias non-zero, weights of unit-order outputs
+        prm.data = rng.normal(0.0, 1.0 / np.sqrt(prm.data.shape[0]), size=prm.data.shape)
+    height, width = extent
+    features = PyramidFeatures()
+    for i, ch in enumerate(widths):
+        shape = (1, ch, height >> (i + 2), width >> (i + 2))
+        for branch in (features.c, features.p, features.r):
+            branch.append(Tensor(rng.normal(size=shape)))
+    with T.no_grad():
+        plain = dec(features, height, width)
+        collapsed = dec(features, height, width, ReferenceSlot())
+    for name in ("mask_logits", "supervision_logits", "o_err"):
+        got, expected = getattr(collapsed, name).data, getattr(plain, name).data
+        assert got.shape == expected.shape, name
+        assert _max_rel_diff(got, expected) <= FOLD_RTOL, name
+    # a signed score can sit near zero, so its bound is relative to the error map
+    score_bound = FOLD_RTOL * np.abs(plain.o_err.data).max()
+    assert abs(collapsed.score_value - plain.score_value) <= score_bound

@@ -14,6 +14,7 @@ from srrnet.data import SequenceRecord, StaticRecord
 from srrnet.decoder import (ERROR_TARGETS, DualPurposeDecoder, PredictionPair,
                             binary_mask_from_logits)
 from srrnet.model import build_model
+from srrnet.nn import AdamW, load_checkpoint, save_checkpoint, weights_key
 from srrnet.pipeline import (
     InferenceSession,
     MemoryState,
@@ -393,7 +394,7 @@ def test_cached_session_matches_uncached_model(slot_frames, reference_mode, atte
     results = infer_sequence(recorder, slot_frames, reference_mode=reference_mode, seed=3)
     assert len(results) == len(recorder.inputs) == len(slot_frames)
     for res, score, (c, p, r) in zip(results, recorder.model_scores, recorder.inputs):
-        with T.no_grad():  # a fresh slot: the same folded decoder, no cached reference
+        with T.no_grad():  # a fresh slot: the same collapsed decoder, no cached reference
             pred = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r), reference=ReferenceSlot()))
         np.testing.assert_array_equal(res.o_msk, pred.o_msk[0])
         np.testing.assert_array_equal(res.o_err, pred.o_err.data[0])
@@ -460,8 +461,8 @@ def test_reference_slot_is_refilled_for_another_model(slot_frames):
             cached = model(FrameTriplet(Tensor(c), Tensor(pr), Tensor(pr), reference=slot))
             plain = model(FrameTriplet(Tensor(c), Tensor(pr), Tensor(pr),
                                        reference=ReferenceSlot()))
-            assert slot.backbone is model.backbone
-            assert slot.decoder is model.decoder
+            assert slot.reference_key == weights_key(model.backbone)
+            assert slot.collapse_key == weights_key(model.decoder)
             np.testing.assert_array_equal(cached.o_err.data, plain.o_err.data)
 
 
@@ -491,69 +492,135 @@ def test_filled_slot_is_ignored_with_grad_on(slot_frames):
     assert ref_names and all(np.any(with_slot[n] != 0) for n in ref_names)
 
 
-FOLD_RTOL = 1e-12  # max |folded - factored| over max |factored|, per output
+def _load_other_weights(model, frames, tmp_path):
+    save_checkpoint(tmp_path / "other.npz", build_model("desk", seed=1))
+    load_checkpoint(tmp_path / "other.npz", model)
+
+
+def _take_one_adamw_step(model, frames, tmp_path):
+    pr = np.concatenate([frames[0], np.zeros((1, 64, 64))], axis=0)[None]
+    pred = model(FrameTriplet(Tensor(frames[1][None]), Tensor(pr), Tensor(pr)))
+    T.backward(T.mean(pred.supervision_logits * pred.supervision_logits) + T.mean(pred.o_err))
+    AdamW(model.parameters(), lr=1e-2).step()
+
+
+WEIGHT_CHANGES = {"load_checkpoint": _load_other_weights, "adamw_step": _take_one_adamw_step}
+
+
+@pytest.mark.parametrize("change", sorted(WEIGHT_CHANGES))
+def test_slot_filled_before_a_weight_change_is_rebuilt(change, slot_frames, tmp_path):
+    """A session whose weights change in place reads exactly like one with a fresh slot."""
+    model = build_model("desk", seed=0)
+    sessions = [InferenceSession(model).start(slot_frames[0]) for _ in range(2)]
+    for session in sessions:
+        session.step(slot_frames[0])
+    WEIGHT_CHANGES[change](model, slot_frames, tmp_path)
+    sessions[1].reference_slot = ReferenceSlot()
+    kept, fresh = (session.step(slot_frames[1]) for session in sessions)
+    assert kept.score == fresh.score
+    np.testing.assert_array_equal(kept.o_msk, fresh.o_msk)
+    np.testing.assert_array_equal(kept.o_err, fresh.o_err)
+    assert sessions[0].reference_slot.collapse_key == weights_key(model.decoder)
+    assert sessions[0].reference_slot.reference_key == weights_key(model.backbone)
+
+
+FOLD_RTOL = 1e-12  # max |collapsed - factored| over max |factored|, per output
 
 
 def _max_rel_diff(got: np.ndarray, expected: np.ndarray) -> float:
     return float(np.abs(got - expected).max() / np.abs(expected).max())
 
 
+# a non-square extent catches a transposed tap or a padding offset that square inputs hide
 @pytest.mark.parametrize("attention_mode", ATTENTION_MODES)
 @pytest.mark.parametrize("error_target", ERROR_TARGETS)
-@pytest.mark.parametrize("size", [64, 128])
-def test_slotted_forward_matches_the_factored_decoder(size, error_target, attention_mode):
-    """With a slot the decoder runs folded; it agrees with the factored chain."""
-    frames = _synth_frames(n=3, size=size)
+@pytest.mark.parametrize("extent", [(64, 64), (128, 128), (64, 96)], ids=["64", "128", "64x96"])
+def test_slotted_forward_matches_the_factored_decoder(extent, error_target, attention_mode):
+    """With a slot the decoder runs collapsed; it agrees with the factored chain."""
+    height, width = extent
+    frames = [f[:, :height, :width] for f in _synth_frames(n=3, size=max(extent))]
     model = build_model("desk", attention_mode=attention_mode, seed=2,
                         error_target=error_target)
     rng = np.random.default_rng(7)
     for name, prm in model.named_parameters():
-        if name.endswith(".bias"):  # biases start at zero; the fold must carry them
+        if name.endswith(".bias"):  # biases start at zero; the collapse must carry them
             prm.data = rng.normal(0.0, 0.05, size=prm.data.shape)
     c = frames[2][None]
-    p = np.concatenate([frames[1], np.ones((1, size, size))], axis=0)[None]
-    r = np.concatenate([frames[0], np.zeros((1, size, size))], axis=0)[None]
+    p = np.concatenate([frames[1], np.ones((1, height, width))], axis=0)[None]
+    r = np.concatenate([frames[0], np.zeros((1, height, width))], axis=0)[None]
     slot = ReferenceSlot()
     with T.no_grad():
         plain = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r)))
-        folded = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r), reference=slot))
-    assert slot.decoder is model.decoder and slot.fold is not None
+        collapsed = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r), reference=slot))
+    assert slot.collapse_key == weights_key(model.decoder) and slot.collapse is not None
     for name in ("mask_logits", "supervision_logits", "o_err"):
-        got, expected = getattr(folded, name).data, getattr(plain, name).data
+        got, expected = getattr(collapsed, name).data, getattr(plain, name).data
+        assert got.shape == expected.shape, name
         assert _max_rel_diff(got, expected) <= FOLD_RTOL, name
-    assert abs(folded.score_value - plain.score_value) <= FOLD_RTOL * abs(plain.score_value)
-    np.testing.assert_array_equal(folded.o_msk, plain.o_msk)
+    assert abs(collapsed.score_value - plain.score_value) <= FOLD_RTOL * abs(plain.score_value)
+    np.testing.assert_array_equal(collapsed.o_msk, plain.o_msk)
 
 
-def test_fold_is_built_once_per_session(monkeypatch, slot_frames):
+def test_fold_is_built_once_per_session(monkeypatch, slot_frames, tmp_path):
+    """The collapse is built on a session's first frame, and again only when stale."""
     builds = []
-    real = DualPurposeDecoder._fold
+    real = DualPurposeDecoder._collapse
 
     def counting(self):
         builds.append(self)
         return real(self)
 
-    monkeypatch.setattr(DualPurposeDecoder, "_fold", counting)
+    monkeypatch.setattr(DualPurposeDecoder, "_collapse", counting)
     model = build_model("desk", seed=0)
     session = InferenceSession(model, reference_mode="off").start(slot_frames[0])
     for frame in slot_frames:
         session.step(frame)
     assert builds == [model.decoder]
-    fold = session.reference_slot.fold
+    collapse = session.reference_slot.collapse
 
     session.start(slot_frames[0])  # a new session starts from an empty slot
-    assert session.reference_slot.fold is None
+    assert session.reference_slot.collapse is None
     session.step(slot_frames[0])
+    session.step(slot_frames[1])
     assert builds == [model.decoder] * 2
 
-    other = build_model("desk", seed=1)  # the same slot, another model
+    _load_other_weights(model, slot_frames, tmp_path)  # a new weights generation, the same decoder
+    session.step(slot_frames[2])
+    session.step(slot_frames[3])
+    assert builds == [model.decoder] * 3
+    after_load = session.reference_slot.collapse
+    assert not np.array_equal(after_load.stage_maps[0].data, collapse.stage_maps[0].data)
+
+    other = build_model("desk", seed=2)  # the same slot, another model
     pr = np.concatenate([slot_frames[0], np.zeros((1, 64, 64))], axis=0)[None]
     with T.no_grad():
         other(FrameTriplet(Tensor(slot_frames[1][None]), Tensor(pr), Tensor(pr),
                            reference=session.reference_slot))
-    assert builds == [model.decoder] * 2 + [other.decoder]
-    assert session.reference_slot.decoder is other.decoder
-    assert not np.array_equal(session.reference_slot.fold[0][0].data, fold[0][0].data)
+    assert builds == [model.decoder] * 3 + [other.decoder]
+    assert session.reference_slot.collapse_key == weights_key(other.decoder)
+
+
+DECODER_SPANS = {"fuse_stage": 4, "fuse_all": 1, "predict_mask": 1, "predict_error": 1}
+
+
+def test_slotted_step_runs_every_decoder_span(monkeypatch, slot_frames):
+    """The benchmark tracer times these methods by name: a session frame must call each."""
+    calls = []
+    for name in DECODER_SPANS:
+        real = getattr(DualPurposeDecoder, name)
+
+        def counting(self, *args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DualPurposeDecoder, name, counting)
+    session = InferenceSession(build_model("desk", seed=0)).start(slot_frames[0])
+    for frame in slot_frames[:2]:
+        calls.clear()
+        session.step(frame)
+        assert session.reference_slot.collapse is not None
+        assert {name: calls.count(name) for name in DECODER_SPANS} == DECODER_SPANS
+        assert len(calls) == sum(DECODER_SPANS.values())
 
 
 class CausalFrames:
