@@ -54,13 +54,14 @@ class ReferenceSlot:
     """What a model keeps across the calls of one inference session.
 
     The backbone keeps its reference encoding, valid for one ``r_in``, one
-    backbone and one weights generation; the decoder keeps its collapsed form
-    (see ``decoder``), valid for one decoder and one weights generation. Each
-    part is keyed on ``nn.weights_key`` of its owner and rebuilt when the key
-    differs; ``nn.load_checkpoint`` and ``AdamW.step`` start a new weights
-    generation. A parameter written in place by any other means leaves the
-    slot stale, and a stale slot changes outputs: give the session a new slot
-    after such a write.
+    backbone and one weights generation; the decoder keeps the collapse it
+    otherwise builds on every call (see ``decoder``), valid for one decoder
+    and one weights generation. Both are kept only with the gradient tape
+    off. Each part is keyed on ``nn.weights_key`` of its owner and rebuilt
+    when the key differs; ``nn.load_checkpoint`` and ``AdamW.step`` start a
+    new weights generation. A parameter written in place by any other means
+    leaves the slot stale, and a stale slot changes outputs: give the session
+    a new slot after such a write.
     """
 
     reference_key: Optional[tuple] = None  # weights_key of the backbone that encoded ``stages``

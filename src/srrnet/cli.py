@@ -219,7 +219,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _infer_with_trace(args, trace_path, require_masks: bool) -> list[StepResult]:
+def _infer_with_trace(args, trace_path,
+                      require_masks: bool) -> tuple[SRRNet, list[StepResult]]:
     """Run the checkpoint's model over ``--data`` once and write its score trace."""
     model = load_model(args.checkpoint)
     record = load_sequence(args.data, require_masks=require_masks)
@@ -227,16 +228,19 @@ def _infer_with_trace(args, trace_path, require_masks: bool) -> list[StepResult]
                              reference_mode=args.reference_mode, seed=args.seed)
     gts = record.masks if len(record.masks) == len(record.frames) else None
     write_score_trace(trace_path, results, gts)
-    return results
+    return model, results
 
 
 def _cmd_infer(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results = _infer_with_trace(args, out / "scores.csv", require_masks=False)
+    model, results = _infer_with_trace(args, out / "scores.csv", require_masks=False)
+    signed = model.config.decoder.error_target == "signed"
     for res in results:
         write_mask(out / f"{res.frame_index:05d}.pgm", res.o_msk)
-        write_error_map(out / f"{res.frame_index:05d}_err.pgm", res.o_err)
+        # a signed error in (-1, 1) is shifted to (0, 1), so its negative half survives
+        write_error_map(out / f"{res.frame_index:05d}_err.pgm",
+                        (res.o_err + 1.0) / 2.0 if signed else res.o_err)
     print(f"wrote {len(results)} masks to {out}")
     return 0
 

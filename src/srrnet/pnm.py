@@ -2,7 +2,10 @@
 
 Frames are 8-bit binary PPM (``P6``); masks and error maps are 8-bit binary
 PGM (``P5``). Masks use 0 for background and 255 for foreground; error maps
-are scaled by 255 and rounded half-up. Parse failures report the byte offset.
+are scaled by 255 and rounded half-up. ``srrnet infer`` writes the error map
+of an ``--error-target signed`` model, which lies in (-1, 1), as
+``(e + 1) / 2``: zero error reads 128 and a negative error (a predicted false
+positive) reads below it. Parse failures report the byte offset.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import pytest
 
 from srrnet.cli import main
 from srrnet.data import load_sequence
-from srrnet.model import build_model
+from srrnet.model import build_model, load_model
 from srrnet.nn import load_checkpoint
 from srrnet.pipeline import infer_sequence, write_score_trace
 from srrnet.pnm import read_pgm
@@ -125,6 +125,23 @@ def test_trace_score_takes_the_model_from_the_checkpoint(workspace, full_signed_
     with open(trace) as f:
         scores = [float(r["score"]) for r in csv.DictReader(f)]
     assert max(abs(v) for v in scores) < 0.25  # a sigmoid head would read about 0.5
+
+
+def test_infer_writes_a_signed_error_map_shifted_to_keep_its_sign(workspace, full_signed_run,
+                                                                  tmp_path):
+    """A signed error in (-1, 1) is written as (e + 1) / 2: a negative error reads below 128."""
+    seq = workspace / "video" / "seq0"
+    out = tmp_path / "pred"
+    assert run_cli("infer", "--data", str(seq), "--checkpoint", str(full_signed_run),
+                   "--out", str(out), "--seed", "0") == 0
+    results = infer_sequence(load_model(full_signed_run), load_sequence(seq).frames, seed=0)
+    below = 0
+    for res in results:
+        written = read_pgm(out / f"{res.frame_index:05d}_err.pgm")
+        error = res.o_err.reshape(written.shape)
+        np.testing.assert_array_equal(written, np.floor((error + 1.0) / 2.0 * 255.0 + 0.5))
+        below += int((written < 128).sum())
+    assert below > 0
 
 
 def test_train_resume_refuses_contradicting_flags(workspace, full_signed_run, capsys):

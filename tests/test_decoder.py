@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srrnet import nn
 from srrnet import tensor as T
 from srrnet.backbone import PyramidFeatures, ReferenceSlot
 from srrnet.decoder import (
@@ -18,12 +17,17 @@ from srrnet.decoder import (
 )
 from srrnet.gradcheck import gradcheck_model
 from srrnet.model import build_model
-from srrnet.nn import Linear
 from srrnet.pipeline import compute_loss
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
+from factored_decoder import (
+    FOLD_RTOL,
+    assert_grads_match,
+    factored_decoder,
+    max_rel_diff,
+    per_pixel,
+)
 from test_backbone import make_triplet
-from test_pipeline import FOLD_RTOL, _max_rel_diff
 
 
 def test_binary_mask_ties_classify_as_background():
@@ -43,18 +47,11 @@ def test_binary_mask_accepts_tensor_and_is_detached(rng):
 
 
 def test_channel_linear_matches_einsum(rng):
-    lin = Linear(5, 3, rng)
+    weight = rng.normal(size=(5, 3))
     x = rng.normal(size=(2, 5, 4, 4))
-    got = channel_linear(Tensor(x), lin).data
-    expected = np.einsum("bchw,co->bohw", x, lin.weight.data) + \
-        lin.bias.data[None, :, None, None]
+    got = channel_linear(Tensor(x), Tensor(weight)).data
+    expected = np.einsum("bchw,co->bohw", x, weight)
     np.testing.assert_allclose(got, expected, atol=1e-12)
-
-
-def _per_pixel_channel_linear(x_map, linear):
-    """The 4-d formulation: the linear map applied to a channels-last view."""
-    y = linear(T.transpose(x_map, (0, 2, 3, 1)))
-    return T.transpose(y, (0, 3, 1, 2))
 
 
 @pytest.mark.parametrize("out_features", [1, 2, 64])
@@ -62,44 +59,57 @@ def _per_pixel_channel_linear(x_map, linear):
 @pytest.mark.parametrize("channels_last", [False, True])
 def test_channel_linear_is_bitwise_the_per_pixel_formula(rng, out_features, batch,
                                                          channels_last):
-    lin = Linear(96, out_features, rng)
-    lin.bias.data = rng.normal(size=out_features)
+    weight = rng.normal(size=(96, out_features))
     x = rng.normal(size=(batch, 96, 16, 16))
     if channels_last:
         x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     wt = Tensor(rng.normal(size=(batch, out_features, 16, 16)))
     results = []
-    for fn in (channel_linear, _per_pixel_channel_linear):
-        lin.zero_grad()
+    for fn in (channel_linear, per_pixel):
+        wm = Tensor(weight, requires_grad=True)
         xt = Tensor(x, requires_grad=True)
-        y = fn(xt, lin)
+        y = fn(xt, wm)
         T.backward(T.tensor_sum(y * wt))
-        results.append((y.data, lin.weight.grad, lin.bias.grad, xt.grad))
-    (y, gw, gb, gx), (y_ref, gw_ref, gb_ref, gx_ref) = results
+        results.append((y.data, wm.grad, xt.grad))
+    (y, gw, gx), (y_ref, gw_ref, gx_ref) = results
     np.testing.assert_array_equal(y, y_ref)
     np.testing.assert_allclose(gw, gw_ref, rtol=1e-10)
-    np.testing.assert_allclose(gb, gb_ref, rtol=1e-10)
     np.testing.assert_allclose(gx, gx_ref, rtol=1e-10)
 
 
 def test_decoder_projections_get_at_most_3d_operands(desk_model, rng, monkeypatch):
-    """A 4-d operand makes numpy run one GEMM per image row instead of per image."""
+    """A 4-d operand makes numpy run one GEMM per image row instead of per image.
+
+    The per-frame matmuls are the stage projections by each ``V_i`` and the
+    ``m E_m`` term, with the tape on (no slot) and off (slotted) alike.
+    """
     dec = desk_model.decoder
-    projections = dec.fuse_linears + [dec.fuse_all_linear, dec.mask_head, dec.err_head]
-    weights = {id(lin.weight) for lin in projections}
-    operand_ndims = []
-    matmul = nn.matmul
+    collapses, calls = [], []
+    real_collapse, real_matmul = DualPurposeDecoder._collapse, T.matmul
+
+    def keeping_collapse(self):
+        collapses.append(real_collapse(self))
+        return collapses[-1]
 
     def recording_matmul(a, b):
-        if id(b) in weights:
-            operand_ndims.append(a.ndim)
-        return matmul(a, b)
+        calls.append((a.ndim, b))  # b is kept alive, so no later tensor reuses its id
+        return real_matmul(a, b)
 
-    monkeypatch.setattr(nn, "matmul", recording_matmul)
+    monkeypatch.setattr(DualPurposeDecoder, "_collapse", keeping_collapse)
+    monkeypatch.setattr(T, "matmul", recording_matmul)
+    triplet = make_triplet(rng, size=64)
+    desk_model(triplet)
     with T.no_grad():
-        desk_model(make_triplet(rng, size=64))
-    assert len(operand_ndims) == len(projections)
-    assert max(operand_ndims) <= 3
+        triplet.reference = ReferenceSlot()
+        desk_model(triplet)
+    assert len(collapses) == 2
+    for collapse in collapses:
+        by_stage_map = [ndim for ndim, b in calls
+                        if any(b is v for v in collapse.stage_maps)]
+        assert len(by_stage_map) == 4 and max(by_stage_map) <= 3
+    by_err_mask = [ndim for ndim, b in calls
+                   if np.shares_memory(b.data, dec.err_head.weight.data)]
+    assert len(by_err_mask) == 2 and max(by_err_mask) <= 3
 
 
 def test_decoder_config_validation():
@@ -138,20 +148,23 @@ def test_gradcheck_covers_the_signed_error_head():
 def test_fuse_stage_resizes_to_common_grid(desk_model, rng):
     features = desk_model.backbone(make_triplet(rng, size=64))
     dec = desk_model.decoder
+    collapse = dec.collapsed(None)
     for i in range(4):
-        fused = dec.fuse_stage(features.c[i], features.p[i], features.r[i], 16, 16, i)
-        assert fused.shape == (1, 64, 16, 16)
+        fused = dec.fuse_stage(features.c[i], features.p[i], features.r[i], 16, 16, i,
+                               collapse)
+        assert fused.shape == (1, 27, 16, 16)
 
 
 def test_fuse_stage_shape_errors(desk_model, rng):
     dec = desk_model.decoder
+    collapse = dec.collapsed(None)
     a = Tensor(rng.normal(size=(1, 8, 4, 4)))
     b = Tensor(rng.normal(size=(1, 8, 8, 8)))
     with pytest.raises(ShapeMismatchError):
-        dec.fuse_stage(a, a, b, 4, 4, 0)
+        dec.fuse_stage(a, a, b, 4, 4, 0, collapse)
     with pytest.raises(ShapeMismatchError):
-        dec.fuse_all([Tensor(rng.normal(size=(1, 64, 4, 4))),
-                      Tensor(rng.normal(size=(1, 64, 8, 8)))])
+        dec.fuse_all([Tensor(rng.normal(size=(1, 27, 4, 4))),
+                      Tensor(rng.normal(size=(1, 27, 8, 8)))], collapse)
 
 
 def test_error_loss_leaves_mask_head_untouched(desk_model, rng):
@@ -160,8 +173,8 @@ def test_error_loss_leaves_mask_head_untouched(desk_model, rng):
     pred = desk_model(make_triplet(rng, size=32))
     target = rng.random((1, 1, 8, 8))
     T.backward(T.mse(pred.o_err, target))
-    assert desk_model.decoder.mask_head.weight.grad is None
-    assert desk_model.decoder.mask_head.bias.grad is None
+    assert not np.any(desk_model.decoder.mask_head.weight.grad)
+    assert not np.any(desk_model.decoder.mask_head.bias.grad)
     # while the error head and shared trunk do learn from it
     assert desk_model.decoder.err_head.weight.grad is not None
     assert desk_model.decoder.fuse_conv.weight.grad is not None
@@ -210,14 +223,66 @@ def test_collapsed_decoder_matches_the_factored_chain(widths, ch_prime, ch_doubl
     for i, ch in enumerate(widths):
         shape = (1, ch, height >> (i + 2), width >> (i + 2))
         for branch in (features.c, features.p, features.r):
-            branch.append(Tensor(rng.normal(size=shape)))
+            branch.append(Tensor(rng.normal(size=shape), requires_grad=True))
     with T.no_grad():
-        plain = dec(features, height, width)
+        plain = factored_decoder(dec, features, height, width)
         collapsed = dec(features, height, width, ReferenceSlot())
     for name in ("mask_logits", "supervision_logits", "o_err"):
         got, expected = getattr(collapsed, name).data, getattr(plain, name).data
         assert got.shape == expected.shape, name
-        assert _max_rel_diff(got, expected) <= FOLD_RTOL, name
+        assert max_rel_diff(got, expected) <= FOLD_RTOL, name
     # a signed score can sit near zero, so its bound is relative to the error map
     score_bound = FOLD_RTOL * np.abs(plain.o_err.data).max()
     assert abs(collapsed.score_value - plain.score_value) <= score_bound
+
+    # with the tape on, both give every parameter and every feature the same gradient
+    logit_weights = Tensor(rng.normal(size=plain.supervision_logits.shape))
+    err_weights = Tensor(rng.normal(size=plain.o_err.shape))
+    leaves = [(f"decoder.{name}", prm) for name, prm in dec.named_parameters()] + [
+        (f"{branch}{i}", x) for branch in "cpr"
+        for i, x in enumerate(getattr(features, branch))]
+
+    def gradients(decode):
+        for _, leaf in leaves:
+            leaf.grad = None
+        pred = decode(features, height, width)
+        T.backward(T.mean(pred.supervision_logits * logit_weights)
+                   + T.mean(pred.o_err * err_weights))
+        return {name: leaf.grad for name, leaf in leaves}
+
+    assert_grads_match(gradients(dec), gradients(lambda *a: factored_decoder(dec, *a)))
+
+
+@pytest.mark.parametrize("error_target", ERROR_TARGETS)
+@pytest.mark.parametrize("loss", ["compute_loss", "error_mse"])
+def test_gradients_match_the_factored_oracle(loss, error_target):
+    """Every parameter's gradient matches a model decoding through the factored chain.
+
+    This pins where the stop-gradient sits: on ``m`` as the error head reads
+    it, and nowhere else.
+    """
+    model = build_model("desk", seed=0, error_target=error_target)
+    rng = np.random.default_rng(11)
+    for name, prm in model.named_parameters():
+        if name.endswith(".bias"):  # biases start at zero; every path must carry them
+            prm.data = rng.normal(0.0, 0.05, size=prm.data.shape)
+    triplet = make_triplet(rng, size=64)
+    gt = (rng.random((1, 1, 64, 64)) > 0.5).astype(np.float64)
+    err_target = rng.uniform(-1.0, 1.0, size=(1, 1, 16, 16))
+
+    def gradients(decode):
+        model.zero_grad()
+        pred = decode(model.backbone(triplet), 64, 64)
+        if loss == "compute_loss":
+            value = compute_loss(pred, gt, 1.0, error_target)[0]
+        else:
+            value = T.mse(pred.o_err, err_target)
+        T.backward(value)
+        return {name: prm.grad for name, prm in model.named_parameters()}
+
+    collapsed = gradients(model.decoder)
+    oracle = gradients(lambda *a: factored_decoder(model.decoder, *a))
+    model.zero_grad()
+    assert_grads_match(collapsed, oracle)
+    assert np.any(collapsed["decoder.err_head.weight"])
+    assert np.any(collapsed["decoder.mask_head.weight"]) == (loss == "compute_loss")

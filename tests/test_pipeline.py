@@ -29,6 +29,8 @@ from srrnet.pipeline import (
 )
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
+from factored_decoder import FOLD_RTOL, factored_decoder, max_rel_diff
+
 
 # ---------------------------------------------------------------------------
 # loss
@@ -524,19 +526,12 @@ def test_slot_filled_before_a_weight_change_is_rebuilt(change, slot_frames, tmp_
     assert sessions[0].reference_slot.reference_key == weights_key(model.backbone)
 
 
-FOLD_RTOL = 1e-12  # max |collapsed - factored| over max |factored|, per output
-
-
-def _max_rel_diff(got: np.ndarray, expected: np.ndarray) -> float:
-    return float(np.abs(got - expected).max() / np.abs(expected).max())
-
-
 # a non-square extent catches a transposed tap or a padding offset that square inputs hide
 @pytest.mark.parametrize("attention_mode", ATTENTION_MODES)
 @pytest.mark.parametrize("error_target", ERROR_TARGETS)
 @pytest.mark.parametrize("extent", [(64, 64), (128, 128), (64, 96)], ids=["64", "128", "64x96"])
 def test_slotted_forward_matches_the_factored_decoder(extent, error_target, attention_mode):
-    """With a slot the decoder runs collapsed; it agrees with the factored chain."""
+    """A slotted session frame agrees with the decoder's factored chain."""
     height, width = extent
     frames = [f[:, :height, :width] for f in _synth_frames(n=3, size=max(extent))]
     model = build_model("desk", attention_mode=attention_mode, seed=2,
@@ -550,13 +545,15 @@ def test_slotted_forward_matches_the_factored_decoder(extent, error_target, atte
     r = np.concatenate([frames[0], np.zeros((1, height, width))], axis=0)[None]
     slot = ReferenceSlot()
     with T.no_grad():
-        plain = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r)))
+        plain = factored_decoder(model.decoder,
+                                 model.backbone(FrameTriplet(Tensor(c), Tensor(p), Tensor(r))),
+                                 height, width)
         collapsed = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r), reference=slot))
     assert slot.collapse_key == weights_key(model.decoder) and slot.collapse is not None
     for name in ("mask_logits", "supervision_logits", "o_err"):
         got, expected = getattr(collapsed, name).data, getattr(plain, name).data
         assert got.shape == expected.shape, name
-        assert _max_rel_diff(got, expected) <= FOLD_RTOL, name
+        assert max_rel_diff(got, expected) <= FOLD_RTOL, name
     assert abs(collapsed.score_value - plain.score_value) <= FOLD_RTOL * abs(plain.score_value)
     np.testing.assert_array_equal(collapsed.o_msk, plain.o_msk)
 
