@@ -30,6 +30,7 @@ from .pipeline import (
     TrainSchedule,
     infer_sequence,
     train,
+    true_maes,
     write_score_trace,
 )
 from .pnm import write_error_map, write_mask
@@ -219,22 +220,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _infer_with_trace(args, trace_path,
-                      require_masks: bool) -> tuple[SRRNet, list[StepResult]]:
-    """Run the checkpoint's model over ``--data`` once and write its score trace."""
+def _infer_with_trace(args, trace_path, require_masks: bool
+                      ) -> tuple[SRRNet, list[StepResult], list | None]:
+    """Run the checkpoint's model over ``--data`` once and write its score trace.
+
+    Also returns the ground-truth masks, ``None`` unless every frame has one.
+    """
     model = load_model(args.checkpoint)
     record = load_sequence(args.data, require_masks=require_masks)
     results = infer_sequence(model, record.frames,
                              reference_mode=args.reference_mode, seed=args.seed)
     gts = record.masks if len(record.masks) == len(record.frames) else None
     write_score_trace(trace_path, results, gts)
-    return model, results
+    return model, results, gts
 
 
 def _cmd_infer(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model, results = _infer_with_trace(args, out / "scores.csv", require_masks=False)
+    model, results, _ = _infer_with_trace(args, out / "scores.csv", require_masks=False)
     signed = model.config.decoder.error_target == "signed"
     for res in results:
         write_mask(out / f"{res.frame_index:05d}.pgm", res.o_msk)
@@ -256,8 +260,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_trace_score(args) -> int:
-    _infer_with_trace(args, args.out, require_masks=True)
+    from scipy import stats  # about 0.5 s to import; no other command needs it
+
+    _, results, gts = _infer_with_trace(args, args.out, require_masks=True)
     print(f"score trace: {args.out}")
+    print(f"reference updates: {sum(r.updated for r in results)} of {len(results)} frames")
+    rho = stats.spearmanr([r.score for r in results], true_maes(results, gts)).statistic
+    print(f"Spearman(score, true MAE): {rho:.4f}")
     return 0
 
 

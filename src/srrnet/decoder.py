@@ -100,7 +100,7 @@ class PredictionPair:
     supervision_logits: Tensor  # B x 2 x H x W, mask_logits resized to the input
     o_msk: np.ndarray           # B x 1 x H x W, values in {0, 1}
     o_err: Tensor               # B x 1 x (H/4) x (W/4), in (0, 1), or (-1, 1) if signed
-    score: Tensor               # scalar, spatial mean of o_err
+    score: Tensor               # scalar, spatial mean of |o_err|
 
     @property
     def score_value(self) -> float:
@@ -143,8 +143,13 @@ def binary_mask_from_logits(logits: Tensor) -> np.ndarray:
 
 
 def mae_score(o_err: Tensor) -> Tensor:
-    """Scalar predicted-error score: arithmetic mean over every position."""
-    return T.mean(o_err)
+    """Scalar predicted MAE: the mean of ``|o_err|`` over every position.
+
+    A signed map's plain mean would rank the frame predicted to over-segment
+    most as the best; an absolute map is positive, so its score is its mean.
+    The score selects the reference and is never trained, so it is off the tape.
+    """
+    return Tensor(np.abs(o_err.data).mean())
 
 
 def _row(bias: Tensor) -> Tensor:

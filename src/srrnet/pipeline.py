@@ -273,17 +273,21 @@ def infer_sequence(model: SRRNet, frames: Sequence[np.ndarray],
     return results
 
 
+def true_maes(results: Sequence[StepResult], gts: Sequence[np.ndarray]) -> list[float]:
+    """Each frame's mask MAE against its ground truth, in the order of ``results``."""
+    return [float(np.abs(res.o_msk - np.asarray(gts[res.frame_index], dtype=np.float64)).mean())
+            for res in results]
+
+
 def write_score_trace(path, results: Sequence[StepResult],
                       gts: Optional[Sequence[np.ndarray]] = None):
     """CSV trace: frame_index, score, true_mae (blank without gt), updated, ref index."""
+    maes = true_maes(results, gts) if gts is not None else None
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["frame_index", "score", "true_mae", "updated", "ref_frame_index"])
-        for res in results:
-            true_mae = ""
-            if gts is not None:
-                gt = np.asarray(gts[res.frame_index], dtype=np.float64)
-                true_mae = f"{np.abs(res.o_msk - gt).mean():.9f}"
+        for i, res in enumerate(results):
+            true_mae = "" if maes is None else f"{maes[i]:.9f}"
             writer.writerow([res.frame_index, f"{res.score:.9f}", true_mae,
                              int(res.updated), res.ref_frame_index])
 

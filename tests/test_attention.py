@@ -1,8 +1,12 @@
 """Three-branch attention blocks against naive loop oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from srrnet import attention
 from srrnet import tensor as T
 from srrnet.attention import (
     ATTENTION_MODES,
@@ -13,6 +17,8 @@ from srrnet.attention import (
     scaled_dot_attention,
 )
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
+
+from test_backbone import make_triplet
 
 
 def _naive_attention(q, k, v, heads):
@@ -59,6 +65,92 @@ def test_scaled_dot_attention_errors(rng):
         scaled_dot_attention(q, k, k, heads=4)  # 6 not divisible by 4
     with pytest.raises(ShapeMismatchError):
         scaled_dot_attention(q, k, Tensor(rng.normal(size=(1, 6, 6))), heads=2)
+
+
+# ---------------------------------------------------------------------------
+# query-row blocks
+
+
+def _unsplit_attention(q, k, v, heads):
+    """The attention chain as one block: the ops ``scaled_dot_attention`` runs unsplit."""
+    batch, n_q, channels = q.shape
+    n_k, d = k.shape[1], channels // heads
+
+    def split(x, n):
+        return T.transpose(T.reshape(x, (batch, n, heads, d)), (0, 2, 1, 3))
+
+    scores = T.matmul(split(q, n_q), T.transpose(split(k, n_k), (0, 1, 3, 2)))
+    out = T.matmul(T.softmax(scores, scale=1.0 / math.sqrt(d)), split(v, n_k))
+    return T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch, n_q, channels))
+
+
+def _attention_and_grads(fn, q, k, v, heads, weight):
+    """``fn``'s output and the gradients of q, k, v under the loss mean(out * weight)."""
+    qt, kt, vt = (Tensor(x, requires_grad=True) for x in (q, k, v))
+    out = fn(qt, kt, vt, heads)
+    T.backward(T.mean(out * Tensor(weight)))
+    return out.data, qt.grad, kt.grad, vt.grad
+
+
+class _SoftmaxRecorder:
+    """Wraps ``T.softmax``, recording the shape of every input."""
+
+    def __init__(self, monkeypatch):
+        self.shapes = []
+        self._softmax = T.softmax
+        monkeypatch.setattr(T, "softmax", self)
+
+    def __call__(self, a, scale=1.0):
+        self.shapes.append(a.shape)
+        return self._softmax(a, scale)
+
+
+@given(batch=st.integers(1, 2), heads=st.sampled_from([1, 2, 4]), head_dim=st.integers(1, 3),
+       n_q=st.integers(1, 11), n_k=st.integers(1, 9), tile=st.integers(1, 400),
+       seed=st.integers(0, 2 ** 16))
+@example(batch=2, heads=1, head_dim=2, n_q=7, n_k=3, tile=12, seed=0)  # rows 2, 2, 2, 1
+@example(batch=2, heads=4, head_dim=2, n_q=5, n_k=9, tile=50, seed=0)  # n_k > tile: one row each
+def test_row_blocks_match_one_block(batch, heads, head_dim, n_q, n_k, tile, seed):
+    gen = np.random.default_rng(seed)
+    channels = heads * head_dim
+    q, k, v = (gen.normal(size=(batch, n, channels)) for n in (n_q, n_k, n_k))
+    weight = gen.normal(size=(batch, n_q, channels))
+    expected = _attention_and_grads(_unsplit_attention, q, k, v, heads, weight)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attention, "SCORE_TILE", tile)
+        recorder = _SoftmaxRecorder(patch)
+        got = _attention_and_grads(scaled_dot_attention, q, k, v, heads, weight)
+    row = batch * heads * n_k  # one query row's scores, the smallest block
+    assert all(math.prod(s) <= max(tile, row) for s in recorder.shapes)
+    assert sum(s[2] for s in recorder.shapes) == n_q
+    for mine, ref in zip(got, expected):
+        assert np.abs(mine - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_one_block_is_the_unsplit_chain_bitwise(rng, heads):
+    q, k, v = (rng.normal(size=(2, n, 8)) for n in (9, 13, 13))
+    weight = rng.normal(size=(2, 9, 8))
+    got = _attention_and_grads(scaled_dot_attention, q, k, v, heads, weight)
+    expected = _attention_and_grads(_unsplit_attention, q, k, v, heads, weight)
+    for mine, ref in zip(got, expected):
+        np.testing.assert_array_equal(mine, ref)
+
+
+def test_desk128_score_blocks_fit_the_budget_and_cover_every_score(monkeypatch, desk_model, rng):
+    triplet = make_triplet(rng, size=128)
+    with monkeypatch.context() as patch:
+        patch.setattr(attention, "SCORE_TILE", 2 ** 62)
+        unsplit = _SoftmaxRecorder(patch)
+        with T.no_grad():
+            desk_model(triplet)
+    tiled = _SoftmaxRecorder(monkeypatch)
+    with T.no_grad():
+        desk_model(triplet)
+    assert max(math.prod(s) for s in unsplit.shapes) > attention.SCORE_TILE
+    assert max(math.prod(s) for s in tiled.shapes) <= attention.SCORE_TILE
+    assert (sum(math.prod(s) for s in tiled.shapes)
+            == sum(math.prod(s) for s in unsplit.shapes))
 
 
 # ---------------------------------------------------------------------------

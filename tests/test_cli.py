@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from srrnet.cli import main
 from srrnet.data import load_sequence
@@ -88,7 +89,7 @@ def test_infer_and_eval(workspace):
     assert rows[-1][0] == "__overall__"
 
 
-def test_trace_score(workspace):
+def test_trace_score(workspace, capsys):
     trace = workspace / "trace.csv"
     assert run_cli("trace-score", "--data", str(workspace / "video" / "seq0"),
                    "--checkpoint", str(workspace / "run" / "checkpoint.npz"),
@@ -98,6 +99,12 @@ def test_trace_score(workspace):
     assert rows[0] == ["frame_index", "score", "true_mae", "updated", "ref_frame_index"]
     assert len(rows) == 5
     assert all(r[2] != "" for r in rows[1:])  # ground truth present -> true MAE filled
+
+    printed = capsys.readouterr().out.splitlines()
+    updates = sum(int(r[3]) for r in rows[1:])
+    assert f"reference updates: {updates} of 4 frames" in printed
+    rho = stats.spearmanr([float(r[1]) for r in rows[1:]], [float(r[2]) for r in rows[1:]])
+    assert f"Spearman(score, true MAE): {rho.statistic:.4f}" in printed
 
 
 @pytest.fixture(scope="module")

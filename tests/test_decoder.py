@@ -137,6 +137,17 @@ def test_signed_error_activation_range(rng):
     assert ((pred.o_err.data > -1) & (pred.o_err.data < 1)).all()
 
 
+def test_signed_score_is_the_mean_absolute_predicted_error(rng):
+    model = build_model("desk", seed=0, error_target="signed")
+    with T.no_grad():
+        pred = model(make_triplet(rng, size=32))
+    o_err = pred.o_err.data
+    assert (o_err < 0).any() and (o_err > 0).any()  # a signed mean would differ
+    assert pred.score_value == np.abs(o_err).mean()
+    assert pred.score_value >= 0
+    assert float(mae_score(pred.o_err).data) == np.abs(o_err).mean()
+
+
 def test_gradcheck_covers_the_signed_error_head():
     # the check runs the training loss with the model's own error target, so
     # this sweeps the 2σ(x) − 1 head against the signed target gt − mask

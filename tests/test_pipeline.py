@@ -12,7 +12,7 @@ from srrnet.attention import ATTENTION_MODES
 from srrnet.backbone import FrameTriplet, ReferenceSlot, RMABackbone
 from srrnet.data import SequenceRecord, StaticRecord
 from srrnet.decoder import (ERROR_TARGETS, DualPurposeDecoder, PredictionPair,
-                            binary_mask_from_logits)
+                            binary_mask_from_logits, mae_score)
 from srrnet.model import build_model
 from srrnet.nn import AdamW, load_checkpoint, save_checkpoint, weights_key
 from srrnet.pipeline import (
@@ -258,7 +258,10 @@ def test_memory_state_matches_prefix_argmin_oracle():
 
 
 class StubModel:
-    """Duck-typed model capturing inputs and emitting scripted error maps."""
+    """Duck-typed model capturing inputs and emitting scripted error maps.
+
+    ``scores[t]`` is frame t's error map, or anything that broadcasts to it.
+    """
 
     def __init__(self, scores=None):
         self.scores = scores
@@ -270,12 +273,12 @@ class StubModel:
         h, w = triplet.height, triplet.width
         value = self.scores[self.calls] if self.scores is not None else 0.5
         self.calls += 1
-        o_err = Tensor(np.full((1, 1, h // 4, w // 4), value))
+        o_err = Tensor(np.broadcast_to(value, (1, 1, h // 4, w // 4)).copy())
         logits = Tensor(np.zeros((1, 2, h // 4, w // 4)))
         full = Tensor(np.zeros((1, 2, h, w)))
         return PredictionPair(mask_logits=logits, supervision_logits=full,
                               o_msk=np.zeros((1, 1, h, w)), o_err=o_err,
-                              score=T.mean(o_err))
+                              score=mae_score(o_err))
 
 
 def _frames(n, size=32, seed=0):
@@ -290,6 +293,18 @@ def test_session_scores_drive_reference_memory():
     assert [r.score for r in results] == pytest.approx(scores)
     assert [r.updated for r in results] == [True, False, True, False, True, False]
     assert [r.ref_frame_index for r in results] == [0, 0, 2, 2, 4, 4]
+
+
+def test_session_adopts_the_frame_with_the_lower_absolute_error():
+    # Signed error maps, 8 x 8 at a 32 x 32 frame. Frames 0 and 1 have the
+    # same signed mean (0.2); frame 1's |e| is lower. Frame 2 has the lowest
+    # signed mean (-0.35) but a higher |e| (0.55) than frame 1 (0.2).
+    halves = np.where(np.arange(8) < 4, 1.0, 0.0)[None, :]
+    maps = [0.8 * halves - 0.4 * (1 - halves), np.full((8, 8), 0.2),
+            0.2 * halves - 0.9 * (1 - halves)]
+    results = infer_sequence(StubModel(scores=maps), _frames(3), reference_mode="scored")
+    assert [r.score for r in results] == pytest.approx([0.6, 0.2, 0.55])
+    assert [r.ref_frame_index for r in results] == [0, 1, 1]
 
 
 def test_session_reference_mode_off_duplicates_previous():
