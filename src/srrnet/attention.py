@@ -2,7 +2,13 @@
 
 Each block processes current-frame (C), previous-frame (P) and reference-frame
 (R) token streams: per-branch self-attention, a cross stage, then an MLP. P and
-R share one weight set; C has its own.
+R share one weight set; C has its own. A block runs the branches of one weight
+set as one batch, stacked on the batch axis, so that each of its weights is
+read once for P and R together rather than once per branch: at ``full`` most
+of a frame's time goes to streaming these weights (the spatial-reduction convs
+of PVT, Wang et al., arXiv 2102.12122, hold 2-3 MB each), not to arithmetic.
+A weight set with one branch to run (C always; P alone when R's keys/values
+are given) runs exactly that branch's ops, with no stacking.
 
 Which keys each branch's queries read in the cross stage is one table,
 ``VISIBILITY``: per attention mode, each branch maps to the branches whose
@@ -15,21 +21,27 @@ branch all three, and ``self_only`` (an empty entry) has no cross stage.
 blocks of query rows, as FlashAttention does over query tiles (Dao et al.,
 arXiv 2205.14135), so that one block's scores and probabilities stay in
 cache instead of streaming two full score buffers through memory. The
-budget, ``SCORE_TILE`` = 2**17 score entries per block (1 MB of float64, so
-about 2 MB with the probabilities), is set by a 2 MB per-core L2: on a
-2-core x86 host with one BLAS thread, desk@128 frames took 54-71 ms with
-blocks of 2**15 to 2**17 entries, but 111-143 ms with 2**18 or 2**19, where
-the pair outgrows L2, and 108-117 ms unsplit. Rows are
+budget, ``SCORE_TILE`` = 2**16 score entries per block (512 KB of float64,
+about 1 MB with the probabilities), sits one doubling below a 2 MB per-core
+L2: on a 2-core x86 host with one BLAS thread, desk@128 frames took 111-143
+ms with blocks of 2**18 or 2**19 entries, where the pair outgrows L2, and
+108-117 ms unsplit. In paired 25 s ``stream_desk128`` runs 2**16 beat 2**17
+in 5 of 5 pairs (frame median 61.99 against 72.22 ms) and read 65.5 against
+66.2 ms at another seed (2 of 3 pairs), likely because a 2**17 block's
+P.V GEMM at head dim 8 crosses OpenBLAS's small-matrix cut-off (M*N*K of
+1M). The rows are spread evenly over the fewest blocks that fit the budget.
+Rows are
 independent, so blocking changes only the GEMM row counts: results agree
 with the unsplit chain to rounding. An attention whose scores fit one block
-runs exactly the unsplit ops: every one at full@64, and at desk@128 all but
-stage 1 and the C cross stage of stage 2.
+runs exactly the unsplit ops: every one at full@64, and at desk@128 those
+of stages 3 and 4.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +56,7 @@ VISIBILITY = {
     "full": {"c": "cpr", "p": "cpr", "r": "cpr"},
 }
 ATTENTION_MODES = tuple(VISIBILITY)
-SCORE_TILE = 2 ** 17  # score entries per query-row block; see the module docstring
+SCORE_TILE = 2 ** 16  # score entries per query-row block; see the module docstring
 
 
 def reference_is_separable(mode: str) -> bool:
@@ -92,7 +104,8 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head softmax(QK^T / sqrt(d))V with merged heads, in query-row blocks.
 
     Each block's score tensor holds at most ``SCORE_TILE`` entries (and at
-    least one query row); a problem that fits in one block runs unsplit.
+    least one query row), and the rows are spread evenly over the fewest
+    blocks that allows; a problem that fits in one block runs unsplit.
     """
     batch, n_q, channels = q.shape
     n_k = k.shape[1]
@@ -115,12 +128,13 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def attend(qb):
         return T.matmul(T.softmax(T.matmul(qb, kt), scale=scale), vh)
 
-    rows = max(1, SCORE_TILE // (batch * heads * n_k))
-    if rows >= n_q:
+    blocks = -(-n_q // max(1, SCORE_TILE // (batch * heads * n_k)))
+    if blocks == 1:
         out = attend(qh)
-    else:
-        out = T.concat([attend(T.narrow(qh, 2, start, min(rows, n_q - start)))
-                        for start in range(0, n_q, rows)], axis=2)
+    else:  # spread the rows evenly: block sizes differ by at most one row
+        bounds = [i * n_q // blocks for i in range(blocks + 1)]
+        out = T.concat([attend(T.narrow(qh, 2, start, stop - start))
+                        for start, stop in zip(bounds, bounds[1:])], axis=2)
     return T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch, n_q, channels))
 
 
@@ -146,15 +160,30 @@ class BranchWeights(Module):
             self.sr_norm = LayerNorm(ch)
 
 
+def stack_batch(tensors: list) -> Tensor:
+    """Tensors of one weight set stacked on the batch axis; a lone one as it is."""
+    return tensors[0] if len(tensors) == 1 else T.concat(tensors, axis=0)
+
+
+def split_batch(x: Tensor, count: int) -> list:
+    """The ``count`` equal batch slices of a stacked tensor (``stack_batch`` undone)."""
+    if count == 1:
+        return [x]
+    size = x.shape[0] // count
+    return [T.narrow(x, 0, i * size, size) for i in range(count)]
+
+
 class RMABlock(Module):
     """One pre-norm residual block: self-attention, cross stage, MLP.
 
-    Every route runs ``_advance`` on some subset of the branches. Where R
-    reads only R (every mode but ``full``), the block splits into
-    ``reference_step`` (R alone, returning the keys/values R exposes to the
-    cross stage) and ``current_step`` (C and P against those keys/values),
-    so a caller may run ``reference_step`` once and reuse its result for any
-    number of current/previous inputs.
+    ``__call__`` runs any subset of the branches: C alone, C and P against
+    R's cross keys/values given from an earlier call, R alone where R reads
+    only R, or all three. It groups the branches by weight set (C on
+    ``cur``; P and R on ``ref``) and stacks each group on the batch axis, so
+    every LayerNorm, Linear, SR conv and MLP of a weight set runs once per
+    call, reading its weights once for P and R together. Attention runs per
+    branch, on the keys ``VISIBILITY`` gives it. A group of one branch runs
+    exactly the ops of that branch alone, with no stacking.
     """
 
     def __init__(self, cfg: AttentionConfig, rng: np.random.Generator,
@@ -167,8 +196,14 @@ class RMABlock(Module):
         self.cur = BranchWeights(cfg, rng)
         self.ref = BranchWeights(cfg, rng)
 
-    def _weights(self, branch: str) -> BranchWeights:
-        return self.cur if branch == "c" else self.ref
+    def _groups(self, x: dict) -> list:
+        """``(weights, branches, stacked tokens)`` per weight set that runs in ``x``."""
+        groups = []
+        for weights, names in ((self.cur, "c"), (self.ref, "pr")):
+            branches = [b for b in names if b in x]
+            if branches:
+                groups.append((weights, branches, stack_batch([x[b] for b in branches])))
+        return groups
 
     def _reduce(self, x: Tensor, weights: BranchWeights, h: int, w: int) -> Tensor:
         """Spatially downsample key/value tokens when sr_ratio > 1."""
@@ -181,84 +216,73 @@ class RMABlock(Module):
         tokens = T.reshape(T.transpose(m, (0, 2, 3, 1)), (batch, rh * rw, ch))
         return weights.sr_norm(tokens)
 
-    def _self_attend(self, x: Tensor, weights: BranchWeights, h: int, w: int) -> Tensor:
+    def _self_attend(self, x: Tensor, weights: BranchWeights, count: int,
+                     h: int, w: int) -> Tensor:
+        """Self-attention of ``count`` stacked branches, each over its own keys."""
         y = weights.norm1(x)
         kv = self._reduce(y, weights, h, w)
-        out = scaled_dot_attention(weights.q(y), weights.k(kv), weights.v(kv), self.cfg.heads)
-        return x + weights.proj(out)
+        out = [scaled_dot_attention(q, k, v, self.cfg.heads) for q, k, v in
+               zip(split_batch(weights.q(y), count), split_batch(weights.k(kv), count),
+                   split_batch(weights.v(kv), count))]
+        return x + weights.proj(stack_batch(out))
 
-    def _mlp(self, x: Tensor, weights: BranchWeights) -> Tensor:
-        return x + weights.mlp(weights.norm2(x))
-
-    def _cross(self, x: dict, h: int, w: int, given: dict) -> tuple[dict, dict]:
-        """Cross-stage outputs (projected, pre-residual) of the branches in ``x``.
+    def _cross(self, groups: list, h: int, w: int, given: dict) -> tuple[list, dict]:
+        """Cross-stage outputs (projected, pre-residual, stacked per group).
 
         ``given`` holds the ``(k, v)`` of branches that run elsewhere. Also
-        returns the ``(k, v)`` each branch of ``x`` exposes to the stage. A
-        key set read by several branches is concatenated once.
+        returns the ``(k, v)`` each branch of ``groups`` exposes to the
+        stage. A key set read by several branches is concatenated once.
         """
         visible = self.visible
-        for b in x:
-            missing = set(visible[b]) - set(x) - set(given)
+        branches = [b for _, bs, _ in groups for b in bs]
+        for b in branches:
+            missing = set(visible[b]) - set(branches) - set(given)
             if missing:
                 raise ConfigurationError(
                     f"{self.mode} attention: branch {b} reads {''.join(sorted(missing))}, "
                     "which neither runs here nor is given")
         q, kv = {}, dict(given)
-        for b, xb in x.items():
-            weights = self._weights(b)
-            xn = weights.norm_cross(xb)
+        for weights, bs, x in groups:
+            xn = weights.norm_cross(x)
             reduced = self._reduce(xn, weights, h, w)
-            q[b], kv[b] = weights.q(xn), (weights.k(reduced), weights.v(reduced))
+            q.update(zip(bs, split_batch(weights.q(xn), len(bs))))
+            kv.update(zip(bs, zip(split_batch(weights.k(reduced), len(bs)),
+                                  split_batch(weights.v(reduced), len(bs)))))
         joint = {}
-        for keys in dict.fromkeys(visible[b] for b in x):
+        for keys in dict.fromkeys(visible[b] for b in branches):
             joint[keys] = kv[keys] if len(keys) == 1 else (
                 T.concat([kv[j][0] for j in keys], axis=1),
                 T.concat([kv[j][1] for j in keys], axis=1))
-        out = {b: self._weights(b).proj_cross(
-                   scaled_dot_attention(q[b], *joint[visible[b]], self.cfg.heads))
-               for b in x}
-        return out, {b: kv[b] for b in x}
-
-    def _advance(self, x: dict, h: int, w: int, given: dict) -> tuple[dict, dict]:
-        """Self-attention, cross stage and MLP of the branches in ``x``.
-
-        Returns the outputs and each branch's cross ``(k, v)`` (empty when the
-        mode has no cross stage).
-        """
-        x = {b: self._self_attend(xb, self._weights(b), h, w) for b, xb in x.items()}
-        kv = {}
-        if self.visible:
-            a, kv = self._cross(x, h, w, given)
-            x = {b: xb + a[b] for b, xb in x.items()}
-        return {b: self._mlp(xb, self._weights(b)) for b, xb in x.items()}, kv
+        out = [weights.proj_cross(stack_batch([
+                   scaled_dot_attention(q[b], *joint[visible[b]], self.cfg.heads) for b in bs]))
+               for weights, bs, _ in groups]
+        return out, {b: kv[b] for b in branches}
 
     def attend_cross(self, tokens: BranchTokens) -> tuple[Tensor, Tensor, Tensor]:
         """Cross-stage attention outputs (A_C, A_P, A_R) of ``tokens``, pre-residual."""
         if not self.visible:
             raise ConfigurationError(f"{self.mode} attention has no cross stage")
-        a, _ = self._cross({"c": tokens.c, "p": tokens.p, "r": tokens.r},
-                           tokens.h, tokens.w, {})
-        return a["c"], a["p"], a["r"]
+        groups = self._groups({"c": tokens.c, "p": tokens.p, "r": tokens.r})
+        a, _ = self._cross(groups, tokens.h, tokens.w, {})
+        (a_c,), (a_p, a_r) = (split_batch(ag, len(bs)) for ag, (_, bs, _) in zip(a, groups))
+        return a_c, a_p, a_r
 
-    def reference_step(self, r: Tensor, h: int, w: int):
-        """Run the R branch alone: ``(r_out, k_r, v_r)``.
+    def __call__(self, x: dict, h: int, w: int, given: Optional[dict] = None) -> tuple[dict, dict]:
+        """Self-attention, cross stage and MLP of the branches in ``x``.
 
-        ``k_r``/``v_r`` are the keys/values R exposes to the cross stage
-        (``None`` without a cross stage). Raises where R reads C or P.
+        ``x`` maps branch names (``c``, ``p``, ``r``) to B x N x Ch tokens
+        on an ``h`` x ``w`` grid; ``given`` maps branches that do not run
+        here to the cross ``(k, v)`` an earlier call returned for them.
+        Returns the outputs and each branch's cross ``(k, v)`` (empty when
+        the mode has no cross stage).
         """
-        out, kv = self._advance({"r": r}, h, w, {})
-        k_r, v_r = kv.get("r", (None, None))
-        return out["r"], k_r, v_r
-
-    def current_step(self, c: Tensor, p: Tensor, k_r: Tensor | None, v_r: Tensor | None,
-                     h: int, w: int) -> tuple[Tensor, Tensor]:
-        """Run the C and P branches against R's cross keys/values from ``reference_step``."""
-        given = {} if k_r is None else {"r": (k_r, v_r)}
-        out, _ = self._advance({"c": c, "p": p}, h, w, given)
-        return out["c"], out["p"]
-
-    def __call__(self, tokens: BranchTokens) -> BranchTokens:
-        out, _ = self._advance({"c": tokens.c, "p": tokens.p, "r": tokens.r},
-                               tokens.h, tokens.w, {})
-        return BranchTokens(out["c"], out["p"], out["r"], tokens.h, tokens.w)
+        groups = [(weights, bs, self._self_attend(xg, weights, len(bs), h, w))
+                  for weights, bs, xg in self._groups(x)]
+        kv = {}
+        if self.visible:
+            a, kv = self._cross(groups, h, w, given or {})
+            groups = [(weights, bs, xg + ag) for (weights, bs, xg), ag in zip(groups, a)]
+        out = {}
+        for weights, bs, xg in groups:
+            out.update(zip(bs, split_batch(xg + weights.mlp(weights.norm2(xg)), len(bs))))
+        return out, kv

@@ -6,13 +6,17 @@ a stack of asymmetric attention blocks, and reshapes the tokens back into
 feature maps. Stage ``i`` emits maps of extent ``H / 2^(i+1)``. The previous
 and reference branches share every weight set; the current branch has its own.
 
-Where the attention mode lets R read only R (every mode but ``full``), the
-reference branch depends on nothing but its own input, so each stage encodes
-it first into a stage reference (the stage's R output map plus each block's
-cross keys/values) and runs the C and P branches against it. A
-``ReferenceSlot`` on the input triplet lets a caller keep the encodings of all
-stages across calls with an unchanged reference input; it is used only with
-the gradient tape off.
+A stage runs the previous and reference branches stacked on the batch axis
+(see ``attention.RMABlock``), so every weight they share is read once per
+stage for both. Where the attention mode lets R
+read only R (every mode but ``full``), R's encoding does not depend on C or
+P, and a stage either runs C, P and R jointly and returns R's encoding as a
+stage reference (the stage's R output map plus each block's cross
+keys/values), or runs C and P alone against a stage reference it is given. A
+``ReferenceSlot`` on the input triplet lets a caller keep the references of
+all stages across calls with an unchanged reference input; it is filled from
+the joint pass and used only with the gradient tape off. A frame that
+reuses the slot runs P as a group of one, exactly the ops of P alone.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .attention import (ATTENTION_MODES, AttentionConfig, BranchTokens, RMABlock,
-                        reference_is_separable)
+from .attention import (ATTENTION_MODES, AttentionConfig, RMABlock, reference_is_separable,
+                        split_batch, stack_batch)
 from .nn import Conv2d, LayerNorm, Module, weights_key
 from .tensor import ConfigurationError, Tensor
 
@@ -46,7 +50,7 @@ class StageReference:
     """One stage's encoded reference branch."""
 
     r_map: Tensor  # B x Ch x H_i x W_i, the stage's R output
-    kv: list       # per block (k_r, v_r); (None, None) without a cross stage
+    kv: list       # per block {"r": (k_r, v_r)}; {} without a cross stage
 
 
 @dataclass
@@ -141,7 +145,6 @@ def _tokens_to_map(tokens: Tensor, h: int, w: int) -> Tensor:
 class BackboneStage(Module):
     def __init__(self, index: int, in_c: int, in_pr: int, cfg: StageConfig,
                  rng: np.random.Generator, attention_mode: str):
-        self.separable_reference = reference_is_separable(attention_mode)
         kernel, stride, padding = (7, 4, 3) if index == 0 else (3, 2, 1)
         self.embed_c = PatchEmbed(in_c, cfg.channels, kernel, stride, padding, rng)
         self.embed_pr = PatchEmbed(in_pr, cfg.channels, kernel, stride, padding, rng)
@@ -150,39 +153,34 @@ class BackboneStage(Module):
         self.norm_c = LayerNorm(cfg.channels)
         self.norm_pr = LayerNorm(cfg.channels)
 
-    def encode_reference(self, r_map: Tensor) -> StageReference:
-        """Run the R branch of this stage alone (only where R reads only R)."""
-        r, h, w = self.embed_pr(r_map)
-        kv = []
-        for block in self.blocks:
-            r, k_r, v_r = block.reference_step(r, h, w)
-            kv.append((k_r, v_r))
-        return StageReference(_tokens_to_map(self.norm_pr(r), h, w), kv)
-
     def __call__(self, c_map: Tensor, p_map: Tensor, r_map: Tensor,
                  reference: Optional[StageReference] = None):
-        """Stage outputs (c, p, r) as maps.
+        """Stage outputs ``(c, p, reference)``: C and P maps and R's stage reference.
 
-        Where R reads only R, ``reference`` is this stage's encoding of
-        ``r_map`` (encoded here when not given) and ``r_map`` is not read.
+        Without ``reference``, C, P and R run jointly and the returned
+        reference holds R's output map and cross keys/values. With one
+        (valid only where R reads only R), C and P run against it, ``r_map``
+        is not read and the same reference is returned.
         """
         c, h, w = self.embed_c(c_map)
-        p, _, _ = self.embed_pr(p_map)
-        if not self.separable_reference:
-            r, _, _ = self.embed_pr(r_map)
-            tokens = BranchTokens(c, p, r, h, w)
-            for block in self.blocks:
-                tokens = block(tokens)
-            c, p, r_out = tokens.c, tokens.p, _tokens_to_map(self.norm_pr(tokens.r), h, w)
+        if reference is None:
+            pr, _, _ = self.embed_pr(stack_batch([p_map, r_map]))
+            p, r = split_batch(pr, 2)
+            x = {"c": c, "p": p, "r": r}
         else:
-            if reference is None:
-                reference = self.encode_reference(r_map)
-            for block, (k_r, v_r) in zip(self.blocks, reference.kv):
-                c, p = block.current_step(c, p, k_r, v_r, h, w)
-            r_out = reference.r_map
-        c = _tokens_to_map(self.norm_c(c), h, w)
-        p = _tokens_to_map(self.norm_pr(p), h, w)
-        return c, p, r_out
+            p, _, _ = self.embed_pr(p_map)
+            x = {"c": c, "p": p}
+        kv = []
+        for i, block in enumerate(self.blocks):
+            x, block_kv = block(x, h, w, None if reference is None else reference.kv[i])
+            kv.append({"r": block_kv["r"]} if "r" in block_kv else {})
+        if reference is None:
+            p, r = split_batch(self.norm_pr(stack_batch([x["p"], x["r"]])), 2)
+            reference = StageReference(_tokens_to_map(r, h, w), kv)
+        else:
+            p = self.norm_pr(x["p"])
+        c = _tokens_to_map(self.norm_c(x["c"]), h, w)
+        return c, _tokens_to_map(p, h, w), reference
 
 
 class RMABackbone(Module):
@@ -205,41 +203,36 @@ class RMABackbone(Module):
             in_c = in_pr = cfg.channels
         self.stages = built
 
-    def encode_reference(self, r_in: Tensor) -> list[StageReference]:
-        """Encode the R branch through every stage (only where R reads only R)."""
-        memory = []
-        r = r_in
-        for stage in self.stages:
-            memory.append(stage.encode_reference(r))
-            r = memory[-1].r_map
-        return memory
+    def __call__(self, triplet: FrameTriplet) -> PyramidFeatures:
+        """The 4 x 3 feature grid, reading and refilling the triplet's slot.
 
-    def _cached_reference(self, triplet: FrameTriplet) -> Optional[list[StageReference]]:
-        """The reference encoding from the triplet's slot, refilled when stale.
-
-        ``None`` (each stage then encodes R itself) without a slot, where R
-        reads C or P (``full`` mode), and while the gradient tape is on: cached tensors carry
-        no graph, so gradients would not reach R's weights.
+        The slot is usable with the gradient tape off (cached tensors carry
+        no graph, so gradients would not reach R's weights) and where R reads
+        only R (every mode but ``full``). A usable slot that holds the stage
+        references of this ``r_in``, backbone and weights generation lets
+        every stage skip R; otherwise the stages run R jointly with C and P
+        and the slot is refilled from that pass.
         """
         slot = triplet.reference
-        if slot is None or not reference_is_separable(self.attention_mode) or T.grad_enabled():
-            return None
-        r_in = triplet.r_in.data
-        key = weights_key(self)
-        if slot.reference_key != key or not np.array_equal(slot.r_in, r_in):
-            # drop the old encoding before building the new one
-            slot.reference_key = slot.r_in = slot.stages = None
-            slot.stages = self.encode_reference(triplet.r_in)
-            slot.reference_key, slot.r_in = key, r_in.copy()
-        return slot.stages
-
-    def __call__(self, triplet: FrameTriplet) -> PyramidFeatures:
+        usable = (slot is not None and reference_is_separable(self.attention_mode)
+                  and not T.grad_enabled())
+        r_in, key = triplet.r_in.data, weights_key(self)
+        memory = None
+        if usable:
+            if slot.reference_key == key and np.array_equal(slot.r_in, r_in):
+                memory = slot.stages
+            else:  # drop the old references before building the new ones
+                slot.reference_key = slot.r_in = slot.stages = None
         features = PyramidFeatures()
         c, p, r = triplet.c_img, triplet.p_in, triplet.r_in
-        memory = self._cached_reference(triplet)
+        references = []
         for i, stage in enumerate(self.stages):
-            c, p, r = stage(c, p, r, None if memory is None else memory[i])
+            c, p, reference = stage(c, p, r, None if memory is None else memory[i])
+            r = reference.r_map
+            references.append(reference)
             features.c.append(c)
             features.p.append(p)
             features.r.append(r)
+        if usable and memory is None:
+            slot.stages, slot.reference_key, slot.r_in = references, key, r_in.copy()
         return features

@@ -301,10 +301,28 @@ def tensor_sum(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes, broadcasting the leading ones.
+
+    With a 2-d ``b`` the rows of every leading index of ``a`` go through one
+    GEMM, forward and backward: numpy would call one GEMM per leading index,
+    streaming ``b`` once for each. With one leading index this is numpy's own
+    GEMM; with more, a row may round differently in the last bit, since BLAS
+    picks its kernels by the shape of the whole product.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatchError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
+    if b.ndim == 2 and a.ndim > 2:
+        rows = a.data.reshape(-1, a.shape[-1])
+        data = np.matmul(rows, b.data).reshape(a.shape[:-1] + b.shape[-1:])
+
+        def bwd(g):
+            g2 = g.reshape(-1, b.shape[-1])
+            _accumulate(a, np.matmul(g2, b.data.T).reshape(a.shape))
+            _accumulate(b, np.matmul(rows.T, g2))
+
+        return _make(data, (a, b), bwd)
     data = np.matmul(a.data, b.data)
 
     def bwd(g):
@@ -396,7 +414,13 @@ def _conv_output_extent(extent: int, kernel: int, stride: int, padding: int) -> 
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution over B x C x H x W inputs with an O x C x kh x kw kernel, plus bias."""
+    """2-d convolution over B x C x H x W inputs with an O x C x kh x kw kernel, plus bias.
+
+    The patches of the whole batch form one (C*kh*kw) x (B*oh*ow) matrix, so
+    the kernel is read by one GEMM forward and one per gradient, whatever
+    the batch. The output is a B x O x oh x ow view of an O x B x oh x ow
+    buffer (contiguous at batch 1).
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeMismatchError(f"conv2d expects 4-d operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
@@ -415,24 +439,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         xp = np.zeros((batch, in_ch, height + 2 * padding, width + 2 * padding))
         xp[:, :, padding:padding + height, padding:padding + width] = x.data
     sb, sc, sh, sw = xp.strides
-    cols = as_strided(xp, (batch, in_ch, kh, kw, oh, ow),
-                      (sb, sc, sh, sw, sh * stride, sw * stride))
-    cols = np.ascontiguousarray(cols).reshape(batch, in_ch * kh * kw, oh * ow)
+    cols = as_strided(xp, (in_ch, kh, kw, batch, oh, ow),
+                      (sc, sh, sw, sb, sh * stride, sw * stride))
+    cols = np.ascontiguousarray(cols).reshape(in_ch * kh * kw, batch * oh * ow)
     wmat = w.data.reshape(out_ch, in_ch * kh * kw)
-    out = np.matmul(wmat, cols).reshape(batch, out_ch, oh, ow)
+    out = np.matmul(wmat, cols).reshape(out_ch, batch, oh, ow).transpose(1, 0, 2, 3)
     out += b.data.reshape(1, out_ch, 1, 1)
 
     def bwd(g):
-        g2 = g.reshape(batch, out_ch, oh * ow)
+        g2 = g.transpose(1, 0, 2, 3).reshape(out_ch, batch * oh * ow)
         if w.requires_grad:
-            gw = np.einsum("bol,bkl->ok", g2, cols).reshape(w.shape)
-            _accumulate(w, gw)
+            _accumulate(w, np.matmul(g2, cols.T).reshape(w.shape))
         if x.requires_grad:
-            gcols = np.matmul(wmat.T, g2).reshape(batch, in_ch, kh, kw, oh, ow)
-            gxp = np.zeros_like(xp)
+            gcols = np.matmul(wmat.T, g2).reshape(in_ch, kh, kw, batch, oh, ow)
+            gxp = np.zeros((in_ch, batch) + xp.shape[2:])
             for i in range(kh):
                 for j in range(kw):
-                    gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gcols[:, :, i, j]
+                    gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gcols[:, i, j]
+            gxp = gxp.transpose(1, 0, 2, 3)
             if padding:
                 gxp = gxp[:, :, padding:padding + height, padding:padding + width]
             _accumulate(x, gxp)

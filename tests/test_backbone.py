@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from srrnet.backbone import FrameTriplet, RMABackbone
-from srrnet.model import build_model, preset_config
+from srrnet import nn
+from srrnet import tensor as T
+from srrnet.backbone import FrameTriplet, ReferenceSlot, RMABackbone
+from srrnet.model import SRRNet, build_model, preset_config
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
 
@@ -123,3 +125,53 @@ def test_backbone_config_validation(rng):
 def test_desk_parameter_count_is_frozen(desk_model):
     from srrnet.nn import count_parameters
     assert count_parameters(desk_model) == 129_693
+
+
+def _record_weight_reads(monkeypatch) -> dict:
+    """Wraps every ``matmul``/``conv2d`` binding: the batch of each call, by weight id."""
+    reads = {}
+    matmul, conv2d = T.matmul, T.conv2d
+
+    def counted_matmul(a, b):
+        reads.setdefault(id(b), []).append(a.shape[0])
+        return matmul(a, b)
+
+    def counted_conv2d(x, w, b, stride=1, padding=0):
+        reads.setdefault(id(w), []).append(x.shape[0])
+        return conv2d(x, w, b, stride=stride, padding=padding)
+
+    for module in (T, nn):
+        monkeypatch.setattr(module, "matmul", counted_matmul)
+        monkeypatch.setattr(module, "conv2d", counted_conv2d)
+    return reads
+
+
+def test_shared_weights_are_read_once_for_p_and_r(monkeypatch, rng):
+    """A slot miss runs P and R as one batch of 2; a slot hit runs P alone."""
+    config = preset_config("desk")
+    for stage, sr_ratio in zip(config.stages, (8, 4, 2, 1)):  # the full preset's SR convs
+        stage.attention.sr_ratio = sr_ratio
+        stage.depth = 2
+    model = SRRNet(config, np.random.default_rng(0))
+    triplet = make_triplet(rng, size=64)
+    slot = ReferenceSlot()
+    reads = _record_weight_reads(monkeypatch)
+    for pr_batch in (2, 1):  # the first call fills the slot, the second reuses it
+        reads.clear()
+        with T.no_grad():
+            model(FrameTriplet(triplet.c_img, triplet.p_in, triplet.r_in, reference=slot))
+        for stage in model.backbone.stages:
+            assert reads[id(stage.embed_c.conv.weight)] == [1]
+            assert reads[id(stage.embed_pr.conv.weight)] == [pr_batch]
+            for block in stage.blocks:
+                for weights, batch in ((block.cur, 1), (block.ref, pr_batch)):
+                    # q/k/v run in the self and the cross stage, the rest once
+                    for name in ("q", "k", "v"):
+                        assert reads[id(getattr(weights, name).weight)] == [batch] * 2, name
+                    for lin in (weights.proj, weights.proj_cross, weights.mlp.fc1,
+                                weights.mlp.fc2):
+                        assert reads[id(lin.weight)] == [batch]
+                    if hasattr(weights, "sr"):
+                        assert reads[id(weights.sr.weight)] == [batch] * 2
+    assert [hasattr(stage.blocks[0].ref, "sr") for stage in model.backbone.stages] == \
+        [True, True, True, False]

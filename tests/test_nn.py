@@ -69,6 +69,18 @@ def test_linear_matches_manual(rng):
                                x @ lin.weight.data + lin.bias.data, atol=1e-14)
 
 
+def test_linear_runs_a_batch_in_one_gemm(rng, monkeypatch):
+    lin = Linear(32, 48, rng)
+    x = rng.normal(size=(2, 64, 32))
+    calls = []
+    real = srrnet.nn.matmul
+    monkeypatch.setattr(srrnet.nn, "matmul", lambda a, b: calls.append(a.shape) or real(a, b))
+    stacked = lin(Tensor(x)).data
+    assert calls == [(2, 64, 32)]
+    items = np.concatenate([lin(Tensor(x[i:i + 1])).data for i in range(2)])
+    np.testing.assert_array_equal(stacked, items)
+
+
 def test_trunc_normal_init_is_clipped(rng):
     lin = Linear(64, 64, rng)
     assert np.abs(lin.weight.data).max() <= 0.04 + 1e-12

@@ -308,6 +308,47 @@ def test_conv2d_grads(rng, stride, padding):
     assert_grad_matches(loss, b)
 
 
+@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
+def test_conv2d_batch_runs_as_the_per_item_convolutions(rng, stride, padding):
+    x = rng.normal(size=(2, 3, 8, 8))
+    w, b = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+    weight = rng.normal(size=(2, 4) + T.conv2d(Tensor(x[:1]), Tensor(w), Tensor(b),
+                                                stride=stride, padding=padding).shape[2:])
+
+    def run(xs, weights):
+        xt, wt, bt = Tensor(xs, requires_grad=True), Tensor(w, requires_grad=True), \
+            Tensor(b, requires_grad=True)
+        out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        T.backward(T.tensor_sum(out * Tensor(weights)))
+        return out.data, xt.grad, wt.grad, bt.grad
+
+    out, gx, gw, gb = run(x, weight)
+    items = [run(x[i:i + 1], weight[i:i + 1]) for i in range(2)]
+    # one GEMM over both items' columns: a BLAS kernel may round a column
+    # differently when its neighbours change (OpenBLAS does at this shape)
+    per_item = np.concatenate([item[0] for item in items])
+    np.testing.assert_allclose(out, per_item, rtol=0, atol=1e-13 * np.abs(per_item).max())
+    np.testing.assert_allclose(gx, np.concatenate([item[1] for item in items]),
+                               rtol=0, atol=1e-12 * np.abs(gx).max())
+    for got, want in ((gw, items[0][2] + items[1][2]), (gb, items[0][3] + items[1][3])):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_matmul_with_a_2d_operand_runs_one_gemm_over_every_leading_index(rng, monkeypatch):
+    a, b = rng.normal(size=(2, 3, 16, 32)), rng.normal(size=(32, 24))
+    gemms = []
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda x, y: gemms.append((x.shape, y.shape)) or real(x, y))
+    at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    out = T.matmul(at, bt)
+    T.backward(T.tensor_sum(out * out))
+    monkeypatch.undo()
+    assert gemms == [((96, 32), (32, 24)), ((96, 24), (24, 32)), ((32, 96), (96, 24))]
+    np.testing.assert_allclose(out.data, a @ b, rtol=0, atol=1e-13 * np.abs(a @ b).max())
+    np.testing.assert_allclose(at.grad, 2 * (a @ b) @ b.T, rtol=1e-12)
+    np.testing.assert_allclose(bt.grad, 2 * np.einsum("ijnk,ijno->ko", a, a @ b), rtol=1e-12)
+
+
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 3)])
 def test_conv2d_grads_on_a_channels_last_view(rng, stride, padding):
     """conv2d reads a non-contiguous input in place and never writes it."""
