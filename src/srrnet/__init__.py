@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .attention import ATTENTION_MODES, AttentionConfig, BranchTokens, RMABlock
+from .attention import ATTENTION_MODES, AttentionConfig, RMABlock
 from .backbone import FrameTriplet, PyramidFeatures, ReferenceSlot, RMABackbone, StageConfig
 from .decoder import DecoderConfig, DualPurposeDecoder, PredictionPair
 from .model import SRRNet, build_model, load_model, preset_config

@@ -1,14 +1,15 @@
 """Three-branch asymmetric attention blocks.
 
 Each block processes current-frame (C), previous-frame (P) and reference-frame
-(R) token streams: per-branch self-attention, a cross stage, then an MLP. P and
-R share one weight set; C has its own. A block runs the branches of one weight
-set as one batch, stacked on the batch axis, so that each of its weights is
-read once for P and R together rather than once per branch: at ``full`` most
-of a frame's time goes to streaming these weights (the spatial-reduction convs
-of PVT, Wang et al., arXiv 2102.12122, hold 2-3 MB each), not to arithmetic.
-A weight set with one branch to run (C always; P alone when R's keys/values
-are given) runs exactly that branch's ops, with no stacking.
+(R) tokens as two streams, one per weight set: C has its own, and P and R share
+one and run stacked on the batch axis, so each shared weight is read once for
+P and R together rather than once per branch: at ``full`` most of a frame's
+time goes to streaming these weights (the spatial-reduction convs of PVT, Wang
+et al., arXiv 2102.12122, hold 2-3 MB each), not to arithmetic. A block runs
+self-attention, a cross stage and an MLP on each stream. Self-attention keeps
+each batch item on its own keys, so only the cross stage splits the stacked
+stream into branches. Where R's cross keys/values are given from an earlier
+call, the stream holds P alone and runs exactly P's ops.
 
 Which keys each branch's queries read in the cross stage is one table,
 ``VISIBILITY``: per attention mode, each branch maps to the branches whose
@@ -81,25 +82,6 @@ class AttentionConfig:
         return self.heads * self.head_dim
 
 
-@dataclass
-class BranchTokens:
-    """Token matrices for the three branches plus their shared spatial extent."""
-
-    c: Tensor  # B x N x Ch
-    p: Tensor
-    r: Tensor
-    h: int
-    w: int
-
-    def __post_init__(self):
-        if not (self.c.shape == self.p.shape == self.r.shape):
-            raise T.ShapeMismatchError(
-                f"branch token shapes disagree: {self.c.shape}/{self.p.shape}/{self.r.shape}")
-        if self.h * self.w != self.c.shape[1]:
-            raise T.ShapeMismatchError(
-                f"spatial extent {self.h}x{self.w} does not match token count {self.c.shape[1]}")
-
-
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head softmax(QK^T / sqrt(d))V with merged heads, in query-row blocks.
 
@@ -160,13 +142,8 @@ class BranchWeights(Module):
             self.sr_norm = LayerNorm(ch)
 
 
-def stack_batch(tensors: list) -> Tensor:
-    """Tensors of one weight set stacked on the batch axis; a lone one as it is."""
-    return tensors[0] if len(tensors) == 1 else T.concat(tensors, axis=0)
-
-
 def split_batch(x: Tensor, count: int) -> list:
-    """The ``count`` equal batch slices of a stacked tensor (``stack_batch`` undone)."""
+    """The ``count`` equal batch slices of a stacked tensor; a lone one as it is."""
     if count == 1:
         return [x]
     size = x.shape[0] // count
@@ -176,14 +153,14 @@ def split_batch(x: Tensor, count: int) -> list:
 class RMABlock(Module):
     """One pre-norm residual block: self-attention, cross stage, MLP.
 
-    ``__call__`` runs any subset of the branches: C alone, C and P against
-    R's cross keys/values given from an earlier call, R alone where R reads
-    only R, or all three. It groups the branches by weight set (C on
-    ``cur``; P and R on ``ref``) and stacks each group on the batch axis, so
-    every LayerNorm, Linear, SR conv and MLP of a weight set runs once per
-    call, reading its weights once for P and R together. Attention runs per
-    branch, on the keys ``VISIBILITY`` gives it. A group of one branch runs
-    exactly the ops of that branch alone, with no stacking.
+    A block takes two token streams, one per weight set: ``c`` (C, on
+    ``cur``) and ``pr`` (on ``ref``), which holds P and R stacked on the
+    batch axis, or P alone when R's cross keys/values are given from an
+    earlier call. Every LayerNorm, Linear, SR conv, MLP and self-attention
+    runs once per stream, so each weight of ``ref`` is read once for P and R
+    together; self-attention keeps each batch item on its own keys. Only the
+    cross stage (``attend_cross``) splits ``pr`` into branches, to give each
+    one the keys ``VISIBILITY`` lets it read.
     """
 
     def __init__(self, cfg: AttentionConfig, rng: np.random.Generator,
@@ -196,15 +173,6 @@ class RMABlock(Module):
         self.cur = BranchWeights(cfg, rng)
         self.ref = BranchWeights(cfg, rng)
 
-    def _groups(self, x: dict) -> list:
-        """``(weights, branches, stacked tokens)`` per weight set that runs in ``x``."""
-        groups = []
-        for weights, names in ((self.cur, "c"), (self.ref, "pr")):
-            branches = [b for b in names if b in x]
-            if branches:
-                groups.append((weights, branches, stack_batch([x[b] for b in branches])))
-        return groups
-
     def _reduce(self, x: Tensor, weights: BranchWeights, h: int, w: int) -> Tensor:
         """Spatially downsample key/value tokens when sr_ratio > 1."""
         if self.cfg.sr_ratio == 1:
@@ -216,73 +184,61 @@ class RMABlock(Module):
         tokens = T.reshape(T.transpose(m, (0, 2, 3, 1)), (batch, rh * rw, ch))
         return weights.sr_norm(tokens)
 
-    def _self_attend(self, x: Tensor, weights: BranchWeights, count: int,
-                     h: int, w: int) -> Tensor:
-        """Self-attention of ``count`` stacked branches, each over its own keys."""
+    def _self_attend(self, x: Tensor, weights: BranchWeights, h: int, w: int) -> Tensor:
+        """Self-attention of a stream, each batch item over its own keys."""
         y = weights.norm1(x)
         kv = self._reduce(y, weights, h, w)
-        out = [scaled_dot_attention(q, k, v, self.cfg.heads) for q, k, v in
-               zip(split_batch(weights.q(y), count), split_batch(weights.k(kv), count),
-                   split_batch(weights.v(kv), count))]
-        return x + weights.proj(stack_batch(out))
+        return x + weights.proj(scaled_dot_attention(weights.q(y), weights.k(kv), weights.v(kv),
+                                                     self.cfg.heads))
 
-    def _cross(self, groups: list, h: int, w: int, given: dict) -> tuple[list, dict]:
-        """Cross-stage outputs (projected, pre-residual, stacked per group).
+    def attend_cross(self, c: Tensor, pr: Tensor, h: int, w: int,
+                     given: Optional[tuple] = None) -> tuple[Tensor, Tensor, tuple]:
+        """Cross-stage outputs ``(a_c, a_pr, (k_r, v_r))``, pre-residual.
 
-        ``given`` holds the ``(k, v)`` of branches that run elsewhere. Also
-        returns the ``(k, v)`` each branch of ``groups`` exposes to the
-        stage. A key set read by several branches is concatenated once.
+        ``pr`` holds P and R stacked, or P alone when ``given`` is R's cross
+        ``(k, v)``. ``a_pr`` is stacked like ``pr``; the returned ``(k, v)``
+        is R's, computed here or ``given``. A key set read by several
+        branches is concatenated once.
         """
-        visible = self.visible
-        branches = [b for _, bs, _ in groups for b in bs]
-        for b in branches:
-            missing = set(visible[b]) - set(branches) - set(given)
-            if missing:
-                raise ConfigurationError(
-                    f"{self.mode} attention: branch {b} reads {''.join(sorted(missing))}, "
-                    "which neither runs here nor is given")
-        q, kv = {}, dict(given)
-        for weights, bs, x in groups:
+        if not self.visible:
+            raise ConfigurationError(f"{self.mode} attention has no cross stage")
+        names = "pr" if given is None else "p"
+        if pr.shape[0] != len(names) * c.shape[0]:
+            raise T.ShapeMismatchError(
+                f"pr stream batch {pr.shape[0]} is not {len(names)} x the C batch {c.shape[0]}")
+        q, kv = {}, {}
+        for weights, branches, x in ((self.cur, "c", c), (self.ref, names, pr)):
             xn = weights.norm_cross(x)
             reduced = self._reduce(xn, weights, h, w)
-            q.update(zip(bs, split_batch(weights.q(xn), len(bs))))
-            kv.update(zip(bs, zip(split_batch(weights.k(reduced), len(bs)),
-                                  split_batch(weights.v(reduced), len(bs)))))
+            n = len(branches)
+            q.update(zip(branches, split_batch(weights.q(xn), n)))
+            kv.update(zip(branches, zip(split_batch(weights.k(reduced), n),
+                                        split_batch(weights.v(reduced), n))))
+        if given is not None:
+            kv["r"] = given
+        visible = self.visible
         joint = {}
-        for keys in dict.fromkeys(visible[b] for b in branches):
+        for keys in dict.fromkeys(visible[b] for b in q):
             joint[keys] = kv[keys] if len(keys) == 1 else (
                 T.concat([kv[j][0] for j in keys], axis=1),
                 T.concat([kv[j][1] for j in keys], axis=1))
-        out = [weights.proj_cross(stack_batch([
-                   scaled_dot_attention(q[b], *joint[visible[b]], self.cfg.heads) for b in bs]))
-               for weights, bs, _ in groups]
-        return out, {b: kv[b] for b in branches}
+        out = {b: scaled_dot_attention(q[b], *joint[visible[b]], self.cfg.heads) for b in q}
+        a_pr = out["p"] if given is not None else T.concat([out["p"], out["r"]], axis=0)
+        return self.cur.proj_cross(out["c"]), self.ref.proj_cross(a_pr), kv["r"]
 
-    def attend_cross(self, tokens: BranchTokens) -> tuple[Tensor, Tensor, Tensor]:
-        """Cross-stage attention outputs (A_C, A_P, A_R) of ``tokens``, pre-residual."""
-        if not self.visible:
-            raise ConfigurationError(f"{self.mode} attention has no cross stage")
-        groups = self._groups({"c": tokens.c, "p": tokens.p, "r": tokens.r})
-        a, _ = self._cross(groups, tokens.h, tokens.w, {})
-        (a_c,), (a_p, a_r) = (split_batch(ag, len(bs)) for ag, (_, bs, _) in zip(a, groups))
-        return a_c, a_p, a_r
+    def __call__(self, c: Tensor, pr: Tensor, h: int, w: int,
+                 given: Optional[tuple] = None) -> tuple[Tensor, Tensor, Optional[tuple]]:
+        """Self-attention, cross stage and MLP of both streams: ``(c, pr, (k_r, v_r))``.
 
-    def __call__(self, x: dict, h: int, w: int, given: Optional[dict] = None) -> tuple[dict, dict]:
-        """Self-attention, cross stage and MLP of the branches in ``x``.
-
-        ``x`` maps branch names (``c``, ``p``, ``r``) to B x N x Ch tokens
-        on an ``h`` x ``w`` grid; ``given`` maps branches that do not run
-        here to the cross ``(k, v)`` an earlier call returned for them.
-        Returns the outputs and each branch's cross ``(k, v)`` (empty when
-        the mode has no cross stage).
+        ``c`` and ``pr`` are B x N x Ch and 2B x N x Ch (or B x N x Ch with
+        ``given``) tokens on an ``h`` x ``w`` grid; see ``attend_cross``.
+        R's cross ``(k, v)`` is ``None`` when the mode has no cross stage.
         """
-        groups = [(weights, bs, self._self_attend(xg, weights, len(bs), h, w))
-                  for weights, bs, xg in self._groups(x)]
-        kv = {}
+        c = self._self_attend(c, self.cur, h, w)
+        pr = self._self_attend(pr, self.ref, h, w)
+        kv_r = None
         if self.visible:
-            a, kv = self._cross(groups, h, w, given or {})
-            groups = [(weights, bs, xg + ag) for (weights, bs, xg), ag in zip(groups, a)]
-        out = {}
-        for weights, bs, xg in groups:
-            out.update(zip(bs, split_batch(xg + weights.mlp(weights.norm2(xg)), len(bs))))
-        return out, kv
+            a_c, a_pr, kv_r = self.attend_cross(c, pr, h, w, given)
+            c, pr = c + a_c, pr + a_pr
+        return (c + self.cur.mlp(self.cur.norm2(c)),
+                pr + self.ref.mlp(self.ref.norm2(pr)), kv_r)

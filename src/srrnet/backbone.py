@@ -6,17 +6,19 @@ a stack of asymmetric attention blocks, and reshapes the tokens back into
 feature maps. Stage ``i`` emits maps of extent ``H / 2^(i+1)``. The previous
 and reference branches share every weight set; the current branch has its own.
 
-A stage runs the previous and reference branches stacked on the batch axis
-(see ``attention.RMABlock``), so every weight they share is read once per
-stage for both. Where the attention mode lets R
-read only R (every mode but ``full``), R's encoding does not depend on C or
-P, and a stage either runs C, P and R jointly and returns R's encoding as a
-stage reference (the stage's R output map plus each block's cross
-keys/values), or runs C and P alone against a stage reference it is given. A
-``ReferenceSlot`` on the input triplet lets a caller keep the references of
-all stages across calls with an unchanged reference input; it is filled from
-the joint pass and used only with the gradient tape off. A frame that
-reuses the slot runs P as a group of one, exactly the ops of P alone.
+A stage embeds the previous and reference branches stacked on the batch axis,
+keeps them stacked through every block (see ``attention.RMABlock``) and splits
+them after its last norm, so every weight they share is read once per stage
+for both. Where the attention mode lets R read only R (every mode but
+``full``), R's encoding does not depend on C or P, and a stage either runs C,
+P and R jointly and returns R's encoding as a stage reference (the stage's R
+output map plus each block's cross keys/values), or runs C and P alone against
+a stage reference it is given. A ``ReferenceSlot`` on the input triplet lets a
+caller keep the references of all stages across calls with an unchanged
+reference input; it is filled from the joint pass with copies of R's arrays
+(not views into the buffers stacked with P) and used only with the gradient
+tape off. A frame that reuses the slot runs P alone in the stacked stream's
+place, exactly the ops of P alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import (ATTENTION_MODES, AttentionConfig, RMABlock, reference_is_separable,
-                        split_batch, stack_batch)
+                        split_batch)
 from .nn import Conv2d, LayerNorm, Module, weights_key
 from .tensor import ConfigurationError, Tensor
 
@@ -50,7 +52,19 @@ class StageReference:
     """One stage's encoded reference branch."""
 
     r_map: Tensor  # B x Ch x H_i x W_i, the stage's R output
-    kv: list       # per block {"r": (k_r, v_r)}; {} without a cross stage
+    kv: list       # per block R's cross (k, v); None without a cross stage
+
+    def owned(self) -> "StageReference":
+        """A copy whose arrays own their buffers, off any graph.
+
+        The joint pass's ``r_map`` and keys/values are views into buffers
+        stacked with P; a copy keeps R's half alone alive.
+        """
+        def own(t: Tensor) -> Tensor:
+            return Tensor(t.data.copy(order="K"))  # the same layout: same GEMM rounding
+
+        return StageReference(own(self.r_map),
+                              [None if kv is None else (own(kv[0]), own(kv[1])) for kv in self.kv])
 
 
 @dataclass
@@ -163,24 +177,17 @@ class BackboneStage(Module):
         is not read and the same reference is returned.
         """
         c, h, w = self.embed_c(c_map)
-        if reference is None:
-            pr, _, _ = self.embed_pr(stack_batch([p_map, r_map]))
-            p, r = split_batch(pr, 2)
-            x = {"c": c, "p": p, "r": r}
-        else:
-            p, _, _ = self.embed_pr(p_map)
-            x = {"c": c, "p": p}
+        pr_map = p_map if reference is not None else T.concat([p_map, r_map], axis=0)
+        pr, _, _ = self.embed_pr(pr_map)
         kv = []
         for i, block in enumerate(self.blocks):
-            x, block_kv = block(x, h, w, None if reference is None else reference.kv[i])
-            kv.append({"r": block_kv["r"]} if "r" in block_kv else {})
+            c, pr, kv_r = block(c, pr, h, w, None if reference is None else reference.kv[i])
+            kv.append(kv_r)
+        p = self.norm_pr(pr)
         if reference is None:
-            p, r = split_batch(self.norm_pr(stack_batch([x["p"], x["r"]])), 2)
+            p, r = split_batch(p, 2)
             reference = StageReference(_tokens_to_map(r, h, w), kv)
-        else:
-            p = self.norm_pr(x["p"])
-        c = _tokens_to_map(self.norm_c(x["c"]), h, w)
-        return c, _tokens_to_map(p, h, w), reference
+        return _tokens_to_map(self.norm_c(c), h, w), _tokens_to_map(p, h, w), reference
 
 
 class RMABackbone(Module):
@@ -234,5 +241,6 @@ class RMABackbone(Module):
             features.p.append(p)
             features.r.append(r)
         if usable and memory is None:
-            slot.stages, slot.reference_key, slot.r_in = references, key, r_in.copy()
+            slot.stages = [reference.owned() for reference in references]
+            slot.reference_key, slot.r_in = key, r_in.copy()
         return features

@@ -92,23 +92,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _ensure_tensor(other))
 
-    def __radd__(self, other):
-        return add(_ensure_tensor(other), self)
-
     def __sub__(self, other):
         return add(self, neg(_ensure_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_ensure_tensor(other), neg(self))
 
     def __mul__(self, other):
         return mul(self, _ensure_tensor(other))
 
     def __rmul__(self, other):
         return mul(_ensure_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
@@ -120,14 +111,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def _ensure_tensor(x) -> Tensor:
@@ -143,12 +126,14 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, index=...):
+    """Add ``g`` into ``t.grad[index]``, allocating ``t.grad`` on first use."""
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    view = t.grad[index]  # basic indexing: writes through to t.grad
+    view += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -269,9 +254,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     data = a.data[idx]
 
     def bwd(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        _accumulate(a, full)
+        _accumulate(a, g, idx)
 
     return _make(data, (a,), bwd)
 

@@ -11,11 +11,12 @@ from srrnet import tensor as T
 from srrnet.attention import (
     ATTENTION_MODES,
     AttentionConfig,
-    BranchTokens,
     BranchWeights,
     RMABlock,
     scaled_dot_attention,
+    split_batch,
 )
+from srrnet.model import build_model
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
 from test_backbone import make_triplet
@@ -168,14 +169,6 @@ def test_attention_config_validation():
         AttentionConfig(heads=2, head_dim=4, sr_ratio=3)
 
 
-def test_branch_tokens_validation(rng):
-    a = Tensor(rng.normal(size=(1, 4, 8)))
-    with pytest.raises(ShapeMismatchError):
-        BranchTokens(a, a, Tensor(rng.normal(size=(1, 5, 8))), 2, 2)
-    with pytest.raises(ShapeMismatchError):
-        BranchTokens(a, a, a, 3, 2)
-
-
 def test_rma_block_rejects_unknown_mode(rng):
     with pytest.raises(ConfigurationError):
         RMABlock(AttentionConfig(heads=2, head_dim=4), rng, mode="bogus")
@@ -185,16 +178,25 @@ def test_rma_block_rejects_unknown_mode(rng):
 # block behavior
 
 
-def _run(block, tokens):
-    """All three branches of ``tokens`` through ``block``: the outputs by branch."""
-    out, _ = block({"c": tokens.c, "p": tokens.p, "r": tokens.r}, tokens.h, tokens.w)
-    return out
-
-
 def _tokens(rng, channels=8, n=4):
-    return BranchTokens(Tensor(rng.normal(size=(1, n, channels))),
-                        Tensor(rng.normal(size=(1, n, channels))),
-                        Tensor(rng.normal(size=(1, n, channels))), 2, 2)
+    """C, P and R tokens, each 1 x n x channels."""
+    return tuple(Tensor(rng.normal(size=(1, n, channels))) for _ in range(3))
+
+
+def _poke(x, delta):
+    return Tensor(x.data + delta)
+
+
+def _run(block, c, p, r, h=2, w=2):
+    """All three branches through ``block``, P and R stacked: the outputs by branch."""
+    c, pr, _ = block(c, T.concat([p, r], axis=0), h, w)
+    return dict(zip("cpr", [c, *split_batch(pr, 2)]))
+
+
+def _cross(block, c, p, r, h=2, w=2):
+    """Cross-stage outputs ``(A_C, A_P, A_R)`` of the three branches, pre-residual."""
+    a_c, a_pr, _ = block.attend_cross(c, T.concat([p, r], axis=0), h, w)
+    return (a_c, *split_batch(a_pr, 2))
 
 
 def test_branch_weight_sets_cur_and_ref_only(rng):
@@ -205,25 +207,36 @@ def test_branch_weight_sets_cur_and_ref_only(rng):
 
 def test_cross_asymmetry_r_ignores_c_and_p(rng):
     block = RMABlock(AttentionConfig(heads=2, head_dim=4), rng)
-    base = _tokens(rng)
-    a_c0, a_p0, a_r0 = block.attend_cross(base)
-    poked_c = BranchTokens(Tensor(base.c.data + rng.normal(size=base.c.shape)),
-                           base.p, base.r, base.h, base.w)
-    a_c1, a_p1, a_r1 = block.attend_cross(poked_c)
+    c, p, r = _tokens(rng)
+    a_c0, a_p0, a_r0 = _cross(block, c, p, r)
+    a_c1, a_p1, a_r1 = _cross(block, _poke(c, rng.normal(size=c.shape)), p, r)
     np.testing.assert_array_equal(a_r0.data, a_r1.data)
     np.testing.assert_array_equal(a_p0.data, a_p1.data)
     assert not np.array_equal(a_c0.data, a_c1.data)
 
-    poked_p = BranchTokens(base.c, Tensor(base.p.data + rng.normal(size=base.p.shape)),
-                           base.r, base.h, base.w)
-    _, a_p2, a_r2 = block.attend_cross(poked_p)
+    _, a_p2, a_r2 = _cross(block, c, _poke(p, rng.normal(size=p.shape)), r)
     np.testing.assert_array_equal(a_r0.data, a_r2.data)
     assert not np.array_equal(a_p0.data, a_p2.data)
 
 
-def _joint_block_oracle(block, tokens):
-    """All three branches advanced together, each cross key set built explicitly."""
-    cfg, h, w = block.cfg, tokens.h, tokens.w
+def test_attend_cross_returns_the_keys_of_r_and_reads_given_ones(rng):
+    block = RMABlock(AttentionConfig(heads=2, head_dim=4, sr_ratio=2), rng)
+    c, p, r = _tokens(rng, n=16)
+    a_c, a_pr, kv_r = block.attend_cross(c, T.concat([p, r], axis=0), 4, 4)
+    assert a_c.shape == (1, 16, 8) and a_pr.shape == (2, 16, 8)
+    assert [t.shape for t in kv_r] == [(1, 4, 8)] * 2  # R's keys, spatially reduced
+    a_c2, a_p2, kv_given = block.attend_cross(c, p, 4, 4, given=kv_r)
+    assert kv_given is kv_r
+    for got, want in ((a_c2, a_c), (a_p2, split_batch(a_pr, 2)[0])):  # up to GEMM rounding
+        np.testing.assert_allclose(got.data, want.data, rtol=0,
+                                   atol=1e-13 * np.abs(want.data).max())
+    with pytest.raises(ShapeMismatchError, match="pr stream batch"):
+        block.attend_cross(c, p, 4, 4)  # P alone, but R's keys are not given
+
+
+def _joint_block_oracle(block, c, p, r, h, w):
+    """All three branches advanced apart, each cross key set built explicitly."""
+    cfg = block.cfg
 
     def self_attend(x, wt):
         y = wt.norm1(x)
@@ -231,8 +244,8 @@ def _joint_block_oracle(block, tokens):
         return x + wt.proj(scaled_dot_attention(wt.q(y), wt.k(kv), wt.v(kv), cfg.heads))
 
     weights = {"c": block.cur, "p": block.ref, "r": block.ref}
-    x = {"c": self_attend(tokens.c, block.cur), "p": self_attend(tokens.p, block.ref),
-         "r": self_attend(tokens.r, block.ref)}
+    x = {"c": self_attend(c, block.cur), "p": self_attend(p, block.ref),
+         "r": self_attend(r, block.ref)}
     if block.mode != "self_only":
         q, k, v = {}, {}, {}
         for b, wt in weights.items():
@@ -277,24 +290,18 @@ def _assert_grads_close(got, want, err_msg):
 @pytest.mark.parametrize("mode", ATTENTION_MODES)
 def test_block_matches_joint_oracle(rng, mode):
     block = RMABlock(AttentionConfig(heads=2, head_dim=4, sr_ratio=2), rng, mode=mode)
-    tokens = BranchTokens(*(Tensor(rng.normal(size=(1, 16, 8))) for _ in range(3)), 4, 4)
-    x = {"c": tokens.c, "p": tokens.p, "r": tokens.r}
-    want = _joint_block_oracle(block, tokens)
+    c, p, r = _tokens(rng, n=16)
+    want = _joint_block_oracle(block, c, p, r, 4, 4)
     want_grads = _block_grads(block, want)
-    _, kv = block(x, 4, 4)
-    assert set(kv) == (set() if mode == "self_only" else set("cpr"))
+    _, _, kv_r = block(c, T.concat([p, r], axis=0), 4, 4)
+    assert (kv_r is None) == (mode == "self_only")
 
-    def given_route():  # C and P against R's cross keys/values from another call
-        if mode == "full":  # R reads C and P: it runs only jointly, but its keys can be given
-            joint, joint_kv = block(x, 4, 4)
-            r_out, r_kv = joint["r"], {"r": joint_kv["r"]}
-        else:
-            alone, r_kv = block({"r": tokens.r}, 4, 4)
-            r_out = alone["r"]
-        cp, _ = block({"c": tokens.c, "p": tokens.p}, 4, 4, given=r_kv)
-        return {"c": cp["c"], "p": cp["p"], "r": r_out}
+    def given_route():  # C and P against R's cross keys/values from a joint call
+        _, pr, kv_r = block(c, T.concat([p, r], axis=0), 4, 4)
+        c_out, p_out, _ = block(c, p, 4, 4, given=kv_r)
+        return {"c": c_out, "p": p_out, "r": split_batch(pr, 2)[1]}
 
-    routes = {"joint": lambda: block(x, 4, 4)[0], "given": given_route}
+    routes = {"joint": lambda: _run(block, c, p, r, 4, 4), "given": given_route}
     for route, run in routes.items():  # a fresh graph per route
         got = run()
         for b in "cpr":  # stacking changes GEMM shapes, which may move a last bit
@@ -304,51 +311,39 @@ def test_block_matches_joint_oracle(rng, mode):
         _assert_grads_close(_block_grads(block, got), want_grads, route)
 
 
-def test_full_mode_cannot_run_the_reference_alone(rng):
-    block = RMABlock(AttentionConfig(heads=2, head_dim=4), rng, mode="full")
-    base = _tokens(rng)
-    with pytest.raises(ConfigurationError, match="branch r reads cp"):
-        block({"r": base.r}, base.h, base.w)
-
-
 def test_full_mode_breaks_asymmetry(rng):
     block = RMABlock(AttentionConfig(heads=2, head_dim=4), rng, mode="full")
-    base = _tokens(rng)
-    _, _, a_r0 = block.attend_cross(base)
-    poked = BranchTokens(Tensor(base.c.data + 1.0), base.p, base.r, base.h, base.w)
-    _, _, a_r1 = block.attend_cross(poked)
+    c, p, r = _tokens(rng)
+    _, _, a_r0 = _cross(block, c, p, r)
+    _, _, a_r1 = _cross(block, _poke(c, 1.0), p, r)
     assert not np.array_equal(a_r0.data, a_r1.data)
 
 
 def test_motion_only_mode_c_sees_p_but_not_r(rng):
     block = RMABlock(AttentionConfig(heads=2, head_dim=4), rng, mode="motion_only")
-    base = _tokens(rng)
-    a_c0, _, _ = block.attend_cross(base)
-    poked_r = BranchTokens(base.c, base.p,
-                           Tensor(base.r.data + 1.0), base.h, base.w)
-    a_c1, _, _ = block.attend_cross(poked_r)
+    c, p, r = _tokens(rng)
+    a_c0, _, _ = _cross(block, c, p, r)
+    a_c1, _, _ = _cross(block, c, p, _poke(r, 1.0))
     np.testing.assert_array_equal(a_c0.data, a_c1.data)
-    poked_p = BranchTokens(base.c, Tensor(base.p.data + 1.0), base.r, base.h, base.w)
-    a_c2, _, _ = block.attend_cross(poked_p)
+    a_c2, _, _ = _cross(block, c, _poke(p, 1.0), r)
     assert not np.array_equal(a_c0.data, a_c2.data)
 
 
 def test_self_only_mode_has_no_cross_stage(rng):
     block = RMABlock(AttentionConfig(heads=2, head_dim=4), rng, mode="self_only")
-    base = _tokens(rng)
+    c, p, r = _tokens(rng)
     with pytest.raises(ConfigurationError, match="no cross stage"):
-        block.attend_cross(base)
-    grads = _block_grads(block, _run(block, base))
+        _cross(block, c, p, r)
+    grads = _block_grads(block, _run(block, c, p, r))
     untouched = {name for name, g in grads.items() if g is None}
     assert untouched == {n for n in grads if ".norm_cross." in n or ".proj_cross." in n}
 
 
 def test_self_only_mode_keeps_branches_independent(rng):
     block = RMABlock(AttentionConfig(heads=2, head_dim=4), rng, mode="self_only")
-    base = _tokens(rng)
-    out0 = _run(block, base)
-    poked = BranchTokens(Tensor(base.c.data + 1.0), base.p, base.r, base.h, base.w)
-    out1 = _run(block, poked)
+    c, p, r = _tokens(rng)
+    out0 = _run(block, c, p, r)
+    out1 = _run(block, _poke(c, 1.0), p, r)
     np.testing.assert_array_equal(out0["p"].data, out1["p"].data)
     np.testing.assert_array_equal(out0["r"].data, out1["r"].data)
 
@@ -359,7 +354,7 @@ def test_modes_produce_distinct_outputs(rng):
     for mode in ATTENTION_MODES:
         block = RMABlock(AttentionConfig(heads=2, head_dim=4),
                          np.random.default_rng(0), mode=mode)
-        out = _run(block, tokens)
+        out = _run(block, *tokens)
         outputs.append(np.concatenate([out[b].data for b in "cpr"]))
     for i in range(len(outputs)):
         for j in range(i + 1, len(outputs)):
@@ -370,27 +365,41 @@ def test_block_output_shape_and_residual_structure(rng):
     cfg = AttentionConfig(heads=2, head_dim=4)
     block = RMABlock(cfg, rng)
     tokens = _tokens(rng)
-    out = _run(block, tokens)
+    out = _run(block, *tokens)
     for b in "cpr":
-        assert out[b].shape == tokens.c.shape
+        assert out[b].shape == tokens[0].shape
 
 
 def test_sr_ratio_reduces_key_count(rng):
     cfg = AttentionConfig(heads=2, head_dim=4, sr_ratio=2)
     block = RMABlock(cfg, rng)
-    tokens = BranchTokens(Tensor(rng.normal(size=(1, 16, 8))),
-                          Tensor(rng.normal(size=(1, 16, 8))),
-                          Tensor(rng.normal(size=(1, 16, 8))), 4, 4)
-    reduced = block._reduce(tokens.c, block.cur, 4, 4)
+    c, p, r = _tokens(rng, n=16)
+    reduced = block._reduce(c, block.cur, 4, 4)
     assert reduced.shape == (1, 4, 8)
-    assert _run(block, tokens)["c"].shape == (1, 16, 8)
+    assert _run(block, c, p, r, 4, 4)["c"].shape == (1, 16, 8)
 
 
 def test_block_gradients_reach_all_parameters(rng):
     block = RMABlock(AttentionConfig(heads=2, head_dim=4), rng)
-    tokens = _tokens(rng)
-    out = _run(block, tokens)
+    out = _run(block, *_tokens(rng))
     T.backward(sum((T.mean(out[b] * out[b]) for b in "cpr"), Tensor(0.0)))
     for name, p in block.named_parameters():
         assert p.grad is not None, name
         assert np.isfinite(p.grad).all(), name
+
+
+@pytest.mark.parametrize("mode", ATTENTION_MODES)
+def test_one_cross_stage_per_block_in_a_desk_forward(monkeypatch, rng, mode):
+    model = build_model("desk", attention_mode=mode, seed=0)
+    calls = []
+    real = RMABlock.attend_cross
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RMABlock, "attend_cross", counted)
+    with T.no_grad():
+        model(make_triplet(rng))
+    blocks = [block for stage in model.backbone.stages for block in stage.blocks]
+    assert calls == ([] if mode == "self_only" else blocks)

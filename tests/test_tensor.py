@@ -1,5 +1,7 @@
 """Autodiff engine: forward value oracles and finite-difference gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -218,6 +220,48 @@ def test_reshape_transpose_concat_narrow_grads(rng):
 
     assert_grad_matches(loss, a)
     assert_grad_matches(loss, b)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_narrow_grads_are_the_slice_grads_in_place(rng, axis):
+    """Slices that tile a tensor hand it their gradients bitwise, concatenated."""
+    a = leaf(rng, 4, 6)
+    bounds = [0, 1, 3, a.shape[axis]]
+    spans = list(zip(bounds, bounds[1:]))
+    weights = [Tensor(rng.normal(size=T.narrow(a, axis, lo, hi - lo).shape)) for lo, hi in spans]
+
+    def loss(parts):
+        return sum((T.mean(x * w) for x, w in zip(parts, weights)), Tensor(0.0))
+
+    T.backward(loss([T.narrow(a, axis, lo, hi - lo) for lo, hi in spans]))
+    slices = [Tensor(T.narrow(a, axis, lo, hi - lo).data, requires_grad=True) for lo, hi in spans]
+    T.backward(loss(slices))
+    np.testing.assert_array_equal(a.grad, np.concatenate([s.grad for s in slices], axis=axis))
+
+
+def test_narrow_leaves_a_parent_without_grad_at_none(rng):
+    a = Tensor(rng.normal(size=(2, 6)))
+    b = leaf(rng, 2, 6)
+    T.backward(T.mean(T.narrow(T.concat([a, b], axis=0), 0, 1, 2)))  # a's last row, b's first
+    assert a.grad is None
+    np.testing.assert_array_equal(b.grad, np.r_[np.full((1, 6), 1 / 12), np.zeros((1, 6))])
+
+
+def test_narrow_backward_allocates_no_parent_sized_buffer_per_slice():
+    """Eight slices add into the parent's gradient; none builds a parent-sized buffer.
+
+    The backward holds the parent's gradient and the slices' gradients
+    (2 x the parent's bytes); one parent-sized buffer more would read 3 x.
+    """
+    a = Tensor(np.zeros((64, 1024)), requires_grad=True)
+    loss = sum((T.mean(T.narrow(a, 0, 8 * i, 8)) for i in range(8)), Tensor(0.0))
+    tracemalloc.start()
+    try:
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * a.data.nbytes
 
 
 def test_mean_sum_grads(rng):
