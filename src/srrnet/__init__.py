@@ -3,9 +3,9 @@
 __version__ = "0.1.0"
 
 from .attention import ATTENTION_MODES, AttentionConfig, RMABlock
-from .backbone import FrameTriplet, PyramidFeatures, ReferenceSlot, RMABackbone, StageConfig
+from .backbone import FrameTriplet, PyramidFeatures, RMABackbone, StageConfig
 from .decoder import DecoderConfig, DualPurposeDecoder, PredictionPair
-from .model import SRRNet, build_model, load_model, preset_config
+from .model import ReferenceSlot, SRRNet, build_model, load_model, preset_config
 from .nn import AdamW, Module, Parameter, count_parameters, load_checkpoint, save_checkpoint
 from .pipeline import (
     InferenceSession,

@@ -31,11 +31,10 @@ in 5 of 5 pairs (frame median 61.99 against 72.22 ms) and read 65.5 against
 66.2 ms at another seed (2 of 3 pairs), likely because a 2**17 block's
 P.V GEMM at head dim 8 crosses OpenBLAS's small-matrix cut-off (M*N*K of
 1M). The rows are spread evenly over the fewest blocks that fit the budget.
-Rows are
-independent, so blocking changes only the GEMM row counts: results agree
-with the unsplit chain to rounding. An attention whose scores fit one block
-runs exactly the unsplit ops: every one at full@64, and at desk@128 those
-of stages 3 and 4.
+Rows are independent, so blocking changes only the GEMM row counts: results
+agree with the unsplit chain to rounding. An attention whose scores fit one
+block runs exactly the unsplit ops: every one at full@64, and at desk@128
+those of stages 3 and 4.
 """
 
 from __future__ import annotations

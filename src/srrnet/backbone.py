@@ -10,15 +10,13 @@ A stage embeds the previous and reference branches stacked on the batch axis,
 keeps them stacked through every block (see ``attention.RMABlock``) and splits
 them after its last norm, so every weight they share is read once per stage
 for both. Where the attention mode lets R read only R (every mode but
-``full``), R's encoding does not depend on C or P, and a stage either runs C,
-P and R jointly and returns R's encoding as a stage reference (the stage's R
-output map plus each block's cross keys/values), or runs C and P alone against
-a stage reference it is given. A ``ReferenceSlot`` on the input triplet lets a
-caller keep the references of all stages across calls with an unchanged
-reference input; it is filled from the joint pass with copies of R's arrays
-(not views into the buffers stacked with P) and used only with the gradient
-tape off. A frame that reuses the slot runs P alone in the stacked stream's
-place, exactly the ops of P alone.
+``full``), R's encoding does not depend on C or P: a stage either runs C, P
+and R jointly and returns R's output map and each block's cross keys/values,
+or runs C and P alone against that map and those keys/values from an earlier
+pass, exactly the ops of P alone. The backbone is a pure function of its
+arguments: ``PyramidFeatures.reference()`` copies R's half of a joint pass,
+and whoever keeps it across calls (``model.SRRNet``, in the triplet's
+reference slot) decides when it is still valid.
 """
 
 from __future__ import annotations
@@ -29,9 +27,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .attention import (ATTENTION_MODES, AttentionConfig, RMABlock, reference_is_separable,
-                        split_batch)
-from .nn import Conv2d, LayerNorm, Module, weights_key
+from .attention import ATTENTION_MODES, AttentionConfig, RMABlock, split_batch
+from .nn import Conv2d, LayerNorm, Module
 from .tensor import ConfigurationError, Tensor
 
 
@@ -48,60 +45,18 @@ class StageConfig:
 
 
 @dataclass
-class StageReference:
-    """One stage's encoded reference branch."""
-
-    r_map: Tensor  # B x Ch x H_i x W_i, the stage's R output
-    kv: list       # per block R's cross (k, v); None without a cross stage
-
-    def owned(self) -> "StageReference":
-        """A copy whose arrays own their buffers, off any graph.
-
-        The joint pass's ``r_map`` and keys/values are views into buffers
-        stacked with P; a copy keeps R's half alone alive.
-        """
-        def own(t: Tensor) -> Tensor:
-            return Tensor(t.data.copy(order="K"))  # the same layout: same GEMM rounding
-
-        return StageReference(own(self.r_map),
-                              [None if kv is None else (own(kv[0]), own(kv[1])) for kv in self.kv])
-
-
-@dataclass
-class ReferenceSlot:
-    """What a model keeps across the calls of one inference session.
-
-    The backbone keeps its reference encoding, valid for one ``r_in``, one
-    backbone and one weights generation; the decoder keeps the collapse it
-    otherwise builds on every call (see ``decoder``), valid for one decoder
-    and one weights generation. Both are kept only with the gradient tape
-    off. Each part is keyed on ``nn.weights_key`` of its owner and rebuilt
-    when the key differs; ``nn.load_checkpoint`` and ``AdamW.step`` start a
-    new weights generation. A parameter written in place by any other means
-    leaves the slot stale, and a stale slot changes outputs: give the session
-    a new slot after such a write.
-    """
-
-    reference_key: Optional[tuple] = None  # weights_key of the backbone that encoded ``stages``
-    r_in: Optional[np.ndarray] = None
-    stages: Optional[list] = None  # StageReference per backbone stage
-    collapse_key: Optional[tuple] = None  # weights_key of the decoder that built ``collapse``
-    collapse: Optional[object] = None     # DecoderCollapse: 27-channel stage maps and biases
-
-
-@dataclass
 class FrameTriplet:
     """Network input: current frame, previous frame+mask, reference frame+mask.
 
-    ``reference`` optionally carries a slot in which the model may keep its
-    encoding of ``r_in`` for the next call with the same reference, and its
-    collapsed decoder.
+    ``reference`` optionally carries a slot in which ``model.SRRNet`` keeps
+    its encoding of ``r_in`` for the next call with the same reference, and
+    its collapsed decoder; the backbone never reads it.
     """
 
     c_img: Tensor  # B x 3 x H x W
     p_in: Tensor   # B x 4 x H x W (image with mask channel appended)
     r_in: Tensor   # B x 4 x H x W
-    reference: Optional[ReferenceSlot] = None
+    reference: Optional[object] = None  # the slot of ``model.SRRNet``; see ``model``
 
     def __post_init__(self):
         for name in ("c_img", "p_in", "r_in"):
@@ -128,11 +83,31 @@ class FrameTriplet:
 
 @dataclass
 class PyramidFeatures:
-    """Per-stage feature maps for the three branches, each B x Ch_i x H_i x W_i."""
+    """Per-stage feature maps for the three branches, each B x Ch_i x H_i x W_i.
+
+    ``kv`` holds, per stage, each block's R cross ``(k, v)``, or ``None`` for
+    a block without a cross stage.
+    """
 
     c: list = field(default_factory=list)
     p: list = field(default_factory=list)
     r: list = field(default_factory=list)
+    kv: list = field(default_factory=list)
+
+    def reference(self) -> "PyramidFeatures":
+        """R's maps and cross keys/values as arrays that own their buffers, off any graph.
+
+        A joint pass's R arrays are views into buffers stacked with P; a copy
+        keeps R's half alone alive, in the same layout (so the same GEMM
+        rounding).
+        """
+        def own(t: Tensor) -> Tensor:
+            return Tensor(t.data.copy(order="K"))
+
+        return PyramidFeatures(
+            r=[own(r) for r in self.r],
+            kv=[[None if kv is None else (own(kv[0]), own(kv[1])) for kv in stage]
+                for stage in self.kv])
 
 
 class PatchEmbed(Module):
@@ -167,27 +142,25 @@ class BackboneStage(Module):
         self.norm_c = LayerNorm(cfg.channels)
         self.norm_pr = LayerNorm(cfg.channels)
 
-    def __call__(self, c_map: Tensor, p_map: Tensor, r_map: Tensor,
-                 reference: Optional[StageReference] = None):
-        """Stage outputs ``(c, p, reference)``: C and P maps and R's stage reference.
+    def __call__(self, c_map: Tensor, p_map: Tensor, r_map: Tensor, kv: Optional[list] = None):
+        """Stage outputs ``(c, p, r, kv)``: the branch maps and each block's R cross ``(k, v)``.
 
-        Without ``reference``, C, P and R run jointly and the returned
-        reference holds R's output map and cross keys/values. With one
-        (valid only where R reads only R), C and P run against it, ``r_map``
-        is not read and the same reference is returned.
+        Without ``kv``, C, P and R run jointly from their input maps. With
+        R's ``kv`` from an earlier pass (valid only where R reads only R),
+        ``r_map`` is R's output map of that pass: C and P run against ``kv``,
+        and ``r_map`` and ``kv`` are returned as given.
         """
         c, h, w = self.embed_c(c_map)
-        pr_map = p_map if reference is not None else T.concat([p_map, r_map], axis=0)
-        pr, _, _ = self.embed_pr(pr_map)
-        kv = []
+        pr, _, _ = self.embed_pr(p_map if kv is not None else T.concat([p_map, r_map], axis=0))
+        kv_out = []
         for i, block in enumerate(self.blocks):
-            c, pr, kv_r = block(c, pr, h, w, None if reference is None else reference.kv[i])
-            kv.append(kv_r)
+            c, pr, kv_r = block(c, pr, h, w, None if kv is None else kv[i])
+            kv_out.append(kv_r)
         p = self.norm_pr(pr)
-        if reference is None:
+        if kv is None:
             p, r = split_batch(p, 2)
-            reference = StageReference(_tokens_to_map(r, h, w), kv)
-        return _tokens_to_map(self.norm_c(c), h, w), _tokens_to_map(p, h, w), reference
+            r_map, kv = _tokens_to_map(r, h, w), kv_out
+        return _tokens_to_map(self.norm_c(c), h, w), _tokens_to_map(p, h, w), r_map, kv
 
 
 class RMABackbone(Module):
@@ -202,7 +175,6 @@ class RMABackbone(Module):
         for prev, cur in zip(stages, stages[1:]):
             if cur.channels < prev.channels:
                 raise ConfigurationError("stage channels must be nondecreasing")
-        self.attention_mode = attention_mode
         built = []
         in_c, in_pr = 3, 4
         for i, cfg in enumerate(stages):
@@ -210,37 +182,24 @@ class RMABackbone(Module):
             in_c = in_pr = cfg.channels
         self.stages = built
 
-    def __call__(self, triplet: FrameTriplet) -> PyramidFeatures:
-        """The 4 x 3 feature grid, reading and refilling the triplet's slot.
+    def __call__(self, triplet: FrameTriplet,
+                 reference: Optional[PyramidFeatures] = None) -> PyramidFeatures:
+        """The 4 x 3 feature grid; the triplet's slot is neither read nor written.
 
-        The slot is usable with the gradient tape off (cached tensors carry
-        no graph, so gradients would not reach R's weights) and where R reads
-        only R (every mode but ``full``). A usable slot that holds the stage
-        references of this ``r_in``, backbone and weights generation lets
-        every stage skip R; otherwise the stages run R jointly with C and P
-        and the slot is refilled from that pass.
+        ``reference`` holds R's maps and cross keys/values from an earlier
+        pass over the same ``r_in`` (``PyramidFeatures.reference()``; valid
+        only where R reads only R): every stage then skips R and returns them
+        as given. Without it, C, P and R run jointly.
         """
-        slot = triplet.reference
-        usable = (slot is not None and reference_is_separable(self.attention_mode)
-                  and not T.grad_enabled())
-        r_in, key = triplet.r_in.data, weights_key(self)
-        memory = None
-        if usable:
-            if slot.reference_key == key and np.array_equal(slot.r_in, r_in):
-                memory = slot.stages
-            else:  # drop the old references before building the new ones
-                slot.reference_key = slot.r_in = slot.stages = None
         features = PyramidFeatures()
         c, p, r = triplet.c_img, triplet.p_in, triplet.r_in
-        references = []
         for i, stage in enumerate(self.stages):
-            c, p, reference = stage(c, p, r, None if memory is None else memory[i])
-            r = reference.r_map
-            references.append(reference)
+            if reference is None:
+                c, p, r, kv = stage(c, p, r)
+            else:
+                c, p, r, kv = stage(c, p, reference.r[i], reference.kv[i])
             features.c.append(c)
             features.p.append(p)
             features.r.append(r)
-        if usable and memory is None:
-            slot.stages = [reference.owned() for reference in references]
-            slot.reference_key, slot.r_in = key, r_in.copy()
+            features.kv.append(kv)
         return features

@@ -150,12 +150,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
     pre, _ = parser.parse_known_args(argv)
     if getattr(pre, "config", None):
         values = _read_config_file(pre.config)
-        known = {a.dest for sp in parser._subparsers._group_actions
-                 for a in sp.choices[pre.command]._actions}
-        unknown = set(values) - known
+        sub = parser._subparsers._group_actions[0].choices[pre.command]
+        unknown = set(values) - {a.dest for a in sub._actions}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        sub = parser._subparsers._group_actions[0].choices[pre.command]
         typed = {}
         for action in sub._actions:
             if action.dest in values:

@@ -54,13 +54,14 @@ def load_sequence(directory, require_masks: bool = True) -> SequenceRecord:
     return SequenceRecord(name=directory.name, frames=frames, masks=masks)
 
 
-def load_video_dataset(root) -> list[SequenceRecord]:
+def sequence_dirs(root) -> list[Path]:
+    """A dataset root's sequence directories: its sorted subdirectories, or itself without any."""
     root = Path(root)
-    seq_dirs = sorted(d for d in root.iterdir() if d.is_dir())
-    if not seq_dirs:
-        # allow a bare sequence directory
-        return [load_sequence(root)]
-    return [load_sequence(d) for d in seq_dirs]
+    return sorted(d for d in root.iterdir() if d.is_dir()) or [root]
+
+
+def load_video_dataset(root) -> list[SequenceRecord]:
+    return [load_sequence(d) for d in sequence_dirs(root)]
 
 
 def load_static_pool(directory) -> list[StaticRecord]:

@@ -56,11 +56,10 @@ adds ``k H + h`` (``fuse_all``), giving the two mask-logit channels
 (``predict_mask``) and ``raw_f``, to which ``predict_error`` adds ``m E_m``.
 This is exact up to rounding.
 
-The collapse (``V_i``, ``beta``, ``k H + h``) is built on every call when the
-tape is on or no ``ReferenceSlot`` is given, so a training step or a
-parameter written in place is always seen. With the tape off it is kept in
-the slot, keyed on the decoder and the weights generation, and rebuilt when
-either differs.
+The collapse (``V_i``, ``beta``, ``k H + h``) is ``collapse()``. A call
+builds it unless it is given one, so a training step or a parameter written
+in place is always seen; an inference session builds it once and passes it
+in (``model.SRRNet`` keeps it, and decides when it is stale).
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .backbone import PyramidFeatures, ReferenceSlot
-from .nn import Conv2d, Linear, Module, weights_key
+from .backbone import PyramidFeatures
+from .nn import Conv2d, Linear, Module
 from .tensor import ConfigurationError, Tensor
 
 ERROR_TARGETS = ("absolute", "signed")
@@ -168,22 +167,8 @@ class DualPurposeDecoder(Module):
         self.mask_head = Linear(cfg.ch_double_prime, 2, rng)
         self.err_head = Linear(cfg.ch_double_prime + 2, 1, rng)
 
-    def collapsed(self, slot: Optional[ReferenceSlot]) -> DecoderCollapse:
-        """The collapsed decoder: built per call, or kept in ``slot`` with the tape off.
-
-        A kept collapse is rebuilt when another decoder built it or the
-        weights generation moved on.
-        """
-        if slot is None or T.grad_enabled():
-            return self._collapse()
-        key = weights_key(self)
-        if slot.collapse_key != key:
-            slot.collapse_key = slot.collapse = None  # drop the old collapse before building
-            slot.collapse = self._collapse()
-            slot.collapse_key = key
-        return slot.collapse
-
-    def _collapse(self) -> DecoderCollapse:
+    def collapse(self) -> DecoderCollapse:
+        """The decoder collapsed from its parameters, in tensor ops (see above)."""
         ch, ch2 = self.cfg.ch_prime, self.cfg.ch_double_prime
         heads = T.concat([self.mask_head.weight, T.narrow(self.err_head.weight, 0, 0, ch2)],
                          axis=1)
@@ -249,9 +234,9 @@ class DualPurposeDecoder(Module):
         return T.sigmoid(raw) * 2.0 - 1.0  # 2σ(x) − 1 = tanh(x/2), range (-1, 1)
 
     def __call__(self, features: PyramidFeatures, full_h: int, full_w: int,
-                 slot: Optional[ReferenceSlot] = None) -> PredictionPair:
-        """Both heads' outputs; with ``slot`` and the tape off, the collapse is kept in it."""
-        f = self.fuse(features, self.collapsed(slot))
+                 collapse: Optional[DecoderCollapse] = None) -> PredictionPair:
+        """Both heads' outputs, through ``collapse`` or, without one, a new ``collapse()``."""
+        f = self.fuse(features, collapse if collapse is not None else self.collapse())
         m, logits_full, o_msk = self.predict_mask(f, full_h, full_w)
         o_err = self.predict_error(f, m)
         return PredictionPair(mask_logits=m, supervision_logits=logits_full,

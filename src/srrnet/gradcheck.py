@@ -91,7 +91,7 @@ def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
 
     def loss_fn() -> Tensor:
         dec = model.decoder
-        f = dec.fuse(model.backbone(triplet), dec.collapsed(None))
+        f = dec.fuse(model.backbone(triplet), dec.collapse())
         m, logits_full, _ = dec.predict_mask(f, size, size)
         o_err = dec.predict_error(f, pred0.mask_logits)
         pred = PredictionPair(mask_logits=m, supervision_logits=logits_full,

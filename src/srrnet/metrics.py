@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
+from .data import sequence_dirs
 from .pnm import read_pgm
 
 _EPS = 1e-12
@@ -252,13 +253,10 @@ def evaluate_dataset(pred_dir, gt_dir, allow_missing: bool = False,
     ``allow_missing`` is set.
     """
     pred_dir, gt_dir = Path(pred_dir), Path(gt_dir)
-    seq_dirs = sorted(d for d in gt_dir.iterdir() if d.is_dir())
-    if not seq_dirs:
-        seq_dirs = [gt_dir]
     missing: list[str] = []
     sequences: list[SequenceMetrics] = []
     flat_rows: list[dict] = []
-    for seq in seq_dirs:
+    for seq in sequence_dirs(gt_dir):
         rel = seq.name if seq != gt_dir else ""
         rows = []
         skipped = 0

@@ -9,13 +9,15 @@ asserted).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .attention import AttentionConfig
-from .backbone import FrameTriplet, RMABackbone, StageConfig
-from .decoder import DecoderConfig, DualPurposeDecoder, PredictionPair
-from .nn import Module, load_checkpoint, read_checkpoint_config
+from . import tensor as T
+from .attention import AttentionConfig, reference_is_separable
+from .backbone import FrameTriplet, PyramidFeatures, RMABackbone, StageConfig
+from .decoder import DecoderCollapse, DecoderConfig, DualPurposeDecoder, PredictionPair
+from .nn import Module, load_checkpoint, read_checkpoint_config, weights_key
 from .tensor import ConfigurationError
 
 FULL_SCALE_REFERENCE_PARAMS = 53_790_000  # published headline parameter count
@@ -51,6 +53,27 @@ def preset_config(name: str, attention_mode: str = "rma",
     return ModelConfig(stages=stages, decoder=decoder, attention_mode=attention_mode)
 
 
+@dataclass
+class ReferenceSlot:
+    """What a model keeps across the calls of one inference session.
+
+    ``reference`` is R's encoding of ``r_in`` (``PyramidFeatures.reference()``),
+    kept only where R reads only R (every attention mode but ``full``), and
+    ``collapse`` the collapsed decoder (see ``decoder``). Both are valid for
+    one model and one weights generation, ``key``: a call with another key
+    empties the slot first. ``nn.load_checkpoint`` and ``AdamW.step`` start a
+    new weights generation; a parameter written in place by any other means
+    leaves the slot stale, and a stale slot changes outputs: give the session
+    a new slot after such a write. The slot is ignored with the gradient tape
+    on, since its tensors carry no graph.
+    """
+
+    key: Optional[tuple] = None  # weights_key of the model that filled the slot
+    r_in: Optional[np.ndarray] = None
+    reference: Optional[PyramidFeatures] = None
+    collapse: Optional[DecoderCollapse] = None
+
+
 class _ZeroDraws:
     """A stand-in generator whose every draw is zeros."""
 
@@ -75,8 +98,23 @@ class SRRNet(Module):
                                           config.decoder, rng)
 
     def __call__(self, triplet: FrameTriplet) -> PredictionPair:
-        features = self.backbone(triplet)
-        return self.decoder(features, triplet.height, triplet.width, triplet.reference)
+        """Both heads' outputs, reading and refilling the triplet's slot, if any."""
+        slot = triplet.reference
+        if slot is None or T.grad_enabled():
+            features = self.backbone(triplet)
+            return self.decoder(features, triplet.height, triplet.width)
+        key, r_in = weights_key(self), triplet.r_in.data
+        if slot.key != key:
+            slot.r_in = slot.reference = slot.collapse = None
+            slot.key = key
+        if slot.reference is not None and not np.array_equal(slot.r_in, r_in):
+            slot.r_in = slot.reference = None  # drop the old encoding before building a new one
+        features = self.backbone(triplet, slot.reference)
+        if slot.reference is None and reference_is_separable(self.config.attention_mode):
+            slot.reference, slot.r_in = features.reference(), r_in.copy()
+        if slot.collapse is None:
+            slot.collapse = self.decoder.collapse()
+        return self.decoder(features, triplet.height, triplet.width, slot.collapse)
 
 
 def build_model(preset: str = "desk", attention_mode: str = "rma",

@@ -17,10 +17,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .backbone import FrameTriplet, ReferenceSlot
+from .backbone import FrameTriplet
 from .data import SequenceRecord, StaticRecord
 from .decoder import ERROR_TARGETS, PredictionPair
-from .model import SRRNet
+from .model import ReferenceSlot, SRRNet
 from .nn import AdamW, save_checkpoint
 from .tensor import ConfigurationError, Tensor
 
@@ -196,14 +196,7 @@ class InferenceSession:
         self.model = model
         self.reference_mode = reference_mode
         self.rng = np.random.default_rng(seed)
-        self.memory: Optional[MemoryState] = None
-        self.prev_img: Optional[np.ndarray] = None
-        self.prev_msk: Optional[np.ndarray] = None
-        self.frame_counter = 0
-        self._history: list[tuple[np.ndarray, np.ndarray]] = []  # random mode only
-        # the model's encoding of the current reference input, kept across
-        # frames; the model refills it whenever the reference input changes
-        self.reference_slot = ReferenceSlot()
+        self.memory: Optional[MemoryState] = None  # None until start()
 
     def start(self, first_frame: np.ndarray):
         """Initialize from the first frame: P = R = frame, masks zero, S = 1."""
@@ -214,7 +207,9 @@ class InferenceSession:
         self.prev_img = first_frame
         self.prev_msk = zeros
         self.frame_counter = 0
-        self._history = []
+        self._history: list[tuple[np.ndarray, np.ndarray]] = []  # random mode only
+        # the model's encoding of the current reference input and its
+        # collapsed decoder, kept across frames and refilled by the model
         self.reference_slot = ReferenceSlot()
         return self
 

@@ -5,8 +5,8 @@ import pytest
 
 from srrnet import nn
 from srrnet import tensor as T
-from srrnet.backbone import FrameTriplet, ReferenceSlot, RMABackbone, StageReference
-from srrnet.model import SRRNet, build_model, preset_config
+from srrnet.backbone import FrameTriplet, PyramidFeatures, RMABackbone
+from srrnet.model import ReferenceSlot, SRRNet, build_model, preset_config
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
 
@@ -185,10 +185,11 @@ def test_slot_arrays_own_their_buffers(rng, attention_mode):
     slot = ReferenceSlot()
     with T.no_grad():
         model(FrameTriplet(triplet.c_img, triplet.p_in, triplet.r_in, reference=slot))
-    for stage, reference in zip(model.backbone.stages, slot.stages):
-        kv = [t for block_kv in reference.kv if block_kv is not None for t in block_kv]
+    reference = slot.reference
+    for stage, r_map, stage_kv in zip(model.backbone.stages, reference.r, reference.kv):
+        kv = [t for block_kv in stage_kv if block_kv is not None for t in block_kv]
         assert len(kv) == (0 if attention_mode == "self_only" else 2 * len(stage.blocks))
-        for t in [reference.r_map, *kv]:
+        for t in [r_map, *kv]:
             assert t.data.flags.owndata
 
 
@@ -207,7 +208,25 @@ def test_slot_copies_read_like_the_views_they_replace(monkeypatch, desk_model, r
             return desk_model(FrameTriplet(second.c_img, second.p_in, first.r_in, reference=slot))
 
     copied = reuse()
-    monkeypatch.setattr(StageReference, "owned", lambda self: self)
+    monkeypatch.setattr(PyramidFeatures, "reference", lambda self: self)
     viewed = reuse()
     np.testing.assert_array_equal(copied.supervision_logits.data, viewed.supervision_logits.data)
     np.testing.assert_array_equal(copied.o_err.data, viewed.o_err.data)
+
+
+def test_backbone_neither_reads_nor_writes_the_slot(desk_model, rng):
+    """Only ``SRRNet.__call__`` touches the slot: the backbone is a function of its arguments."""
+    first, second = make_triplet(rng), make_triplet(rng)
+    slot = ReferenceSlot()
+    with T.no_grad():
+        desk_model(FrameTriplet(first.c_img, first.p_in, first.r_in, reference=slot))
+    fields = dict(vars(slot))
+    assert slot.reference is not None and slot.collapse is not None
+    with T.no_grad():  # a slot filled from another reference input: reading it would show
+        slotted = desk_model.backbone(FrameTriplet(second.c_img, second.p_in, second.r_in,
+                                                   reference=slot))
+        plain = desk_model.backbone(second)
+    for branch in ("c", "p", "r"):
+        for got, expected in zip(getattr(slotted, branch), getattr(plain, branch)):
+            np.testing.assert_array_equal(got.data, expected.data)
+    assert all(getattr(slot, name) is value for name, value in fields.items())

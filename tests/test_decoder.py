@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srrnet import tensor as T
-from srrnet.backbone import PyramidFeatures, ReferenceSlot
+from srrnet.backbone import PyramidFeatures
 from srrnet.decoder import (
     ERROR_TARGETS,
     DecoderConfig,
@@ -16,7 +16,7 @@ from srrnet.decoder import (
     mae_score,
 )
 from srrnet.gradcheck import gradcheck_model
-from srrnet.model import build_model
+from srrnet.model import ReferenceSlot, build_model
 from srrnet.pipeline import compute_loss
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
@@ -85,7 +85,7 @@ def test_decoder_projections_get_at_most_3d_operands(desk_model, rng, monkeypatc
     """
     dec = desk_model.decoder
     collapses, calls = [], []
-    real_collapse, real_matmul = DualPurposeDecoder._collapse, T.matmul
+    real_collapse, real_matmul = DualPurposeDecoder.collapse, T.matmul
 
     def keeping_collapse(self):
         collapses.append(real_collapse(self))
@@ -95,7 +95,7 @@ def test_decoder_projections_get_at_most_3d_operands(desk_model, rng, monkeypatc
         calls.append((a.ndim, b))  # b is kept alive, so no later tensor reuses its id
         return real_matmul(a, b)
 
-    monkeypatch.setattr(DualPurposeDecoder, "_collapse", keeping_collapse)
+    monkeypatch.setattr(DualPurposeDecoder, "collapse", keeping_collapse)
     monkeypatch.setattr(T, "matmul", recording_matmul)
     triplet = make_triplet(rng, size=64)
     desk_model(triplet)
@@ -159,7 +159,7 @@ def test_gradcheck_covers_the_signed_error_head():
 def test_fuse_stage_resizes_to_common_grid(desk_model, rng):
     features = desk_model.backbone(make_triplet(rng, size=64))
     dec = desk_model.decoder
-    collapse = dec.collapsed(None)
+    collapse = dec.collapse()
     for i in range(4):
         fused = dec.fuse_stage(features.c[i], features.p[i], features.r[i], 16, 16, i,
                                collapse)
@@ -168,7 +168,7 @@ def test_fuse_stage_resizes_to_common_grid(desk_model, rng):
 
 def test_fuse_stage_shape_errors(desk_model, rng):
     dec = desk_model.decoder
-    collapse = dec.collapsed(None)
+    collapse = dec.collapse()
     a = Tensor(rng.normal(size=(1, 8, 4, 4)))
     b = Tensor(rng.normal(size=(1, 8, 8, 8)))
     with pytest.raises(ShapeMismatchError):
@@ -237,7 +237,7 @@ def test_collapsed_decoder_matches_the_factored_chain(widths, ch_prime, ch_doubl
             branch.append(Tensor(rng.normal(size=shape), requires_grad=True))
     with T.no_grad():
         plain = factored_decoder(dec, features, height, width)
-        collapsed = dec(features, height, width, ReferenceSlot())
+        collapsed = dec(features, height, width, dec.collapse())
     for name in ("mask_logits", "supervision_logits", "o_err"):
         got, expected = getattr(collapsed, name).data, getattr(plain, name).data
         assert got.shape == expected.shape, name

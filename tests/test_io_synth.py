@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from srrnet.data import DatasetError, load_sequence, load_static_pool, load_video_dataset
+from srrnet.data import (DatasetError, load_sequence, load_static_pool, load_video_dataset,
+                         sequence_dirs)
 from srrnet.pnm import (
     PnmParseError,
     read_frame,
@@ -250,6 +251,17 @@ def test_load_video_dataset_layouts(tmp_path):
     empty.mkdir()
     with pytest.raises(DatasetError):
         load_video_dataset(empty)
+
+
+def test_sequence_dirs_are_sorted_subdirectories_or_the_root(tmp_path):
+    root = tmp_path / "data"
+    for name in ("b", "a"):
+        (root / name).mkdir(parents=True)
+    (root / "notes.txt").write_text("not a sequence")
+    assert sequence_dirs(root) == [root / "a", root / "b"]
+    bare = root / "a"
+    (bare / "00000.ppm").write_bytes(b"")
+    assert sequence_dirs(bare) == [bare]
 
 
 def test_load_static_pool(tmp_path):

@@ -298,6 +298,15 @@ def test_evaluate_dataset_perfect_predictions(tmp_path):
     assert report.aggregation == "per_sequence"
 
 
+def test_evaluate_dataset_bare_sequence_directory(tmp_path):
+    """A ground-truth directory without subdirectories is one sequence, read flat."""
+    _write_mask_dir(tmp_path, "gt", [_blob(2), _blob(4)])
+    _write_mask_dir(tmp_path, "pred", [_blob(2), _blob(4)])
+    report = evaluate_dataset(tmp_path / "pred", tmp_path / "gt")
+    assert [(s.name, s.n_frames) for s in report.per_sequence] == [("gt", 2)]
+    assert report.mae == 0.0
+
+
 def test_evaluate_dataset_macro_vs_flat(tmp_path):
     gt_root = tmp_path / "gt"
     pred_root = tmp_path / "pred"

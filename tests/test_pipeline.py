@@ -9,11 +9,11 @@ import pytest
 
 from srrnet import tensor as T
 from srrnet.attention import ATTENTION_MODES
-from srrnet.backbone import FrameTriplet, ReferenceSlot, RMABackbone
+from srrnet.backbone import FrameTriplet
 from srrnet.data import SequenceRecord, StaticRecord
 from srrnet.decoder import (ERROR_TARGETS, DualPurposeDecoder, PredictionPair,
                             binary_mask_from_logits, mae_score)
-from srrnet.model import build_model
+from srrnet.model import ReferenceSlot, SRRNet, build_model
 from srrnet.nn import AdamW, load_checkpoint, save_checkpoint, weights_key
 from srrnet.pipeline import (
     InferenceSession,
@@ -432,19 +432,19 @@ def test_cached_session_matches_uncached_model(slot_frames, reference_mode, atte
 
 
 def _count_refills(monkeypatch):
-    """The ``r_in`` of every call that refills its triplet's reference slot."""
+    """The ``r_in`` of every model call that refills its triplet's reference slot."""
     refills = []
-    real = RMABackbone.__call__
+    real = SRRNet.__call__
 
     def counting(self, triplet):
         slot = triplet.reference
-        before = None if slot is None else slot.stages
-        features = real(self, triplet)
-        if slot is not None and slot.stages is not None and slot.stages is not before:
+        before = None if slot is None else slot.reference
+        pred = real(self, triplet)
+        if slot is not None and slot.reference is not None and slot.reference is not before:
             refills.append(slot.r_in.copy())
-        return features
+        return pred
 
-    monkeypatch.setattr(RMABackbone, "__call__", counting)
+    monkeypatch.setattr(SRRNet, "__call__", counting)
     return refills
 
 
@@ -473,16 +473,16 @@ def test_full_attention_never_caches_the_reference(monkeypatch, slot_frames):
     for frame in slot_frames[:3]:
         session.step(frame)
     assert calls == []
-    assert session.reference_slot.stages is None
+    assert session.reference_slot.reference is None
 
 
 def test_session_start_empties_the_reference_slot(slot_frames):
     session = InferenceSession(build_model("desk", seed=0)).start(slot_frames[0])
-    assert session.reference_slot.stages is None
+    assert session.reference_slot.reference is None
     session.step(slot_frames[0])
-    assert session.reference_slot.stages is not None
+    assert session.reference_slot.reference is not None
     session.start(slot_frames[1])
-    assert session.reference_slot.stages is None
+    assert session.reference_slot.reference is None
     assert session.reference_slot.r_in is None
 
 
@@ -496,8 +496,7 @@ def test_reference_slot_is_refilled_for_another_model(slot_frames):
             cached = model(FrameTriplet(Tensor(c), Tensor(pr), Tensor(pr), reference=slot))
             plain = model(FrameTriplet(Tensor(c), Tensor(pr), Tensor(pr),
                                        reference=ReferenceSlot()))
-            assert slot.reference_key == weights_key(model.backbone)
-            assert slot.collapse_key == weights_key(model.decoder)
+            assert slot.key == weights_key(model)
             np.testing.assert_array_equal(cached.o_err.data, plain.o_err.data)
 
 
@@ -509,7 +508,7 @@ def test_filled_slot_is_ignored_with_grad_on(slot_frames):
     slot = ReferenceSlot()
     with T.no_grad():
         model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r), reference=slot))
-    assert slot.stages is not None
+    assert slot.reference is not None
 
     grads = []
     for reference in (slot, None):
@@ -555,8 +554,7 @@ def test_slot_filled_before_a_weight_change_is_rebuilt(change, slot_frames, tmp_
     assert kept.score == fresh.score
     np.testing.assert_array_equal(kept.o_msk, fresh.o_msk)
     np.testing.assert_array_equal(kept.o_err, fresh.o_err)
-    assert sessions[0].reference_slot.collapse_key == weights_key(model.decoder)
-    assert sessions[0].reference_slot.reference_key == weights_key(model.backbone)
+    assert sessions[0].reference_slot.key == weights_key(model)
 
 
 # a non-square extent catches a transposed tap or a padding offset that square inputs hide
@@ -582,7 +580,7 @@ def test_slotted_forward_matches_the_factored_decoder(extent, error_target, atte
                                  model.backbone(FrameTriplet(Tensor(c), Tensor(p), Tensor(r))),
                                  height, width)
         collapsed = model(FrameTriplet(Tensor(c), Tensor(p), Tensor(r), reference=slot))
-    assert slot.collapse_key == weights_key(model.decoder) and slot.collapse is not None
+    assert slot.key == weights_key(model) and slot.collapse is not None
     for name in ("mask_logits", "supervision_logits", "o_err"):
         got, expected = getattr(collapsed, name).data, getattr(plain, name).data
         assert got.shape == expected.shape, name
@@ -594,13 +592,13 @@ def test_slotted_forward_matches_the_factored_decoder(extent, error_target, atte
 def test_fold_is_built_once_per_session(monkeypatch, slot_frames, tmp_path):
     """The collapse is built on a session's first frame, and again only when stale."""
     builds = []
-    real = DualPurposeDecoder._collapse
+    real = DualPurposeDecoder.collapse
 
     def counting(self):
         builds.append(self)
         return real(self)
 
-    monkeypatch.setattr(DualPurposeDecoder, "_collapse", counting)
+    monkeypatch.setattr(DualPurposeDecoder, "collapse", counting)
     model = build_model("desk", seed=0)
     session = InferenceSession(model, reference_mode="off").start(slot_frames[0])
     for frame in slot_frames:
@@ -627,7 +625,7 @@ def test_fold_is_built_once_per_session(monkeypatch, slot_frames, tmp_path):
         other(FrameTriplet(Tensor(slot_frames[1][None]), Tensor(pr), Tensor(pr),
                            reference=session.reference_slot))
     assert builds == [model.decoder] * 3 + [other.decoder]
-    assert session.reference_slot.collapse_key == weights_key(other.decoder)
+    assert session.reference_slot.key == weights_key(other)
 
 
 DECODER_SPANS = {"fuse_stage": 4, "fuse_all": 1, "predict_mask": 1, "predict_error": 1}
