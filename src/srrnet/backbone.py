@@ -6,17 +6,17 @@ a stack of asymmetric attention blocks, and reshapes the tokens back into
 feature maps. Stage ``i`` emits maps of extent ``H / 2^(i+1)``. The previous
 and reference branches share every weight set; the current branch has its own.
 
-A stage embeds the previous and reference branches stacked on the batch axis,
-keeps them stacked through every block (see ``attention.RMABlock``) and splits
-them after its last norm, so every weight they share is read once per stage
-for both. Where the attention mode lets R read only R (every mode but
-``full``), R's encoding does not depend on C or P: a stage either runs C, P
-and R jointly and returns R's output map and each block's cross keys/values,
-or runs C and P alone against that map and those keys/values from an earlier
-pass, exactly the ops of P alone. The backbone is a pure function of its
-arguments: ``PyramidFeatures.reference()`` copies R's half of a joint pass,
-and whoever keeps it across calls (``model.SRRNet``, in the triplet's
-reference slot) decides when it is still valid.
+The backbone stacks the previous and reference branches on the batch axis
+once, at its input; every stage and block keeps them stacked (see
+``attention.RMABlock``), so every weight they share is read once per stage for
+both, and the backbone splits each stage's P/R output map for the grid. Where
+the attention mode lets R read only R (every mode but ``full``), R's encoding
+does not depend on C or P: the backbone either runs C, P and R jointly, or C
+and P alone against R's maps and cross keys/values from an earlier pass,
+exactly the ops of P alone. The backbone is a pure function of its arguments:
+``PyramidFeatures.reference()`` copies R's half of a joint pass, and whoever
+keeps it across calls (``model.SRRNet``, in the triplet's reference slot)
+decides when it is still valid.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ class FrameTriplet:
     reference: Optional[object] = None  # the slot of ``model.SRRNet``; see ``model``
 
     def __post_init__(self):
-        for name in ("c_img", "p_in", "r_in"):
-            value = getattr(self, name)
-            if not isinstance(value, Tensor):
-                setattr(self, name, Tensor(value))
         if self.c_img.shape[1] != 3 or self.p_in.shape[1] != 4 or self.r_in.shape[1] != 4:
             raise T.ShapeMismatchError(
                 f"triplet channels must be 3/4/4, got {self.c_img.shape[1]}/{self.p_in.shape[1]}/{self.r_in.shape[1]}")
@@ -142,25 +138,22 @@ class BackboneStage(Module):
         self.norm_c = LayerNorm(cfg.channels)
         self.norm_pr = LayerNorm(cfg.channels)
 
-    def __call__(self, c_map: Tensor, p_map: Tensor, r_map: Tensor, kv: Optional[list] = None):
-        """Stage outputs ``(c, p, r, kv)``: the branch maps and each block's R cross ``(k, v)``.
+    def __call__(self, c_map: Tensor, pr_map: Tensor, kv: Optional[list] = None):
+        """Stage outputs ``(c, pr, kv)``: the C map, the P/R map and each block's R cross ``(k, v)``.
 
-        Without ``kv``, C, P and R run jointly from their input maps. With
-        R's ``kv`` from an earlier pass (valid only where R reads only R),
-        ``r_map`` is R's output map of that pass: C and P run against ``kv``,
-        and ``r_map`` and ``kv`` are returned as given.
+        ``pr_map`` holds P and R stacked on the batch axis, or P alone when
+        ``kv`` gives R's cross keys/values from an earlier pass; the output
+        map is stacked like it, and the returned ``kv`` is R's, computed here
+        or given.
         """
         c, h, w = self.embed_c(c_map)
-        pr, _, _ = self.embed_pr(p_map if kv is not None else T.concat([p_map, r_map], axis=0))
+        pr, _, _ = self.embed_pr(pr_map)
         kv_out = []
         for i, block in enumerate(self.blocks):
             c, pr, kv_r = block(c, pr, h, w, None if kv is None else kv[i])
             kv_out.append(kv_r)
-        p = self.norm_pr(pr)
-        if kv is None:
-            p, r = split_batch(p, 2)
-            r_map, kv = _tokens_to_map(r, h, w), kv_out
-        return _tokens_to_map(self.norm_c(c), h, w), _tokens_to_map(p, h, w), r_map, kv
+        return (_tokens_to_map(self.norm_c(c), h, w),
+                _tokens_to_map(self.norm_pr(pr), h, w), kv_out)
 
 
 class RMABackbone(Module):
@@ -186,18 +179,18 @@ class RMABackbone(Module):
                  reference: Optional[PyramidFeatures] = None) -> PyramidFeatures:
         """The 4 x 3 feature grid; the triplet's slot is neither read nor written.
 
-        ``reference`` holds R's maps and cross keys/values from an earlier
-        pass over the same ``r_in`` (``PyramidFeatures.reference()``; valid
-        only where R reads only R): every stage then skips R and returns them
-        as given. Without it, C, P and R run jointly.
+        Without ``reference``, P and R are stacked once, here, and run jointly
+        with C. ``reference`` holds R's maps and cross keys/values from an
+        earlier pass over the same ``r_in`` (``PyramidFeatures.reference()``;
+        valid only where R reads only R): P then runs alone against them.
         """
         features = PyramidFeatures()
-        c, p, r = triplet.c_img, triplet.p_in, triplet.r_in
+        joint = reference is None
+        c = triplet.c_img
+        pr = T.concat([triplet.p_in, triplet.r_in], axis=0) if joint else triplet.p_in
         for i, stage in enumerate(self.stages):
-            if reference is None:
-                c, p, r, kv = stage(c, p, r)
-            else:
-                c, p, r, kv = stage(c, p, reference.r[i], reference.kv[i])
+            c, pr, kv = stage(c, pr, None if joint else reference.kv[i])
+            p, r = split_batch(pr, 2) if joint else (pr, reference.r[i])
             features.c.append(c)
             features.p.append(p)
             features.r.append(r)

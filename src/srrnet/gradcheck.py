@@ -12,7 +12,7 @@ from .backbone import FrameTriplet
 from .decoder import PredictionPair, mae_score
 from .model import SRRNet
 from .pipeline import compute_loss
-from .tensor import Tensor
+from .tensor import ConfigurationError, Tensor
 
 FD_STEP = 1e-4
 DEFAULT_TOL = 1e-3
@@ -72,6 +72,10 @@ def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
     are drawn in [-1, 1] at a reduced spatial extent to keep the full sweep
     fast; the graph is identical in structure at any valid extent.
     """
+    if samples_per_param < 1:
+        raise ConfigurationError(f"samples_per_param must be at least 1, got {samples_per_param}")
+    if not tol > 0:
+        raise ConfigurationError(f"tol must be positive, got {tol}")
     rng = np.random.default_rng(seed)
     triplet = FrameTriplet(
         Tensor(rng.uniform(-1.0, 1.0, size=(1, 3, size, size))),

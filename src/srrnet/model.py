@@ -128,9 +128,13 @@ def load_model(path) -> SRRNet:
     stored = read_checkpoint_config(path)
     if stored is None:
         raise ValueError(f"checkpoint {path} holds no model config")
-    stages = [StageConfig(**{**s, "attention": AttentionConfig(**s["attention"])})
-              for s in stored["stages"]]
-    model = SRRNet(ModelConfig(stages=stages, decoder=DecoderConfig(**stored["decoder"]),
-                               attention_mode=stored["attention_mode"]))
+    try:
+        stages = [StageConfig(**{**s, "attention": AttentionConfig(**s["attention"])})
+                  for s in stored["stages"]]
+        model = SRRNet(ModelConfig(stages=stages, decoder=DecoderConfig(**stored["decoder"]),
+                                   attention_mode=stored["attention_mode"]))
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"checkpoint {path} holds a model config that does not build a "
+                         f"model: {type(exc).__name__}: {exc}") from exc
     load_checkpoint(path, model)
     return model

@@ -117,15 +117,23 @@ def sample_static_triplet(pool: Sequence[StaticRecord],
     )
 
 
+def _branch_input(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """A P or R model input: the frame with its mask appended, 1 x 4 x H x W."""
+    return np.concatenate([frame, mask], axis=0)[None]
+
+
 def triplet_to_input(trip: TrainTriplet) -> tuple[FrameTriplet, np.ndarray]:
-    c = trip.c_img[None]
-    p = np.concatenate([trip.p_img, trip.p_seg], axis=0)[None]
-    r = np.concatenate([trip.r_img, trip.r_seg], axis=0)[None]
-    return FrameTriplet(Tensor(c), Tensor(p), Tensor(r)), trip.c_gt[None]
+    return FrameTriplet(Tensor(trip.c_img[None]), Tensor(_branch_input(trip.p_img, trip.p_seg)),
+                        Tensor(_branch_input(trip.r_img, trip.r_seg))), trip.c_gt[None]
 
 
 # ---------------------------------------------------------------------------
 # augmentation
+
+
+def _check_crop(crop: Optional[int], h: int, w: int):
+    if crop is not None and (crop > h or crop > w):
+        raise ConfigurationError(f"crop {crop} exceeds the {h}x{w} frame extent")
 
 
 def _augment(trip: TrainTriplet, rng: np.random.Generator,
@@ -143,6 +151,7 @@ def _augment(trip: TrainTriplet, rng: np.random.Generator,
     crop = schedule.crop
     if crop is not None:
         h, w = arrays[0].shape[-2:]
+        _check_crop(crop, h, w)
         if crop < h or crop < w:
             top = int(rng.integers(0, h - crop + 1))
             left = int(rng.integers(0, w - crop + 1))
@@ -157,19 +166,16 @@ def _augment(trip: TrainTriplet, rng: np.random.Generator,
 
 @dataclass
 class MemoryState:
-    """Stored reference frame, its mask, and the best score seen so far."""
+    """R's model input (the reference frame with its mask, 1 x 4 x H x W) and the best score so far."""
 
-    r_img: np.ndarray
-    r_msk: np.ndarray
+    r_in: np.ndarray
     score: float = 1.0
     ref_frame_index: int = 0
 
-    def update(self, frame_index: int, frame: np.ndarray, mask: np.ndarray,
-               score: float) -> bool:
+    def update(self, frame_index: int, r_in: np.ndarray, score: float) -> bool:
         """Replace the reference iff the new score is strictly smaller."""
         if score < self.score:
-            self.r_img = frame
-            self.r_msk = mask
+            self.r_in = r_in
             self.score = score
             self.ref_frame_index = frame_index
             return True
@@ -199,13 +205,14 @@ class InferenceSession:
         self.memory: Optional[MemoryState] = None  # None until start()
 
     def start(self, first_frame: np.ndarray):
-        """Initialize from the first frame: P = R = frame, masks zero, S = 1."""
+        """Initialize from the first frame: P = R = the frame with a zero mask, S = 1.
+
+        A frame's model input is built once, when its prediction is committed:
+        it is the next P and, while its score is the best so far, R.
+        """
         first_frame = np.asarray(first_frame, dtype=np.float64)
-        zeros = np.zeros((1,) + first_frame.shape[1:])
-        self.memory = MemoryState(r_img=first_frame, r_msk=zeros,
-                                  score=1.0, ref_frame_index=0)
-        self.prev_img = first_frame
-        self.prev_msk = zeros
+        self.prev_in = _branch_input(first_frame, np.zeros((1,) + first_frame.shape[1:]))
+        self.memory = MemoryState(r_in=self.prev_in)
         self.frame_counter = 0
         self._history: list[tuple[np.ndarray, np.ndarray]] = []  # random mode only
         # the model's encoding of the current reference input and its
@@ -217,24 +224,21 @@ class InferenceSession:
         if self.memory is None:
             raise RuntimeError("session not initialized; call start() first")
         frame = np.asarray(frame, dtype=np.float64)
-        if frame.shape != self.prev_img.shape:
+        expected = (self.prev_in.shape[1] - 1,) + self.prev_in.shape[2:]
+        if frame.shape != expected:
             raise ConfigurationError(
-                f"frame shape changed mid-sequence: {frame.shape} vs {self.prev_img.shape}")
+                f"frame shape changed mid-sequence: {frame.shape} vs {expected}")
 
         if self.reference_mode == "off":
-            r_img, r_msk = self.prev_img, self.prev_msk
+            r_in = self.prev_in
         elif self.reference_mode == "random" and self._history:
             pick = int(self.rng.integers(0, len(self._history)))
-            r_img, r_msk = self._history[pick]
+            r_in = _branch_input(*self._history[pick])
         else:
-            r_img, r_msk = self.memory.r_img, self.memory.r_msk
+            r_in = self.memory.r_in
 
-        triplet = FrameTriplet(
-            Tensor(frame[None]),
-            Tensor(np.concatenate([self.prev_img, self.prev_msk], axis=0)[None]),
-            Tensor(np.concatenate([r_img, r_msk], axis=0)[None]),
-            reference=self.reference_slot,
-        )
+        triplet = FrameTriplet(Tensor(frame[None]), Tensor(self.prev_in), Tensor(r_in),
+                               reference=self.reference_slot)
         with T.no_grad():
             pred = self.model(triplet)
         o_msk = pred.o_msk[0]
@@ -242,9 +246,8 @@ class InferenceSession:
         score = pred.score_value
         index = self.frame_counter
 
-        updated = self.memory.update(index, frame, o_msk, score)
-        self.prev_img = frame
-        self.prev_msk = o_msk
+        self.prev_in = _branch_input(frame, o_msk)
+        updated = self.memory.update(index, self.prev_in, score)
         if self.reference_mode == "random":
             self._history.append((frame, o_msk))
         self.frame_counter += 1
@@ -351,8 +354,12 @@ def train(model: SRRNet, schedule: TrainSchedule, out_dir,
           progress: Optional[Callable[[int, dict], None]] = None) -> TrainResult:
     """Static pretrain then video fine-tune; either stage may be skipped.
 
-    Writes ``loss.csv`` and ``checkpoint.npz`` into ``out_dir``.
+    Writes ``loss.csv`` and ``checkpoint.npz`` into ``out_dir``. A crop
+    larger than any given frame or pool image is refused before any step.
     """
+    for image in ([f for seq in video_sequences or () for f in seq.frames]
+                  + [rec.image for rec in static_pool or ()]):
+        _check_crop(schedule.crop, *image.shape[-2:])
     rng = np.random.default_rng(schedule.seed)
     out_dir = Path(out_dir)
     result = TrainResult(checkpoint_path=out_dir / "checkpoint.npz",

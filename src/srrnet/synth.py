@@ -44,11 +44,10 @@ class SynthParams:
             raise ConfigurationError("occlusion_prob must be in [0, 1]")
 
 
-def _value_noise(rng: np.random.Generator, size: int, grain: int,
-                 channels: int = 3) -> np.ndarray:
-    """Smooth per-channel value noise in [0, 1], grain = feature size in pixels."""
+def _value_noise(rng: np.random.Generator, size: int, grain: int) -> np.ndarray:
+    """Smooth 3-channel value noise in [0, 1], grain = feature size in pixels."""
     coarse = max(2, size // max(1, grain))
-    grid = rng.random((channels, coarse, coarse))
+    grid = rng.random((3, coarse, coarse))
     return np.clip(resize_array(grid, size, size), 0.0, 1.0)
 
 
@@ -134,6 +133,8 @@ def generate_sequence(params: SynthParams, out_dir) -> Path:
 
 def generate_static_pool(seed: int, images: int, size: int, out_dir) -> Path:
     """Write a static pretraining pool with a per-image category manifest."""
+    if images < 1:
+        raise ConfigurationError(f"static pool images must be at least 1, got {images}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = []

@@ -100,14 +100,6 @@ def test_frame_triplet_validation(rng):
                      Tensor(rng.normal(size=(1, 4, 48, 48))))
 
 
-def test_frame_triplet_coerces_arrays(rng):
-    trip = FrameTriplet(rng.normal(size=(1, 3, 32, 32)),
-                        rng.normal(size=(1, 4, 32, 32)),
-                        rng.normal(size=(1, 4, 32, 32)))
-    assert isinstance(trip.c_img, Tensor)
-    assert trip.height == 32 and trip.width == 32
-
-
 def test_backbone_config_validation(rng):
     stages = preset_config("desk").stages
     gen = np.random.default_rng(0)
@@ -175,6 +167,30 @@ def test_shared_weights_are_read_once_for_p_and_r(monkeypatch, rng):
                         assert reads[id(weights.sr.weight)] == [batch] * 2
     assert [hasattr(stage.blocks[0].ref, "sr") for stage in model.backbone.stages] == \
         [True, True, True, False]
+
+
+def test_p_and_r_are_stacked_once_per_forward(monkeypatch, desk_model, rng):
+    """A slot miss or a grad-on forward stacks P and R on the batch axis once; a slot hit never."""
+    stackings = []
+    concat = T.concat
+
+    def counted_concat(tensors, axis):
+        tensors = list(tensors)
+        if axis == 0 and all(t.ndim == 4 for t in tensors):  # maps; the cross stage stacks tokens
+            stackings.append(len(tensors))
+        return concat(tensors, axis)
+
+    monkeypatch.setattr(T, "concat", counted_concat)
+    triplet = make_triplet(rng)
+    slot = ReferenceSlot()
+    for expected in ([2], []):  # the first call fills the slot, the second reuses it
+        stackings.clear()
+        with T.no_grad():
+            desk_model(FrameTriplet(triplet.c_img, triplet.p_in, triplet.r_in, reference=slot))
+        assert stackings == expected
+    stackings.clear()
+    desk_model(triplet)  # the tape on: the joint route
+    assert stackings == [2]
 
 
 @pytest.mark.parametrize("attention_mode", ["rma", "self_only"])

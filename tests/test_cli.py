@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, config files, exit codes."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -168,12 +169,13 @@ def test_train_resume_refuses_contradicting_flags(workspace, full_signed_run, ca
                                                ("--video-lr", "-1", "video_lr"),
                                                ("--gamma", "-1", "gamma"),
                                                ("--crop", "40", "crop"),
+                                               ("--crop", "96", "crop"),
                                                ("--mask-dropout", "1.5", "mask_dropout")])
-def test_train_rejects_out_of_range_inputs(workspace, capsys, flag, value, field):
+def test_train_rejects_out_of_range_inputs(workspace, tmp_path, capsys, flag, value, field):
     assert run_cli("train", "--video-data", str(workspace / "video"),
-                   "--out", str(workspace / "rejected"), flag, value) == 1
+                   "--out", str(tmp_path / "rejected"), flag, value) == 1
     assert field in capsys.readouterr().err
-    assert not (workspace / "rejected").exists()
+    assert not (tmp_path / "rejected").exists()
 
 
 @pytest.mark.parametrize("command, flag", [("infer", "--preset"), ("infer", "--attention-mode"),
@@ -229,6 +231,39 @@ def test_gradcheck_command(capsys):
     assert run_cli("gradcheck", "--preset", "desk", "--size", "32",
                    "--samples-per-param", "1", "--seed", "0") == 0
     assert "gradcheck passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value, field", [("--samples-per-param", "0", "samples_per_param"),
+                                               ("--tol", "0", "tol")])
+def test_gradcheck_rejects_a_check_that_checks_nothing(capsys, flag, value, field):
+    """No sampled entry, or no tolerance an error can stay under, is a failed run."""
+    assert run_cli("gradcheck", "--preset", "desk", flag, value) == 1
+    captured = capsys.readouterr()
+    assert field in captured.err and "gradcheck passed" not in captured.out
+
+
+def test_synth_rejects_a_static_pool_of_no_images(tmp_path, capsys):
+    assert run_cli("synth", "--out", str(tmp_path / "pool"), "--static-pool", "-3") == 1
+    assert "images" in capsys.readouterr().err
+    assert not (tmp_path / "pool").exists()
+
+
+@pytest.mark.parametrize("edit", [lambda cfg: cfg["decoder"].update(dropout=0.1),
+                                  lambda cfg: cfg.pop("stages")],
+                         ids=["unknown_field", "missing_field"])
+def test_infer_rejects_a_checkpoint_config_that_builds_no_model(workspace, tmp_path, capsys,
+                                                                edit):
+    """An unknown or a missing config field is the CLI's error line, naming the checkpoint."""
+    path = tmp_path / "doctored.npz"
+    with np.load(workspace / "run" / "checkpoint.npz") as blob:
+        arrays = {name: blob[name] for name in blob.files}
+    config = json.loads(str(arrays["__config__"]))
+    edit(config)
+    arrays["__config__"] = np.asarray(json.dumps(config))
+    np.savez(path, **arrays)
+    assert run_cli("infer", "--data", str(workspace / "video" / "seq0"),
+                   "--checkpoint", str(path), "--out", str(tmp_path / "out")) == 1
+    assert f"error: checkpoint {path} " in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -19,6 +19,8 @@ from srrnet.pipeline import (
     InferenceSession,
     MemoryState,
     TrainSchedule,
+    TrainTriplet,
+    _augment,
     compute_loss,
     infer_sequence,
     sample_static_triplet,
@@ -223,12 +225,12 @@ def prefix_argmin(scores):
 
 
 def test_memory_state_strictly_smaller_update():
-    mem = MemoryState(r_img=np.zeros(1), r_msk=np.zeros(1))
+    mem = MemoryState(r_in=np.zeros(1))
     assert mem.score == 1.0
-    assert mem.update(1, np.ones(1), np.ones(1), 0.5)
-    assert not mem.update(2, np.zeros(1), np.zeros(1), 0.5)  # tie keeps older
+    assert mem.update(1, np.ones(1), 0.5)
+    assert not mem.update(2, np.zeros(1), 0.5)  # tie keeps older
     assert mem.ref_frame_index == 1
-    assert mem.update(3, np.zeros(1), np.zeros(1), 0.4999)
+    assert mem.update(3, np.zeros(1), 0.4999)
     assert mem.ref_frame_index == 3
 
 
@@ -238,10 +240,10 @@ def test_memory_state_matches_prefix_argmin_oracle():
         n = int(gen.integers(1, 60))
         # quantized scores force ties to exercise the earliest-minimum rule
         scores = list(np.round(gen.random(n), 1))
-        mem = MemoryState(r_img=np.zeros(1), r_msk=np.zeros(1))
+        mem = MemoryState(r_in=np.zeros(1))
         trace = []
         for t, s in enumerate(scores):
-            mem.update(t, np.zeros(1), np.zeros(1), float(s))
+            mem.update(t, np.zeros(1), float(s))
             trace.append(mem.ref_frame_index)
         # the memory seeds at score 1.0 on frame 0, beaten only by strict <
         expected = []
@@ -314,6 +316,17 @@ def test_session_reference_mode_off_duplicates_previous():
     for t, trip in enumerate(model.triplets):
         np.testing.assert_array_equal(trip.r_in.data, trip.p_in.data)
         np.testing.assert_array_equal(trip.c_img.data[0], frames[t])
+
+
+def test_session_reuses_its_inputs_without_rebuilding_them():
+    """Each input is built once: an unchanged reference, and off mode's R, are P's buffer."""
+    model = StubModel(scores=[1.0] * 5)  # never below the initial score: R stays frame 0
+    infer_sequence(model, _frames(5), reference_mode="scored")
+    first = model.triplets[0].r_in.data
+    assert all(np.shares_memory(trip.r_in.data, first) for trip in model.triplets)
+    model = StubModel(scores=[0.5, 0.4, 0.3, 0.2])
+    infer_sequence(model, _frames(4), reference_mode="off")
+    assert all(np.shares_memory(trip.r_in.data, trip.p_in.data) for trip in model.triplets)
 
 
 def test_session_scored_mode_feeds_best_frame():
@@ -752,6 +765,14 @@ def test_train_schedule_rejects_out_of_range_fields(field, value):
 def test_train_schedule_accepts_range_ends():
     TrainSchedule(crop=64, mask_dropout=0.0, gamma=0.0)
     TrainSchedule(mask_dropout=1.0)
+
+
+def test_augment_refuses_a_crop_larger_than_either_extent():
+    """A 64 crop of a 32 x 64 frame would draw its top from an empty range."""
+    frame, mask = np.zeros((3, 32, 64)), np.zeros((1, 32, 64))
+    trip = TrainTriplet(frame, mask, frame, mask, frame, mask, 0, 0, 0)
+    with pytest.raises(ConfigurationError, match="crop 64 exceeds the 32x64 frame extent"):
+        _augment(trip, np.random.default_rng(0), TrainSchedule(crop=64))
 
 
 def test_train_stage_requirements(tmp_path):
