@@ -18,23 +18,35 @@ lets information flow strictly R -> P -> C: R reads only R, P reads P+R and
 C reads C+P+R. ``motion_only`` drops R from C and P, ``full`` gives every
 branch all three, and ``self_only`` (an empty entry) has no cross stage.
 
-``scaled_dot_attention`` runs its ``matmul -> softmax -> matmul`` chain over
-blocks of query rows, as FlashAttention does over query tiles (Dao et al.,
-arXiv 2205.14135), so that one block's scores and probabilities stay in
-cache instead of streaming two full score buffers through memory. The
-budget, ``SCORE_TILE`` = 2**16 score entries per block (512 KB of float64,
-about 1 MB with the probabilities), sits one doubling below a 2 MB per-core
-L2: on a 2-core x86 host with one BLAS thread, desk@128 frames took 111-143
-ms with blocks of 2**18 or 2**19 entries, where the pair outgrows L2, and
-108-117 ms unsplit. In paired 25 s ``stream_desk128`` runs 2**16 beat 2**17
-in 5 of 5 pairs (frame median 61.99 against 72.22 ms) and read 65.5 against
-66.2 ms at another seed (2 of 3 pairs), likely because a 2**17 block's
-P.V GEMM at head dim 8 crosses OpenBLAS's small-matrix cut-off (M*N*K of
-1M). The rows are spread evenly over the fewest blocks that fit the budget.
-Rows are independent, so blocking changes only the GEMM row counts: results
-agree with the unsplit chain to rounding. An attention whose scores fit one
-block runs exactly the unsplit ops: every one at full@64, and at desk@128
-those of stages 3 and 4.
+``scaled_dot_attention`` scales the queries by 1/sqrt(d) once, before the
+heads are split, and runs ``softmax(matmul(q, k^T), v)`` over blocks of
+query rows. ``tensor.softmax(scores, v)`` is softmax(scores) @ v as one
+primitive that normalizes after the P.V product, as FlashAttention does
+(Dao et al., arXiv 2205.14135): it divides the n_q x d output by the row
+sums instead of dividing the n_q x n_k probabilities, and skips the row-max
+shift while the scores are small (see ``tensor.softmax``). With the scale on
+the n_q x d queries, a score takes a max, an exp and a sum where it took a
+scale, max, subtract, exp, sum and divide: the ``stream_desk128`` frame
+median went 63.8 -> 49.5 ms over 10 alternating pairs (2-core x86, one
+BLAS thread). Values agree with the normalize-then-multiply chain to 1e-13
+relative and gradients to 1e-12; whole sessions keep the same masks and
+reference frames, with error maps and scores within 1e-12.
+
+The blocks keep one block's scores and exponentials in cache instead of
+streaming two full score buffers through memory. The budget, ``SCORE_TILE``
+= 2**16 score entries per block (512 KB of float64, about 1 MB with the
+exponentials), sits one doubling below a 2 MB per-core L2: on a 2-core x86
+host with one BLAS thread, desk@128 frames took 111-143 ms with blocks of
+2**18 or 2**19 entries, where the pair outgrows L2, and 108-117 ms unsplit.
+In paired 25 s ``stream_desk128`` runs 2**16 beat 2**17 in 5 of 5 pairs
+(frame median 61.99 against 72.22 ms) and read 65.5 against 66.2 ms at
+another seed (2 of 3 pairs), likely because a 2**17 block's P.V GEMM at
+head dim 8 crosses OpenBLAS's small-matrix cut-off (M*N*K of 1M). These
+block-size measurements predate the fused softmax. The rows are spread
+evenly over the fewest blocks that fit the budget. Rows are independent, so
+blocking changes only the GEMM row counts: results agree with the unsplit
+chain to rounding. An attention whose scores fit one block runs exactly the
+unsplit ops: every one at full@64, and at desk@128 those of stages 3 and 4.
 """
 
 from __future__ import annotations
@@ -82,7 +94,7 @@ class AttentionConfig:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head softmax(QK^T / sqrt(d))V with merged heads, in query-row blocks.
+    """Multi-head softmax((Q / sqrt(d)) K^T) V with merged heads, in query-row blocks.
 
     Each block's score tensor holds at most ``SCORE_TILE`` entries (and at
     least one query row), and the rows are spread evenly over the fewest
@@ -97,17 +109,16 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     if k.shape != v.shape or k.shape[-1] != channels:
         raise T.ShapeMismatchError(f"key/value shapes disagree with query: {k.shape}/{v.shape} vs {q.shape}")
     head_dim = channels // heads
-    scale = 1.0 / math.sqrt(head_dim)
 
     def split(x, n):
         return T.transpose(T.reshape(x, (batch, n, heads, head_dim)), (0, 2, 1, 3))
 
-    qh = split(q, n_q)
+    qh = split(q * (1.0 / math.sqrt(head_dim)), n_q)
     kt = T.transpose(split(k, n_k), (0, 1, 3, 2))
     vh = split(v, n_k)
 
     def attend(qb):
-        return T.matmul(T.softmax(T.matmul(qb, kt), scale=scale), vh)
+        return T.softmax(T.matmul(qb, kt), vh)
 
     blocks = -(-n_q // max(1, SCORE_TILE // (batch * heads * n_k)))
     if blocks == 1:

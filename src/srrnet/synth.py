@@ -36,8 +36,8 @@ class SynthParams:
     def __post_init__(self):
         if not 0.0 <= self.contrast <= 1.0:
             raise ConfigurationError(f"contrast must be in [0, 1], got {self.contrast}")
-        if self.size % 32:
-            raise ConfigurationError(f"size must be divisible by 32, got {self.size}")
+        if self.size < 32 or self.size % 32:
+            raise ConfigurationError(f"size must be a positive multiple of 32, got {self.size}")
         if self.frames < 1:
             raise ConfigurationError("need at least one frame")
         if not 0.0 <= self.occlusion_prob <= 1.0:

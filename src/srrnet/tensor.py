@@ -1,13 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation used by the network (matmul, conv2d, softmax, layer norm,
-bilinear resize, the fused losses) is implemented here as a differentiable
-primitive. Values are always float64: gradient checks against central finite
-differences need the precision.
+Every operation used by the network (matmul, conv2d, attention's
+softmax-times-values, layer norm, bilinear resize, the fused losses) is
+implemented here as a differentiable primitive. Values are always float64:
+gradient checks against central finite differences need the precision.
 
 Buffer rule: a primitive returns a buffer it allocated itself and may fill
-that buffer in place (softmax does), but it never writes into an input's
-``data``; backward closures read inputs and outputs after the forward pass.
+that buffer, or a scratch buffer it allocated, in place (softmax exponentiates
+its own copy of the scores and divides its own output), but it never writes
+into an input's ``data``; backward closures read inputs and outputs after the
+forward pass.
 """
 
 from __future__ import annotations
@@ -189,8 +191,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(data, (a, b), bwd)
 
@@ -321,18 +325,56 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # nonlinearities
 
 
-def softmax(a: Tensor, scale: float = 1.0) -> Tensor:
-    """softmax(a * scale) along the last axis, computed in place in one fresh buffer."""
-    y = a.data * scale
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+# Row maxima within this bound keep exp's largest entry of every row between
+# e^-64 and e^64 (1.6e-28 to 6.2e27): no row sum can overflow or vanish.
+EXP_SHIFT_FREE = 64.0
+
+
+def softmax(a: Tensor, v: Tensor) -> Tensor:
+    """softmax(a) @ v, the softmax along the last axis of ``a``, as one primitive.
+
+    The rows are normalized after the product, as FlashAttention does (Dao et
+    al., arXiv 2205.14135): the unnormalized exponentials ``e`` go into the
+    GEMM and the n x d output is divided by their row sums, so the n x m
+    probabilities are never formed, forward or backward. ``e`` is the one
+    buffer the size of ``a``; the backward uses FlashAttention's row term
+    D = rowsum(g * out).
+
+    The shift by the row maxima only guards ``exp`` against overflow and
+    cancels in the division, so it is skipped while every row maximum lies
+    in [-EXP_SHIFT_FREE, EXP_SHIFT_FREE]. That saves a pass that costs about
+    as much as the ``exp``: numpy subtracts a broadcast column at ~1.1 ns an
+    entry and exponentiates at ~1.0 (2-core x86).
+    """
+    if a.ndim < 2 or v.ndim < 2:
+        raise ShapeMismatchError(f"softmax needs >=2-d operands, got {a.shape} x {v.shape}")
+    if a.shape[-1] != v.shape[-2]:
+        raise ShapeMismatchError(f"softmax inner extents disagree: {a.shape} x {v.shape}")
+    peak = a.data.max(axis=-1, keepdims=True)
+    if np.abs(peak).max() <= EXP_SHIFT_FREE:
+        e = np.exp(a.data)
+    else:
+        e = a.data - peak
+        np.exp(e, out=e)
+    s = e.sum(axis=-1, keepdims=True)
+    out = np.matmul(e, v.data)
+    out /= s
 
     def bwd(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(a, y * (g - inner) * scale)
+        gs = g / s
+        if v.requires_grad:
+            _accumulate(v, _unbroadcast(np.matmul(np.swapaxes(e, -1, -2), gs), v.shape))
+        if a.requires_grad and a.shape[-1] == 1:
+            # over one entry the softmax is the constant 1, so this is exactly
+            # 0, where gs . v^T - D would leave the two sides' rounding
+            _accumulate(a, np.zeros(a.shape))
+        elif a.requires_grad:
+            ga = np.matmul(gs, np.swapaxes(v.data, -1, -2))
+            ga -= (g * out).sum(axis=-1, keepdims=True) / s
+            ga *= e
+            _accumulate(a, _unbroadcast(ga, a.shape))
 
-    return _make(y, (a,), bwd)
+    return _make(out, (a, v), bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -344,13 +386,12 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(y, (a,), bwd)
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    cdf = 0.5 * (1.0 + special.erf(x * _INV_SQRT2))
+    cdf = special.ndtr(x)
     y = x * cdf
 
     def bwd(g):

@@ -17,6 +17,8 @@ from srrnet.attention import (
     split_batch,
 )
 from srrnet.model import build_model
+from srrnet.pipeline import infer_sequence
+from srrnet.synth import SynthParams, generate_arrays
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
 from test_backbone import make_triplet
@@ -80,8 +82,8 @@ def _unsplit_attention(q, k, v, heads):
     def split(x, n):
         return T.transpose(T.reshape(x, (batch, n, heads, d)), (0, 2, 1, 3))
 
-    scores = T.matmul(split(q, n_q), T.transpose(split(k, n_k), (0, 1, 3, 2)))
-    out = T.matmul(T.softmax(scores, scale=1.0 / math.sqrt(d)), split(v, n_k))
+    scores = T.matmul(split(q * (1.0 / math.sqrt(d)), n_q), T.transpose(split(k, n_k), (0, 1, 3, 2)))
+    out = T.softmax(scores, split(v, n_k))
     return T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch, n_q, channels))
 
 
@@ -94,16 +96,16 @@ def _attention_and_grads(fn, q, k, v, heads, weight):
 
 
 class _SoftmaxRecorder:
-    """Wraps ``T.softmax``, recording the shape of every input."""
+    """Wraps ``T.softmax``, recording the shape of every score input."""
 
     def __init__(self, monkeypatch):
         self.shapes = []
         self._softmax = T.softmax
         monkeypatch.setattr(T, "softmax", self)
 
-    def __call__(self, a, scale=1.0):
+    def __call__(self, a, v):
         self.shapes.append(a.shape)
-        return self._softmax(a, scale)
+        return self._softmax(a, v)
 
 
 @given(batch=st.integers(1, 2), heads=st.sampled_from([1, 2, 4]), head_dim=st.integers(1, 3),
@@ -155,6 +157,36 @@ def test_desk128_score_blocks_fit_the_budget_and_cover_every_score(monkeypatch, 
     assert max(math.prod(s) for s in tiled.shapes) <= attention.SCORE_TILE
     assert (sum(math.prod(s) for s in tiled.shapes)
             == sum(math.prod(s) for s in unsplit.shapes))
+
+
+# ---------------------------------------------------------------------------
+# the fused softmax against the normalize-then-multiply chain
+
+
+def _softmax_probs(a):
+    """The probabilities softmax(a) along the last axis, off the tape."""
+    y = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    return Tensor(y / y.sum(axis=-1, keepdims=True))
+
+
+def _unfused_softmax(a, v):
+    """The oracle for ``T.softmax(a, v)``: normalize the scores, then multiply."""
+    return T.matmul(_softmax_probs(a), v)
+
+
+@pytest.mark.parametrize("preset, reference_mode, frames",
+                         [("desk", "scored", 6), ("desk", "random", 6), ("full", "scored", 3)])
+def test_sessions_match_the_unfused_softmax(monkeypatch, preset, reference_mode, frames):
+    model = build_model(preset, seed=0)
+    sequence, _ = generate_arrays(SynthParams(seed=4, frames=frames, size=64))
+    fused = infer_sequence(model, sequence, reference_mode=reference_mode, seed=3)
+    monkeypatch.setattr(T, "softmax", _unfused_softmax)
+    unfused = infer_sequence(model, sequence, reference_mode=reference_mode, seed=3)
+    assert [r.ref_frame_index for r in fused] == [r.ref_frame_index for r in unfused]
+    for mine, ref in zip(fused, unfused):
+        np.testing.assert_array_equal(mine.o_msk, ref.o_msk)
+        assert np.abs(mine.o_err - ref.o_err).max() <= 1e-12
+        assert abs(mine.score - ref.score) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,13 @@ def test_synth_rejects_a_static_pool_of_no_images(tmp_path, capsys):
     assert not (tmp_path / "pool").exists()
 
 
+@pytest.mark.parametrize("size", ["0", "-32"])
+def test_synth_rejects_a_size_below_32(tmp_path, size, capsys):
+    assert run_cli("synth", "--out", str(tmp_path / "seq"), "--size", size) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "size" in err
+
+
 @pytest.mark.parametrize("edit", [lambda cfg: cfg["decoder"].update(dropout=0.1),
                                   lambda cfg: cfg.pop("stages")],
                          ids=["unknown_field", "missing_field"])

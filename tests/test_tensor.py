@@ -27,16 +27,25 @@ def test_matmul_matches_numpy(rng):
 
 
 def test_softmax_rows_sum_to_one(rng):
-    y = T.softmax(Tensor(rng.normal(size=(3, 7)))).data
+    # against the identity, softmax(a) @ v is the probabilities themselves
+    y = T.softmax(Tensor(rng.normal(size=(3, 7))), Tensor(np.eye(7))).data
     np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-14)
     assert (y > 0).all()
 
 
 def test_softmax_shift_invariance(rng):
     x = rng.normal(size=(2, 5))
-    a = T.softmax(Tensor(x)).data
-    b = T.softmax(Tensor(x + 1000.0)).data
+    v = Tensor(rng.normal(size=(5, 3)))
+    a = T.softmax(Tensor(x), v).data
+    b = T.softmax(Tensor(x + 1000.0), v).data
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def test_softmax_rejects_disagreeing_extents():
+    with pytest.raises(ShapeMismatchError):
+        T.softmax(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+    with pytest.raises(ShapeMismatchError):
+        T.softmax(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
 
 def test_sigmoid_matches_expit(rng):
@@ -45,7 +54,7 @@ def test_sigmoid_matches_expit(rng):
 
 
 def test_gelu_matches_erf_form(rng):
-    x = rng.normal(size=(5,)) * 3
+    x = np.concatenate([rng.normal(size=100_000) * 3, np.linspace(-40.0, 40.0, 2001)])
     expected = x * 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
     np.testing.assert_allclose(T.gelu(Tensor(x)).data, expected, atol=1e-14)
 
@@ -284,38 +293,80 @@ def test_matmul_grads(rng):
 def test_softmax_sigmoid_gelu_grads(rng):
     a = leaf(rng, 2, 5)
     w = rng.normal(size=(2, 5))
-    assert_grad_matches(lambda: T.tensor_sum(T.softmax(a) * Tensor(w)), a)
-    assert_grad_matches(lambda: T.tensor_sum(T.softmax(a, scale=0.37) * Tensor(w)), a)
+    v = leaf(rng, 5, 3)
+    wv = rng.normal(size=(2, 3))
+    loss = lambda: T.tensor_sum(T.softmax(a, v) * Tensor(wv))
+    assert_grad_matches(loss, a)
+    assert_grad_matches(loss, v)
+    # a 4-d v broadcast over the batch and head axes of the scores
+    a4, v4 = leaf(rng, 2, 3, 4, 5), leaf(rng, 1, 1, 5, 2)
+    w4 = rng.normal(size=(2, 3, 4, 2))
+    loss4 = lambda: T.tensor_sum(T.softmax(a4, v4) * Tensor(w4))
+    assert_grad_matches(loss4, a4)
+    assert_grad_matches(loss4, v4)
     assert_grad_matches(lambda: T.tensor_sum(T.sigmoid(a) * Tensor(w)), a)
     assert_grad_matches(lambda: T.tensor_sum(T.gelu(a) * Tensor(w)), a)
 
 
-def _softmax_value_and_grad(a, w, fn):
+def _softmax_oracle(a, v, w):
+    """``(exp(a - max) / sum) @ v`` and the gradients of ``sum(out * w)``, from the probabilities."""
+    p = np.exp(a - a.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    dp = w @ np.swapaxes(v, -1, -2)
+    da = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
+    dv = np.swapaxes(p, -1, -2) @ w
+    dv = dv.sum(axis=tuple(range(dv.ndim - v.ndim)))
+    broadcast = tuple(i for i, n in enumerate(v.shape) if n == 1 and dv.shape[i] != 1)
+    return p @ v, da, dv.sum(axis=broadcast, keepdims=True)
+
+
+def _softmax_value_and_grads(a, v, w):
     a.zero_grad()
-    y = fn(a)
+    v.zero_grad()
+    y = T.softmax(a, v)
     T.backward(T.tensor_sum(y * Tensor(w)))
-    return y.data, a.grad
+    return y.data, a.grad, v.grad
 
 
-def test_softmax_scale_is_bitwise_prescaling(rng):
-    a = leaf(rng, 2, 3, 9)
-    w = rng.normal(size=a.shape)
-    scale = 1.0 / np.sqrt(8)
-    fused = _softmax_value_and_grad(a, w, lambda x: T.softmax(x, scale=scale))
-    prescaled = _softmax_value_and_grad(a, w, lambda x: T.softmax(x * scale))
-    np.testing.assert_array_equal(fused[0], prescaled[0])
-    np.testing.assert_array_equal(fused[1], prescaled[1])
+@given(lead=st.lists(st.integers(1, 3), max_size=2),
+       broadcast=st.lists(st.booleans(), min_size=2, max_size=2),
+       n=st.integers(1, 6), m=st.integers(1, 9), d=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
+       offset=st.sampled_from([0.0, 70.0, -1000.0]))  # 0: unshifted exp; else shifted
+def test_softmax_matches_the_unfused_oracle(lead, broadcast, n, m, d, seed, offset):
+    gen = np.random.default_rng(seed)
+    v_lead = tuple(1 if flat else extent for extent, flat in zip(lead, broadcast))
+    a = Tensor(gen.uniform(-3.0, 3.0, size=(*lead, n, m)) + offset, requires_grad=True)
+    v = Tensor(gen.normal(size=(*v_lead, m, d)), requires_grad=True)
+    w = gen.normal(size=(*lead, n, d))
+    _assert_softmax_matches_the_oracle(a, v, w)
+
+
+def _assert_softmax_matches_the_oracle(a, v, w):
+    got = _softmax_value_and_grads(a, v, w)
+    expected = _softmax_oracle(a.data, v.data, w)
+    for mine, ref, rtol in zip(got, expected, (1e-13, 1e-12, 1e-12)):
+        assert mine.shape == ref.shape
+        assert np.abs(mine - ref).max() <= rtol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("peak", [-T.EXP_SHIFT_FREE, T.EXP_SHIFT_FREE,
+                                  np.nextafter(T.EXP_SHIFT_FREE, np.inf)])
+def test_softmax_matches_the_oracle_at_the_shift_free_bound(rng, peak):
+    scores = rng.uniform(-40.0, 0.0, size=(2, 3, 600))
+    scores[..., 0] = 0.0
+    a = Tensor(scores + peak, requires_grad=True)  # every row maximum is ``peak``
+    v = Tensor(rng.normal(size=(600, 4)), requires_grad=True)
+    _assert_softmax_matches_the_oracle(a, v, rng.normal(size=(2, 3, 4)))
 
 
 def test_softmax_never_writes_its_input(rng):
-    a = leaf(rng, 4, 6)
-    before = a.data.copy()
+    a, v = leaf(rng, 4, 6), leaf(rng, 6, 3)
+    before = a.data.copy(), v.data.copy()
     with T.no_grad():
-        T.softmax(a, scale=2.5)
-    np.testing.assert_array_equal(a.data, before)
-    _softmax_value_and_grad(a, rng.normal(size=a.shape),
-                            lambda x: T.softmax(x, scale=2.5))
-    np.testing.assert_array_equal(a.data, before)
+        T.softmax(a, v)
+    _softmax_value_and_grads(a, v, rng.normal(size=(4, 3)))
+    np.testing.assert_array_equal(a.data, before[0])
+    np.testing.assert_array_equal(v.data, before[1])
 
 
 def test_scaled_dot_attention_same_with_and_without_tape(rng):
