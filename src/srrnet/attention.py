@@ -35,15 +35,9 @@ reference frames, with error maps and scores within 1e-12.
 The blocks keep one block's scores and exponentials in cache instead of
 streaming two full score buffers through memory. The budget, ``SCORE_TILE``
 = 2**16 score entries per block (512 KB of float64, about 1 MB with the
-exponentials), sits one doubling below a 2 MB per-core L2: on a 2-core x86
-host with one BLAS thread, desk@128 frames took 111-143 ms with blocks of
-2**18 or 2**19 entries, where the pair outgrows L2, and 108-117 ms unsplit.
-In paired 25 s ``stream_desk128`` runs 2**16 beat 2**17 in 5 of 5 pairs
-(frame median 61.99 against 72.22 ms) and read 65.5 against 66.2 ms at
-another seed (2 of 3 pairs), likely because a 2**17 block's P.V GEMM at
-head dim 8 crosses OpenBLAS's small-matrix cut-off (M*N*K of 1M). These
-block-size measurements predate the fused softmax. The rows are spread
-evenly over the fewest blocks that fit the budget. Rows are independent, so
+exponentials), sits one doubling below a 2 MB per-core L2, so one block's
+scores and exponentials fit it together. The rows are spread evenly over
+the fewest blocks that fit the budget. Rows are independent, so
 blocking changes only the GEMM row counts: results agree with the unsplit
 chain to rounding. An attention whose scores fit one block runs exactly the
 unsplit ops: every one at full@64, and at desk@128 those of stages 3 and 4.

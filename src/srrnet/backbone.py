@@ -31,6 +31,18 @@ from .attention import ATTENTION_MODES, AttentionConfig, RMABlock, split_batch
 from .nn import Conv2d, LayerNorm, Module
 from .tensor import ConfigurationError, Tensor
 
+# Stage 1 strides by 4 and stages 2-4 by 2 each (4 * 2 * 2 * 2 = 32): every
+# stage divides a side that 32 divides evenly, so stage i's maps are exactly
+# H / 2^(i+1).
+EXTENT_MULTIPLE = 32
+
+
+def check_extent(name: str, value: int):
+    """Refuse a frame side (or a size or crop that sets one) the stages cannot divide."""
+    if value <= 0 or value % EXTENT_MULTIPLE:
+        raise ConfigurationError(
+            f"{name} must be a positive multiple of {EXTENT_MULTIPLE}, got {value}")
+
 
 @dataclass
 class StageConfig:
@@ -65,8 +77,8 @@ class FrameTriplet:
         _, _, h, w = self.c_img.shape
         if self.p_in.shape[2:] != (h, w) or self.r_in.shape[2:] != (h, w):
             raise T.ShapeMismatchError("triplet spatial extents disagree")
-        if h % 32 or w % 32:
-            raise ConfigurationError(f"input extent {h}x{w} must be divisible by 32")
+        check_extent("input height", h)
+        check_extent("input width", w)
 
     @property
     def height(self) -> int:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import load_sequence, load_static_pool, load_video_dataset
-from .gradcheck import gradcheck_model
+from .gradcheck import DEFAULT_TOL, gradcheck_model
 from .metrics import evaluate_dataset, format_report_table, write_report_csv
 from .decoder import ERROR_TARGETS
 from .model import (FULL_SCALE_REFERENCE_PARAMS, PRESETS, SRRNet, build_model, load_model,
@@ -80,12 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic camouflage sequence")
     _add_common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--frames", type=int, default=16)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--contrast", type=float, default=0.35)
-    p.add_argument("--texture-grain", type=int, default=8)
-    p.add_argument("--motion-amplitude", type=float, default=3.0)
-    p.add_argument("--occlusion-prob", type=float, default=0.0)
+    p.add_argument("--frames", type=int, default=SynthParams.frames)
+    p.add_argument("--size", type=int, default=SynthParams.size)
+    p.add_argument("--contrast", type=float, default=SynthParams.contrast)
+    p.add_argument("--texture-grain", type=int, default=SynthParams.texture_grain)
+    p.add_argument("--motion-amplitude", type=float, default=SynthParams.motion_amplitude)
+    p.add_argument("--occlusion-prob", type=float, default=SynthParams.occlusion_prob)
     p.add_argument("--static-pool", type=int, default=0, metavar="N",
                    help="instead generate a static pretraining pool of N images")
 
@@ -95,16 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--video-data", type=str, default=None)
     p.add_argument("--static-data", type=str, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--static-iterations", type=int, default=0)
-    p.add_argument("--video-iterations", type=int, default=0)
-    p.add_argument("--static-lr", type=float, default=6e-5)
-    p.add_argument("--video-lr", type=float, default=1e-5)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--static-iterations", type=int, default=TrainSchedule.static_iterations)
+    p.add_argument("--video-iterations", type=int, default=TrainSchedule.video_iterations)
+    p.add_argument("--static-lr", type=float, default=TrainSchedule.static_lr)
+    p.add_argument("--video-lr", type=float, default=TrainSchedule.video_lr)
+    p.add_argument("--gamma", type=float, default=TrainSchedule.gamma)
     p.add_argument("--error-target", choices=ERROR_TARGETS, default="absolute",
                    help="what the error head predicts; stored in the checkpoint")
-    p.add_argument("--crop", type=int, default=None)
+    p.add_argument("--crop", type=int, default=TrainSchedule.crop)
     p.add_argument("--no-flip", action="store_true")
-    p.add_argument("--mask-dropout", type=float, default=0.0,
+    p.add_argument("--mask-dropout", type=float, default=TrainSchedule.mask_dropout,
                    help="probability of zeroing each mask input channel per sample")
     p.add_argument("--checkpoint", type=str, default=None,
                    help="resume from an existing checkpoint")
@@ -137,12 +137,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--samples-per-param", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser("params", help="parameter count per preset")
     _add_config(p)
     p.add_argument("--preset", choices=PRESETS, default="desk")
     return parser
+
+
+_BOOLEANS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
@@ -161,7 +164,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
                 if action.type is not None:
                     value = action.type(raw)
                 elif isinstance(action, argparse._StoreTrueAction):
-                    value = raw.lower() in ("1", "true", "yes")
+                    if raw.lower() not in _BOOLEANS:
+                        raise ValueError(f"config key {action.dest}={raw!r} is not one of "
+                                         f"{list(_BOOLEANS)}")
+                    value = _BOOLEANS[raw.lower()]
                 else:
                     value = raw
                 if action.choices is not None and value not in action.choices:

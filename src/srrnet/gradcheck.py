@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import FrameTriplet
-from .decoder import PredictionPair, mae_score
+from .backbone import FrameTriplet, check_extent
 from .model import SRRNet
 from .pipeline import compute_loss
 from .tensor import ConfigurationError, Tensor
@@ -44,7 +43,6 @@ def fd_gradient(loss_fn: Callable[[], Tensor], storage: np.ndarray,
 class ParamCheck:
     name: str
     max_rel_err: float
-    entries: int
 
 
 @dataclass
@@ -72,6 +70,7 @@ def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
     are drawn in [-1, 1] at a reduced spatial extent to keep the full sweep
     fast; the graph is identical in structure at any valid extent.
     """
+    check_extent("size", size)
     if samples_per_param < 1:
         raise ConfigurationError(f"samples_per_param must be at least 1, got {samples_per_param}")
     if not tol > 0:
@@ -88,7 +87,8 @@ def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
     # naive finite differencing: the error target comes from the argmax mask
     # (piecewise constant), and the error branch reads the mask logits through
     # a detach. Freeze both at their unperturbed values; the derivative being
-    # checked is exactly the one backward computes.
+    # checked is exactly the one backward computes. The loss replaces only the
+    # two outputs it differentiates in ``pred0``, so both stay frozen there.
     with T.no_grad():
         pred0 = model(triplet)
     error_target = model.config.decoder.error_target
@@ -96,10 +96,9 @@ def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
     def loss_fn() -> Tensor:
         dec = model.decoder
         f = dec.fuse(model.backbone(triplet), dec.collapse())
-        m, logits_full, _ = dec.predict_mask(f, size, size)
-        o_err = dec.predict_error(f, pred0.mask_logits)
-        pred = PredictionPair(mask_logits=m, supervision_logits=logits_full,
-                              o_msk=pred0.o_msk, o_err=o_err, score=mae_score(o_err))
+        _, logits_full, _ = dec.predict_mask(f, size, size)
+        pred = replace(pred0, supervision_logits=logits_full,
+                       o_err=dec.predict_error(f, pred0.mask_logits))
         return compute_loss(pred, gt, GAMMA, error_target)[0]
 
     report = GradCheckReport(tol=tol)
@@ -116,6 +115,6 @@ def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
         for i in indices:
             fd = fd_gradient(loss_fn, p.data, i)
             worst = max(worst, relative_error(fd, analytic[name][i]))
-        report.checks.append(ParamCheck(name=name, max_rel_err=worst, entries=n))
+        report.checks.append(ParamCheck(name=name, max_rel_err=worst))
     model.zero_grad()
     return report

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .backbone import FrameTriplet
+from .backbone import FrameTriplet, check_extent
 from .data import SequenceRecord, StaticRecord
 from .decoder import ERROR_TARGETS, PredictionPair
 from .model import ReferenceSlot, SRRNet
@@ -54,7 +54,7 @@ def compute_loss(pred: PredictionPair, gt: np.ndarray, gamma: float,
     raw = gt - pred.o_msk
     target = np.abs(raw) if error_target == "absolute" else raw
     if target.shape[2:] != tuple(o_err.shape[2:]):
-        target = T.resize_array(target, o_err.shape[2], o_err.shape[3])
+        target = T.bilinear_resize(Tensor(target), o_err.shape[2], o_err.shape[3]).data
     mse = T.mse(o_err, target)
     total = bce + gamma * mse
     return total, {"bce": float(bce.data), "mse": float(mse.data),
@@ -151,7 +151,6 @@ def _augment(trip: TrainTriplet, rng: np.random.Generator,
     crop = schedule.crop
     if crop is not None:
         h, w = arrays[0].shape[-2:]
-        _check_crop(crop, h, w)
         if crop < h or crop < w:
             top = int(rng.integers(0, h - crop + 1))
             left = int(rng.integers(0, w - crop + 1))
@@ -312,8 +311,8 @@ class TrainSchedule:
             if getattr(self, name) < 0:
                 raise ConfigurationError(
                     f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.crop is not None and (self.crop <= 0 or self.crop % 32):
-            raise ConfigurationError(f"crop must be a positive multiple of 32, got {self.crop}")
+        if self.crop is not None:
+            check_extent("crop", self.crop)
         if not 0.0 <= self.mask_dropout <= 1.0:
             raise ConfigurationError(f"mask_dropout must be in [0, 1], got {self.mask_dropout}")
 

@@ -15,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor as T
+from .backbone import check_extent
 from .pnm import write_frame, write_mask
-from .tensor import ConfigurationError, resize_array
+from .tensor import ConfigurationError, Tensor
 
 OBJECT_SCALE = 0.22  # object radius as a fraction of the frame extent
 POOL_CATEGORIES = 3  # static pool categories, each with its own texture grain
@@ -36,19 +38,18 @@ class SynthParams:
     def __post_init__(self):
         if not 0.0 <= self.contrast <= 1.0:
             raise ConfigurationError(f"contrast must be in [0, 1], got {self.contrast}")
-        if self.size < 32 or self.size % 32:
-            raise ConfigurationError(f"size must be a positive multiple of 32, got {self.size}")
+        check_extent("size", self.size)
         if self.frames < 1:
-            raise ConfigurationError("need at least one frame")
+            raise ConfigurationError(f"frames must be at least 1, got {self.frames}")
         if not 0.0 <= self.occlusion_prob <= 1.0:
-            raise ConfigurationError("occlusion_prob must be in [0, 1]")
+            raise ConfigurationError(f"occlusion_prob must be in [0, 1], got {self.occlusion_prob}")
 
 
 def _value_noise(rng: np.random.Generator, size: int, grain: int) -> np.ndarray:
     """Smooth 3-channel value noise in [0, 1], grain = feature size in pixels."""
     coarse = max(2, size // max(1, grain))
-    grid = rng.random((3, coarse, coarse))
-    return np.clip(resize_array(grid, size, size), 0.0, 1.0)
+    grid = rng.random((1, 3, coarse, coarse))
+    return np.clip(T.bilinear_resize(Tensor(grid), size, size).data[0], 0.0, 1.0)
 
 
 def _object_mask(size: int, cx: float, cy: float, rx: float, ry: float,

@@ -84,9 +84,6 @@ class Tensor:
         """Stop-gradient copy: same values, no tape participation."""
         return Tensor(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -102,17 +99,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(_ensure_tensor(other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return mul(self, _ensure_tensor(1.0 / other))
-
-    def __pow__(self, exponent):
-        return power(self, float(exponent))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _ensure_tensor(x) -> Tensor:
@@ -525,13 +511,6 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
         _accumulate(x, np.matmul(np.matmul(rows.T, g), cols))
 
     return _make(data, (x,), bwd)
-
-
-def resize_array(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Non-differentiable resize for plain arrays, same sampling convention."""
-    rows = _interp_matrix(out_h, x.shape[-2])
-    cols = _interp_matrix(out_w, x.shape[-1])
-    return np.matmul(np.matmul(rows, np.asarray(x, dtype=np.float64)), cols.T)
 
 
 # ---------------------------------------------------------------------------

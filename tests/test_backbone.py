@@ -98,6 +98,11 @@ def test_frame_triplet_validation(rng):
         FrameTriplet(Tensor(rng.normal(size=(1, 3, 48, 48))),
                      Tensor(rng.normal(size=(1, 4, 48, 48))),
                      Tensor(rng.normal(size=(1, 4, 48, 48))))
+    for h, w, side in ((0, 0, "height"), (64, 0, "width")):
+        with pytest.raises(ConfigurationError,
+                           match=f"input {side} must be a positive multiple of 32, got 0"):
+            FrameTriplet(Tensor(np.zeros((1, 3, h, w))), Tensor(np.zeros((1, 4, h, w))),
+                         Tensor(np.zeros((1, 4, h, w))))
 
 
 def test_backbone_config_validation(rng):

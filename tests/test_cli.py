@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from srrnet.cli import main
+from srrnet.cli import _apply_config_file, build_parser, main
 from srrnet.data import load_sequence
 from srrnet.model import build_model, load_model
 from srrnet.nn import load_checkpoint
@@ -234,9 +234,11 @@ def test_gradcheck_command(capsys):
 
 
 @pytest.mark.parametrize("flag, value, field", [("--samples-per-param", "0", "samples_per_param"),
-                                               ("--tol", "0", "tol")])
+                                               ("--tol", "0", "tol"), ("--size", "0", "size"),
+                                               ("--size", "-32", "size")])
 def test_gradcheck_rejects_a_check_that_checks_nothing(capsys, flag, value, field):
-    """No sampled entry, or no tolerance an error can stay under, is a failed run."""
+    """No sampled entry, no tolerance an error can stay under, or no extent the
+    stages divide is a failed run, naming the field."""
     assert run_cli("gradcheck", "--preset", "desk", flag, value) == 1
     captured = capsys.readouterr()
     assert field in captured.err and "gradcheck passed" not in captured.out
@@ -308,6 +310,15 @@ def test_config_file_values_must_meet_the_flag_choices(tmp_path, capsys):
     assert "preset" in capsys.readouterr().err
     cfg.write_text("preset=desk\n")
     assert run_cli("params", "--config", str(cfg)) == 0
+    # a store-true key takes true/false/yes/no/1/0 in any case, and nothing else
+    cfg.write_text("flat=maybe\n")
+    assert run_cli("eval", "--config", str(cfg), "--pred", "p", "--gt", "g") == 2
+    assert "config key flat='maybe' is not one of" in capsys.readouterr().err
+    for raw, flat in (("TRUE", True), ("No", False), ("1", True), ("0", False)):
+        cfg.write_text(f"flat={raw}\n")
+        args = _apply_config_file(build_parser(), ["eval", "--config", str(cfg),
+                                                   "--pred", "p", "--gt", "g"])
+        assert args.flat is flat
 
 
 def test_usage_errors_exit_2():
@@ -324,3 +335,8 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
                    "--gt", str(tmp_path / "nope")) == 1
     assert "error:" in capsys.readouterr().err
     assert run_cli("synth", "--out", str(tmp_path / "bad"), "--size", "31") == 1
+    assert "error: size must be a positive multiple of 32, got 31" in capsys.readouterr().err
+    assert run_cli("synth", "--out", str(tmp_path / "bad"), "--frames", "0") == 1
+    assert "error: frames must be at least 1, got 0" in capsys.readouterr().err
+    assert run_cli("synth", "--out", str(tmp_path / "bad"), "--occlusion-prob", "1.5") == 1
+    assert "error: occlusion_prob must be in [0, 1], got 1.5" in capsys.readouterr().err

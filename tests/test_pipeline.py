@@ -19,8 +19,6 @@ from srrnet.pipeline import (
     InferenceSession,
     MemoryState,
     TrainSchedule,
-    TrainTriplet,
-    _augment,
     compute_loss,
     infer_sequence,
     sample_static_triplet,
@@ -767,12 +765,18 @@ def test_train_schedule_accepts_range_ends():
     TrainSchedule(mask_dropout=1.0)
 
 
-def test_augment_refuses_a_crop_larger_than_either_extent():
-    """A 64 crop of a 32 x 64 frame would draw its top from an empty range."""
-    frame, mask = np.zeros((3, 32, 64)), np.zeros((1, 32, 64))
-    trip = TrainTriplet(frame, mask, frame, mask, frame, mask, 0, 0, 0)
-    with pytest.raises(ConfigurationError, match="crop 64 exceeds the 32x64 frame extent"):
-        _augment(trip, np.random.default_rng(0), TrainSchedule(crop=64))
+@pytest.mark.parametrize("h, w", [(32, 64), (64, 32)])
+def test_train_refuses_a_crop_larger_than_either_extent(tmp_path, h, w):
+    """A 64 crop of a 32 x 64 frame would draw its offset from an empty range."""
+    frames = [np.zeros((3, h, w))] * 2
+    sequence = SequenceRecord(name="wide", frames=frames, masks=[np.zeros((1, h, w))] * 2)
+    model = build_model("desk", seed=1)
+    before = [p.data.copy() for p in model.parameters()]
+    with pytest.raises(ConfigurationError, match=f"crop 64 exceeds the {h}x{w} frame extent"):
+        train(model, TrainSchedule(video_iterations=1, crop=64), tmp_path / "run",
+              video_sequences=[sequence])
+    for p, b in zip(model.parameters(), before):  # refused before any step
+        np.testing.assert_array_equal(p.data, b)
 
 
 def test_train_stage_requirements(tmp_path):
