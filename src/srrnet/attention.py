@@ -19,28 +19,20 @@ C reads C+P+R. ``motion_only`` drops R from C and P, ``full`` gives every
 branch all three, and ``self_only`` (an empty entry) has no cross stage.
 
 ``scaled_dot_attention`` scales the queries by 1/sqrt(d) once, before the
-heads are split, and runs ``softmax(matmul(q, k^T), v)`` over blocks of
-query rows. ``tensor.softmax(scores, v)`` is softmax(scores) @ v as one
-primitive that normalizes after the P.V product, as FlashAttention does
-(Dao et al., arXiv 2205.14135): it divides the n_q x d output by the row
-sums instead of dividing the n_q x n_k probabilities, and skips the row-max
-shift while the scores are small (see ``tensor.softmax``). With the scale on
-the n_q x d queries, a score takes a max, an exp and a sum where it took a
-scale, max, subtract, exp, sum and divide: the ``stream_desk128`` frame
-median went 63.8 -> 49.5 ms over 10 alternating pairs (2-core x86, one
-BLAS thread). Values agree with the normalize-then-multiply chain to 1e-13
+heads are split, and hands every (batch, head) slab to one
+``tensor.softmax(q, k, v)`` call: the whole attention core, softmax(q k^T)
+v. It runs the query rows in tiles whose scores stay in L2, writes every
+tile's scores into one buffer, normalizes after the P.V product as
+FlashAttention does (Dao et al., arXiv 2205.14135) and skips the row-max
+pass when a norm bound proves the scores small (see ``tensor.softmax``).
+Its output is a view of a B x n_q x H x d buffer, so merging the heads is
+a view too. Against the per-block loop it replaced (``narrow``, a scores
+``matmul`` against a strided k^T, a fresh score buffer per block, then
+``concat``), the ``stream_desk128`` frame median went 43.9 -> 34.2 ms over
+10 alternating pairs (2-core x86, one BLAS thread), with bitwise identical
+outputs. Values agree with the normalize-then-multiply chain to 1e-13
 relative and gradients to 1e-12; whole sessions keep the same masks and
 reference frames, with error maps and scores within 1e-12.
-
-The blocks keep one block's scores and exponentials in cache instead of
-streaming two full score buffers through memory. The budget, ``SCORE_TILE``
-= 2**16 score entries per block (512 KB of float64, about 1 MB with the
-exponentials), sits one doubling below a 2 MB per-core L2, so one block's
-scores and exponentials fit it together. The rows are spread evenly over
-the fewest blocks that fit the budget. Rows are independent, so
-blocking changes only the GEMM row counts: results agree with the unsplit
-chain to rounding. An attention whose scores fit one block runs exactly the
-unsplit ops: every one at full@64, and at desk@128 those of stages 3 and 4.
 """
 
 from __future__ import annotations
@@ -62,7 +54,6 @@ VISIBILITY = {
     "full": {"c": "cpr", "p": "cpr", "r": "cpr"},
 }
 ATTENTION_MODES = tuple(VISIBILITY)
-SCORE_TILE = 2 ** 16  # score entries per query-row block; see the module docstring
 
 
 def reference_is_separable(mode: str) -> bool:
@@ -88,16 +79,13 @@ class AttentionConfig:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head softmax((Q / sqrt(d)) K^T) V with merged heads, in query-row blocks.
+    """Multi-head softmax((Q / sqrt(d)) K^T) V with merged heads.
 
-    Each block's score tensor holds at most ``SCORE_TILE`` entries (and at
-    least one query row), and the rows are spread evenly over the fewest
-    blocks that allows; a problem that fits in one block runs unsplit.
+    Scales the queries, splits the heads, runs ``tensor.softmax`` once over
+    every (batch, head) slab and merges the heads, which is a view.
     """
     batch, n_q, channels = q.shape
     n_k = k.shape[1]
-    if n_k == 0:
-        raise ValueError("attention requires at least one key/value row")
     if channels % heads != 0:
         raise T.ShapeMismatchError(f"channels {channels} not divisible by heads {heads}")
     if k.shape != v.shape or k.shape[-1] != channels:
@@ -107,20 +95,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def split(x, n):
         return T.transpose(T.reshape(x, (batch, n, heads, head_dim)), (0, 2, 1, 3))
 
-    qh = split(q * (1.0 / math.sqrt(head_dim)), n_q)
-    kt = T.transpose(split(k, n_k), (0, 1, 3, 2))
-    vh = split(v, n_k)
-
-    def attend(qb):
-        return T.softmax(T.matmul(qb, kt), vh)
-
-    blocks = -(-n_q // max(1, SCORE_TILE // (batch * heads * n_k)))
-    if blocks == 1:
-        out = attend(qh)
-    else:  # spread the rows evenly: block sizes differ by at most one row
-        bounds = [i * n_q // blocks for i in range(blocks + 1)]
-        out = T.concat([attend(T.narrow(qh, 2, start, stop - start))
-                        for start, stop in zip(bounds, bounds[1:])], axis=2)
+    out = T.softmax(split(q * (1.0 / math.sqrt(head_dim)), n_q), split(k, n_k), split(v, n_k))
     return T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch, n_q, channels))
 
 

@@ -162,7 +162,11 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
             if action.dest in values:
                 raw = values[action.dest]
                 if action.type is not None:
-                    value = action.type(raw)
+                    try:
+                        value = action.type(raw)
+                    except ValueError:
+                        raise ValueError(f"config key {action.dest}={raw!r} is not a valid "
+                                         f"{action.type.__name__}") from None
                 elif isinstance(action, argparse._StoreTrueAction):
                     if raw.lower() not in _BOOLEANS:
                         raise ValueError(f"config key {action.dest}={raw!r} is not one of "

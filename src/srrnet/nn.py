@@ -143,8 +143,8 @@ class AdamW:
     """Adaptive moments with decoupled weight decay (``ADAMW_*``, ``WEIGHT_DECAY``)."""
 
     def __init__(self, params: list[Parameter], lr: float):
-        if lr < 0:
-            raise ConfigurationError(f"learning rate must be non-negative, got {lr}")
+        if not (math.isfinite(lr) and lr >= 0):
+            raise ConfigurationError(f"lr must be finite and non-negative, got {lr}")
         self.params = list(params)
         self.lr = lr
         self.t = 0

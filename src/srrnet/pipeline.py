@@ -10,6 +10,7 @@ prefix-argmin of the score stream (earliest minimum on ties).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -307,10 +308,14 @@ class TrainSchedule:
     log_every: int = 50
 
     def __post_init__(self):
-        for name in ("static_iterations", "video_iterations", "static_lr", "video_lr", "gamma"):
+        for name in ("static_iterations", "video_iterations"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(
                     f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("static_lr", "video_lr", "gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):  # NaN fails every comparison
+                raise ConfigurationError(f"{name} must be finite and non-negative, got {value}")
         if self.crop is not None:
             check_extent("crop", self.crop)
         if not 0.0 <= self.mask_dropout <= 1.0:

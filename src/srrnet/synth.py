@@ -43,6 +43,11 @@ class SynthParams:
             raise ConfigurationError(f"frames must be at least 1, got {self.frames}")
         if not 0.0 <= self.occlusion_prob <= 1.0:
             raise ConfigurationError(f"occlusion_prob must be in [0, 1], got {self.occlusion_prob}")
+        if self.texture_grain < 1:
+            raise ConfigurationError(f"texture_grain must be at least 1, got {self.texture_grain}")
+        if not (math.isfinite(self.motion_amplitude) and self.motion_amplitude >= 0):
+            raise ConfigurationError(
+                f"motion_amplitude must be finite and non-negative, got {self.motion_amplitude}")
 
 
 def _value_noise(rng: np.random.Generator, size: int, grain: int) -> np.ndarray:

@@ -1,15 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation used by the network (matmul, conv2d, attention's
-softmax-times-values, layer norm, bilinear resize, the fused losses) is
+Every operation used by the network (matmul, conv2d, the attention core
+softmax(q k^T) v, layer norm, bilinear resize, the fused losses) is
 implemented here as a differentiable primitive. Values are always float64:
 gradient checks against central finite differences need the precision.
 
 Buffer rule: a primitive returns a buffer it allocated itself and may fill
-that buffer, or a scratch buffer it allocated, in place (softmax exponentiates
-its own copy of the scores and divides its own output), but it never writes
-into an input's ``data``; backward closures read inputs and outputs after the
-forward pass.
+that buffer, or a scratch buffer it allocated, in place (softmax writes its
+scores into a buffer of its own and exponentiates them there; layer_norm
+normalizes its own centered copy), but it never writes into an input's
+``data``; backward closures read inputs and outputs after the forward pass.
 """
 
 from __future__ import annotations
@@ -308,59 +308,134 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# nonlinearities
+# attention
 
 
 # Row maxima within this bound keep exp's largest entry of every row between
 # e^-64 and e^64 (1.6e-28 to 6.2e27): no row sum can overflow or vanish.
 EXP_SHIFT_FREE = 64.0
+# Score entries per query-row tile. 2**16 float64 entries are 512 KB, one
+# doubling below a 2 MB per-core L2, so a tile's scores stay in cache from the
+# GEMM that writes them through the exp, the row sums and the P.V product.
+SCORE_TILE = 2 ** 16
+# A computed score, a computed norm and their product each carry a relative
+# rounding error of at most about d * 2**-53, far inside this margin for any
+# head dimension d below 2**30.
+_NORM_BOUND_MARGIN = 1.0 + 2.0 ** -20
 
 
-def softmax(a: Tensor, v: Tensor) -> Tensor:
-    """softmax(a) @ v, the softmax along the last axis of ``a``, as one primitive.
+def scores_shift_free(q: np.ndarray, k: np.ndarray) -> bool:
+    """Whether max |q_i| * max |k_j| proves every score q_i . k_j within +-EXP_SHIFT_FREE.
 
-    The rows are normalized after the product, as FlashAttention does (Dao et
-    al., arXiv 2205.14135): the unnormalized exponentials ``e`` go into the
-    GEMM and the n x d output is divided by their row sums, so the n x m
-    probabilities are never formed, forward or backward. ``e`` is the one
-    buffer the size of ``a``; the backward uses FlashAttention's row term
+    By Cauchy-Schwarz |q_i . k_j| <= |q_i| |k_j|. ``q`` and ``k`` are
+    ... x n x d; the maxima run over every row of each.
+    """
+    q_sq = np.einsum("...i,...i->...", q, q).max()
+    k_sq = np.einsum("...i,...i->...", k, k).max()
+    return bool(math.sqrt(q_sq * k_sq) * _NORM_BOUND_MARGIN <= EXP_SHIFT_FREE)
+
+
+def row_tiles(batch: int, heads: int, n_q: int, n_k: int) -> list:
+    """Query-row bounds ``[0, ..., n_q]`` of ``softmax``'s tiles.
+
+    Each tile's scores hold at most ``SCORE_TILE`` entries, or one query row
+    where one row alone holds more; the rows are spread evenly over the
+    fewest tiles that allows, so tile sizes differ by at most one row.
+    """
+    tiles = -(-n_q // max(1, SCORE_TILE // (batch * heads * n_k)))
+    return [i * n_q // tiles for i in range(tiles + 1)]
+
+
+def softmax(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """softmax(q k^T) v over (batch, head) slabs: the attention core as one primitive.
+
+    ``q`` is B x H x n_q x d, ``k`` B x H x n_k x d and ``v`` B x H x n_k x d_v.
+    The result is B x H x n_q x d_v, a view of a B x n_q x H x d_v buffer,
+    so merging the heads back into channels is a view as well.
+
+    The query rows run in the tiles of ``row_tiles``; rows are independent,
+    so tiling changes only GEMM row counts. k^T is made contiguous once per
+    call, so every tile's scores GEMM runs NN rather than against a strided
+    k^T view (31 against 49 us for a 21 x 3072 tile at d = 8, 2-core x86,
+    bitwise equal; at d = 64 the two may differ in the last bit). Each
+    tile's scores are written into one buffer, exponentiated in place,
+    multiplied into the output and normalized there, as FlashAttention does
+    (Dao et al., arXiv 2205.14135): the n_q x d_v output is divided by the
+    row sums, so the n_q x n_k probabilities are never formed. Off the tape
+    every tile reuses that one buffer; on it, each tile keeps its own
+    exponentials for the backward, which uses FlashAttention's row term
     D = rowsum(g * out).
 
     The shift by the row maxima only guards ``exp`` against overflow and
     cancels in the division, so it is skipped while every row maximum lies
-    in [-EXP_SHIFT_FREE, EXP_SHIFT_FREE]. That saves a pass that costs about
-    as much as the ``exp``: numpy subtracts a broadcast column at ~1.1 ns an
-    entry and exponentiates at ~1.0 (2-core x86).
+    in [-EXP_SHIFT_FREE, EXP_SHIFT_FREE]. Where q and k hold fewer entries
+    than the scores, the norm bound (``scores_shift_free``) reads them
+    instead of the scores, and when it proves every score within the bound
+    the whole call skips the row-max pass, which costs 0.20 ns a score entry
+    against the exp's 1.14 at desk@128 (2-core x86). Otherwise each tile
+    takes its maxima and shifts only if one lies outside the bound. Either
+    way a tile shifts exactly when its maxima leave the bound.
     """
-    if a.ndim < 2 or v.ndim < 2:
-        raise ShapeMismatchError(f"softmax needs >=2-d operands, got {a.shape} x {v.shape}")
-    if a.shape[-1] != v.shape[-2]:
-        raise ShapeMismatchError(f"softmax inner extents disagree: {a.shape} x {v.shape}")
-    peak = a.data.max(axis=-1, keepdims=True)
-    if np.abs(peak).max() <= EXP_SHIFT_FREE:
-        e = np.exp(a.data)
-    else:
-        e = a.data - peak
+    if q.ndim != 4 or k.ndim != 4 or v.ndim != 4:
+        raise ShapeMismatchError(f"softmax needs 4-d operands, got {q.shape}, {k.shape}, {v.shape}")
+    batch, heads, n_q, d = q.shape
+    n_k = k.shape[2]
+    if k.shape != (batch, heads, n_k, d) or v.shape[:3] != k.shape[:3]:
+        raise ShapeMismatchError(f"softmax operand shapes disagree: {q.shape}, {k.shape}, {v.shape}")
+    if n_k == 0:
+        raise ValueError("attention requires at least one key/value row")
+    d_v = v.shape[3]
+    kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+    # the bound reads q and k, the row maxima read the scores: the smaller wins
+    shift_free = (n_q + n_k) * d < n_q * n_k and scores_shift_free(q.data, k.data)
+    taped = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    bounds = row_tiles(batch, heads, n_q, n_k)
+    largest = bounds[-1] - bounds[-2]  # rows of the last tile, the largest
+    buf = None if taped else np.empty(batch * heads * largest * n_k)
+    out = np.empty((batch, n_q, heads, d_v))
+    outh = out.transpose(0, 2, 1, 3)
+    kept = []
+    for start, stop in zip(bounds, bounds[1:]):
+        shape = (batch, heads, stop - start, n_k)
+        e = np.empty(shape) if taped else buf[:math.prod(shape)].reshape(shape)
+        np.matmul(q.data[:, :, start:stop], kt, out=e)
+        if not shift_free:
+            peak = e.max(axis=-1, keepdims=True)
+            if np.abs(peak).max() > EXP_SHIFT_FREE:
+                e -= peak
         np.exp(e, out=e)
-    s = e.sum(axis=-1, keepdims=True)
-    out = np.matmul(e, v.data)
-    out /= s
+        s = e.sum(axis=-1, keepdims=True)
+        o = outh[:, :, start:stop]
+        np.matmul(e, v.data, out=o)
+        o /= s
+        if taped:
+            kept.append((start, stop, e, s))
 
     def bwd(g):
-        gs = g / s
-        if v.requires_grad:
-            _accumulate(v, _unbroadcast(np.matmul(np.swapaxes(e, -1, -2), gs), v.shape))
-        if a.requires_grad and a.shape[-1] == 1:
-            # over one entry the softmax is the constant 1, so this is exactly
-            # 0, where gs . v^T - D would leave the two sides' rounding
-            _accumulate(a, np.zeros(a.shape))
-        elif a.requires_grad:
-            ga = np.matmul(gs, np.swapaxes(v.data, -1, -2))
-            ga -= (g * out).sum(axis=-1, keepdims=True) / s
+        gq, gk, gv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+        vt = np.swapaxes(v.data, -1, -2)
+        for start, stop, e, s in kept:
+            gt = g[:, :, start:stop]
+            gs = gt / s
+            gv += np.matmul(np.swapaxes(e, -1, -2), gs)
+            if n_k == 1:
+                # over one key the softmax is the constant 1, so q and k get
+                # exactly 0, where gs . v^T - D would leave the two sides' rounding
+                continue
+            ga = np.matmul(gs, vt)
+            ga -= (gt * outh[:, :, start:stop]).sum(axis=-1, keepdims=True) / s
             ga *= e
-            _accumulate(a, _unbroadcast(ga, a.shape))
+            gq[:, :, start:stop] = np.matmul(ga, k.data)
+            gk += np.matmul(np.swapaxes(ga, -1, -2), q.data[:, :, start:stop])
+        _accumulate(q, gq)
+        _accumulate(k, gk)
+        _accumulate(v, gv)
 
-    return _make(out, (a, v), bwd)
+    return _make(outh, (q, k, v), bwd)
+
+
+# ---------------------------------------------------------------------------
+# nonlinearities
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -397,11 +472,12 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match channel extent {a.shape[-1]}"
         )
     mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
+    xhat = a.data - mu  # centered, then normalized in place
+    var = (xhat ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv
-    y = xhat * gamma.data + beta.data
+    xhat *= inv
+    y = xhat * gamma.data
+    y += beta.data
 
     def bwd(g):
         channels = a.shape[-1]

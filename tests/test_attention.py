@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from srrnet import attention
 from srrnet import tensor as T
 from srrnet.attention import (
     ATTENTION_MODES,
@@ -71,41 +70,32 @@ def test_scaled_dot_attention_errors(rng):
 
 
 # ---------------------------------------------------------------------------
-# query-row blocks
+# query-row tiles
 
 
-def _unsplit_attention(q, k, v, heads):
-    """The attention chain as one block: the ops ``scaled_dot_attention`` runs unsplit."""
-    batch, n_q, channels = q.shape
-    n_k, d = k.shape[1], channels // heads
-
-    def split(x, n):
-        return T.transpose(T.reshape(x, (batch, n, heads, d)), (0, 2, 1, 3))
-
-    scores = T.matmul(split(q * (1.0 / math.sqrt(d)), n_q), T.transpose(split(k, n_k), (0, 1, 3, 2)))
-    out = T.softmax(scores, split(v, n_k))
-    return T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch, n_q, channels))
-
-
-def _attention_and_grads(fn, q, k, v, heads, weight):
-    """``fn``'s output and the gradients of q, k, v under the loss mean(out * weight)."""
+def _attention_and_grads(q, k, v, heads, weight):
+    """Attention's output and the gradients of q, k, v under the loss mean(out * weight)."""
     qt, kt, vt = (Tensor(x, requires_grad=True) for x in (q, k, v))
-    out = fn(qt, kt, vt, heads)
+    out = scaled_dot_attention(qt, kt, vt, heads)
     T.backward(T.mean(out * Tensor(weight)))
     return out.data, qt.grad, kt.grad, vt.grad
 
 
-class _SoftmaxRecorder:
-    """Wraps ``T.softmax``, recording the shape of every score input."""
+class _TileRecorder:
+    """Wraps ``T.row_tiles``, recording each call's score entries per tile."""
 
     def __init__(self, monkeypatch):
-        self.shapes = []
-        self._softmax = T.softmax
-        monkeypatch.setattr(T, "softmax", self)
+        self.tiles = []  # per call: (rows of each tile, score entries of one row)
+        self._row_tiles = T.row_tiles
+        monkeypatch.setattr(T, "row_tiles", self)
 
-    def __call__(self, a, v):
-        self.shapes.append(a.shape)
-        return self._softmax(a, v)
+    def __call__(self, batch, heads, n_q, n_k):
+        bounds = self._row_tiles(batch, heads, n_q, n_k)
+        self.tiles.append(([b - a for a, b in zip(bounds, bounds[1:])], batch * heads * n_k))
+        return bounds
+
+    def entries(self):
+        return [rows * row for call, row in self.tiles for rows in call]
 
 
 @given(batch=st.integers(1, 2), heads=st.sampled_from([1, 2, 4]), head_dim=st.integers(1, 3),
@@ -118,49 +108,65 @@ def test_row_blocks_match_one_block(batch, heads, head_dim, n_q, n_k, tile, seed
     channels = heads * head_dim
     q, k, v = (gen.normal(size=(batch, n, channels)) for n in (n_q, n_k, n_k))
     weight = gen.normal(size=(batch, n_q, channels))
-    expected = _attention_and_grads(_unsplit_attention, q, k, v, heads, weight)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(attention, "SCORE_TILE", tile)
-        recorder = _SoftmaxRecorder(patch)
-        got = _attention_and_grads(scaled_dot_attention, q, k, v, heads, weight)
-    row = batch * heads * n_k  # one query row's scores, the smallest block
-    assert all(math.prod(s) <= max(tile, row) for s in recorder.shapes)
-    assert len(recorder.shapes) == math.ceil(n_q / max(1, tile // row))  # the fewest blocks
-    rows = [s[2] for s in recorder.shapes]
+        patch.setattr(T, "SCORE_TILE", 2 ** 62)
+        expected = _attention_and_grads(q, k, v, heads, weight)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(T, "SCORE_TILE", tile)
+        recorder = _TileRecorder(patch)
+        got = _attention_and_grads(q, k, v, heads, weight)
+    (rows, row), = recorder.tiles  # one softmax call, one row's scores the smallest tile
+    assert all(r * row <= max(tile, row) for r in rows)
+    assert len(rows) == math.ceil(n_q / max(1, tile // row))  # the fewest tiles
     assert sum(rows) == n_q
     assert max(rows) - min(rows) <= 1
     for mine, ref in zip(got, expected):
         assert np.abs(mine - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def _unsplit_chain(q, k, v, heads):
+    """The ops of a one-tile ``scaled_dot_attention`` forward, in numpy."""
+    batch, n_q, channels = q.shape
+    d = channels // heads
+
+    def split(x):
+        return x.reshape(x.shape[0], x.shape[1], heads, d).transpose(0, 2, 1, 3)
+
+    scores = np.matmul(split(q * (1.0 / math.sqrt(d))),
+                       np.ascontiguousarray(np.swapaxes(split(k), -1, -2)))
+    e = np.exp(scores)  # scores this small take no shift
+    out = np.matmul(e, split(v)) / e.sum(axis=-1, keepdims=True)
+    return out.transpose(0, 2, 1, 3).reshape(batch, n_q, channels)
+
+
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_one_block_is_the_unsplit_chain_bitwise(rng, heads):
     q, k, v = (rng.normal(size=(2, n, 8)) for n in (9, 13, 13))
-    weight = rng.normal(size=(2, 9, 8))
-    got = _attention_and_grads(scaled_dot_attention, q, k, v, heads, weight)
-    expected = _attention_and_grads(_unsplit_attention, q, k, v, heads, weight)
-    for mine, ref in zip(got, expected):
-        np.testing.assert_array_equal(mine, ref)
+    expected = _unsplit_chain(q, k, v, heads)
+    taped = scaled_dot_attention(*(Tensor(x, requires_grad=True) for x in (q, k, v)), heads)
+    np.testing.assert_array_equal(taped.data, expected)
+    with T.no_grad():  # the reused score buffer takes the same values
+        np.testing.assert_array_equal(
+            scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), heads).data, expected)
 
 
 def test_desk128_score_blocks_fit_the_budget_and_cover_every_score(monkeypatch, desk_model, rng):
     triplet = make_triplet(rng, size=128)
     with monkeypatch.context() as patch:
-        patch.setattr(attention, "SCORE_TILE", 2 ** 62)
-        unsplit = _SoftmaxRecorder(patch)
+        patch.setattr(T, "SCORE_TILE", 2 ** 62)
+        unsplit = _TileRecorder(patch)
         with T.no_grad():
             desk_model(triplet)
-    tiled = _SoftmaxRecorder(monkeypatch)
+    tiled = _TileRecorder(monkeypatch)
     with T.no_grad():
         desk_model(triplet)
-    assert max(math.prod(s) for s in unsplit.shapes) > attention.SCORE_TILE
-    assert max(math.prod(s) for s in tiled.shapes) <= attention.SCORE_TILE
-    assert (sum(math.prod(s) for s in tiled.shapes)
-            == sum(math.prod(s) for s in unsplit.shapes))
+    assert max(unsplit.entries()) > T.SCORE_TILE
+    assert max(tiled.entries()) <= T.SCORE_TILE
+    assert sum(tiled.entries()) == sum(unsplit.entries())
 
 
 # ---------------------------------------------------------------------------
-# the fused softmax against the normalize-then-multiply chain
+# the attention primitive against the normalize-then-multiply chain
 
 
 def _softmax_probs(a):
@@ -169,9 +175,9 @@ def _softmax_probs(a):
     return Tensor(y / y.sum(axis=-1, keepdims=True))
 
 
-def _unfused_softmax(a, v):
-    """The oracle for ``T.softmax(a, v)``: normalize the scores, then multiply."""
-    return T.matmul(_softmax_probs(a), v)
+def _unfused_softmax(q, k, v):
+    """The oracle for ``T.softmax(q, k, v)``: score, normalize, then multiply."""
+    return T.matmul(_softmax_probs(T.matmul(q, T.transpose(k, (0, 1, 3, 2)))), v)
 
 
 @pytest.mark.parametrize("preset, reference_mode, frames",

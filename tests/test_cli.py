@@ -170,7 +170,11 @@ def test_train_resume_refuses_contradicting_flags(workspace, full_signed_run, ca
                                                ("--gamma", "-1", "gamma"),
                                                ("--crop", "40", "crop"),
                                                ("--crop", "96", "crop"),
-                                               ("--mask-dropout", "1.5", "mask_dropout")])
+                                               ("--mask-dropout", "1.5", "mask_dropout"),
+                                               ("--video-lr", "nan", "video_lr"),
+                                               ("--static-lr", "inf", "static_lr"),
+                                               ("--gamma", "nan", "gamma"),
+                                               ("--gamma", "inf", "gamma")])
 def test_train_rejects_out_of_range_inputs(workspace, tmp_path, capsys, flag, value, field):
     assert run_cli("train", "--video-data", str(workspace / "video"),
                    "--out", str(tmp_path / "rejected"), flag, value) == 1
@@ -319,6 +323,11 @@ def test_config_file_values_must_meet_the_flag_choices(tmp_path, capsys):
         args = _apply_config_file(build_parser(), ["eval", "--config", str(cfg),
                                                    "--pred", "p", "--gt", "g"])
         assert args.flat is flat
+    # a typed value that does not convert names its key
+    cfg.write_text("frames=abc\n")
+    assert run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+    assert "error: config key frames='abc' is not a valid int" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_usage_errors_exit_2():
@@ -340,3 +349,10 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert "error: frames must be at least 1, got 0" in capsys.readouterr().err
     assert run_cli("synth", "--out", str(tmp_path / "bad"), "--occlusion-prob", "1.5") == 1
     assert "error: occlusion_prob must be in [0, 1], got 1.5" in capsys.readouterr().err
+    assert run_cli("synth", "--out", str(tmp_path / "bad"), "--texture-grain", "-4") == 1
+    assert "error: texture_grain must be at least 1, got -4" in capsys.readouterr().err
+    for amplitude in ("-50", "nan", "inf"):
+        assert run_cli("synth", "--out", str(tmp_path / "bad"), "--motion-amplitude", amplitude) == 1
+        assert (f"error: motion_amplitude must be finite and non-negative, got {float(amplitude)}"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "bad").exists()

@@ -163,6 +163,13 @@ def test_synth_params_validation():
         SynthParams(frames=0)
     with pytest.raises(ConfigurationError):
         SynthParams(occlusion_prob=2.0)
+    for grain in (0, -4):
+        with pytest.raises(ConfigurationError, match="texture_grain"):
+            SynthParams(texture_grain=grain)
+    for amplitude in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="motion_amplitude"):
+            SynthParams(motion_amplitude=amplitude)
+    SynthParams(texture_grain=1, motion_amplitude=0.0)  # the range ends
 
 
 def test_synth_deterministic_bytes(tmp_path):

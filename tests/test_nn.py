@@ -148,8 +148,9 @@ def test_adamw_reduces_quadratic_loss(rng):
 
 
 def test_adamw_rejects_negative_lr():
-    with pytest.raises(ConfigurationError):
-        AdamW([Parameter(np.zeros(1))], lr=-1.0)
+    for lr in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigurationError, match="lr must be finite and non-negative"):
+            AdamW([Parameter(np.zeros(1))], lr=lr)
 
 
 # ---------------------------------------------------------------------------

@@ -754,7 +754,9 @@ def test_train_two_stages_and_artifacts(tmp_path):
 @pytest.mark.parametrize("field, value", [("static_iterations", -1), ("video_iterations", -2),
                                           ("static_lr", -1e-4), ("video_lr", -1.0),
                                           ("gamma", -1.0), ("crop", 48), ("crop", 0),
-                                          ("mask_dropout", 1.5), ("mask_dropout", -0.1)])
+                                          ("mask_dropout", 1.5), ("mask_dropout", -0.1),
+                                          ("static_lr", float("nan")), ("video_lr", float("inf")),
+                                          ("gamma", float("nan")), ("gamma", float("-inf"))])
 def test_train_schedule_rejects_out_of_range_fields(field, value):
     with pytest.raises(ConfigurationError, match=field):
         TrainSchedule(**{field: value})

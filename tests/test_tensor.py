@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy import special
 
 from srrnet import tensor as T
@@ -26,26 +26,39 @@ def test_matmul_matches_numpy(rng):
     np.testing.assert_array_equal(T.matmul(Tensor(a), Tensor(b)).data, a @ b)
 
 
+def _slabs(x):
+    """A matrix as the one (batch, head) slab of a 1 x 1 x n x m array."""
+    return Tensor(np.asarray(x, dtype=np.float64)[None, None])
+
+
 def test_softmax_rows_sum_to_one(rng):
-    # against the identity, softmax(a) @ v is the probabilities themselves
-    y = T.softmax(Tensor(rng.normal(size=(3, 7))), Tensor(np.eye(7))).data
+    # with identity keys the scores are q itself, and against identity values
+    # softmax(q k^T) v is the probabilities themselves
+    y = T.softmax(_slabs(rng.normal(size=(3, 7))), _slabs(np.eye(7)), _slabs(np.eye(7))).data
     np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-14)
     assert (y > 0).all()
 
 
 def test_softmax_shift_invariance(rng):
     x = rng.normal(size=(2, 5))
-    v = Tensor(rng.normal(size=(5, 3)))
-    a = T.softmax(Tensor(x), v).data
-    b = T.softmax(Tensor(x + 1000.0), v).data
+    k, v = _slabs(np.eye(5)), _slabs(rng.normal(size=(5, 3)))
+    a = T.softmax(_slabs(x), k, v).data
+    b = T.softmax(_slabs(x + 1000.0), k, v).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_softmax_rejects_disagreeing_extents():
+    q = Tensor(np.zeros((1, 2, 3, 4)))
+    with pytest.raises(ShapeMismatchError):  # k's d differs from q's
+        T.softmax(q, Tensor(np.zeros((1, 2, 5, 3))), Tensor(np.zeros((1, 2, 5, 4))))
+    with pytest.raises(ShapeMismatchError):  # v's key count differs from k's
+        T.softmax(q, Tensor(np.zeros((1, 2, 5, 4))), Tensor(np.zeros((1, 2, 6, 4))))
+    with pytest.raises(ShapeMismatchError):  # k's heads differ from q's
+        T.softmax(q, Tensor(np.zeros((1, 1, 5, 4))), Tensor(np.zeros((1, 1, 5, 4))))
     with pytest.raises(ShapeMismatchError):
-        T.softmax(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-    with pytest.raises(ShapeMismatchError):
-        T.softmax(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+        T.softmax(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, 3))))
+    with pytest.raises(ValueError, match="at least one key"):
+        T.softmax(q, Tensor(np.zeros((1, 2, 0, 4))), Tensor(np.zeros((1, 2, 0, 4))))
 
 
 def test_sigmoid_matches_expit(rng):
@@ -287,59 +300,113 @@ def test_matmul_grads(rng):
 def test_softmax_sigmoid_gelu_grads(rng):
     a = leaf(rng, 2, 5)
     w = rng.normal(size=(2, 5))
-    v = leaf(rng, 5, 3)
-    wv = rng.normal(size=(2, 3))
-    loss = lambda: T.tensor_sum(T.softmax(a, v) * Tensor(wv))
-    assert_grad_matches(loss, a)
-    assert_grad_matches(loss, v)
-    # a 4-d v broadcast over the batch and head axes of the scores
-    a4, v4 = leaf(rng, 2, 3, 4, 5), leaf(rng, 1, 1, 5, 2)
-    w4 = rng.normal(size=(2, 3, 4, 2))
-    loss4 = lambda: T.tensor_sum(T.softmax(a4, v4) * Tensor(w4))
-    assert_grad_matches(loss4, a4)
-    assert_grad_matches(loss4, v4)
+    q, k, v = leaf(rng, 2, 3, 4, 2), leaf(rng, 2, 3, 5, 2), leaf(rng, 2, 3, 5, 3)
+    wv = rng.normal(size=(2, 3, 4, 3))
+    loss = lambda: T.tensor_sum(T.softmax(q, k, v) * Tensor(wv))
+    for x in (q, k, v):
+        assert_grad_matches(loss, x)
     assert_grad_matches(lambda: T.tensor_sum(T.sigmoid(a) * Tensor(w)), a)
     assert_grad_matches(lambda: T.tensor_sum(T.gelu(a) * Tensor(w)), a)
 
 
-def _softmax_oracle(a, v, w):
-    """``(exp(a - max) / sum) @ v`` and the gradients of ``sum(out * w)``, from the probabilities."""
+@pytest.mark.parametrize("n_k, offset", [(5, 0.0), (5, 70.0), (1, 0.0)],
+                         ids=["tiles", "shifted-tiles", "one-key"])
+def test_softmax_grads_across_tiles_match_finite_differences(monkeypatch, rng, n_k, offset):
+    monkeypatch.setattr(T, "SCORE_TILE", 2 * 3 * n_k * 2)  # two query rows a tile: 7 rows, 4 tiles
+    q, k, v = leaf(rng, 2, 3, 7, 3), leaf(rng, 2, 3, n_k, 3), leaf(rng, 2, 3, n_k, 2)
+    # a constant column: every score gains q's last entry, so ``offset`` moves
+    # every row maximum above EXP_SHIFT_FREE without saturating the softmax
+    q.data[..., -1] += offset
+    k.data[..., -1] = 1.0
+    wv = rng.normal(size=(2, 3, 7, 2))
+    loss = lambda: T.tensor_sum(T.softmax(q, k, v) * Tensor(wv))
+    scores = q.data @ np.swapaxes(k.data, -1, -2)
+    assert (scores.max(axis=-1) > T.EXP_SHIFT_FREE).all() == bool(offset)
+    for x in (q, k, v):
+        assert_grad_matches(loss, x)
+    if n_k == 1:  # over one key the softmax is the constant 1
+        assert not q.grad.any() and not k.grad.any()
+
+
+def _softmax_oracle(q, k, v, w):
+    """The unfused chain: ``softmax(q k^T) v`` from the probabilities, and the
+    gradients of ``sum(out * w)`` with respect to q, k and v."""
+    a = q @ np.swapaxes(k, -1, -2)
     p = np.exp(a - a.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
     dp = w @ np.swapaxes(v, -1, -2)
     da = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
-    dv = np.swapaxes(p, -1, -2) @ w
-    dv = dv.sum(axis=tuple(range(dv.ndim - v.ndim)))
-    broadcast = tuple(i for i, n in enumerate(v.shape) if n == 1 and dv.shape[i] != 1)
-    return p @ v, da, dv.sum(axis=broadcast, keepdims=True)
+    return p @ v, da @ k, np.swapaxes(da, -1, -2) @ q, np.swapaxes(p, -1, -2) @ w
 
 
-def _softmax_value_and_grads(a, v, w):
-    a.grad = v.grad = None
-    y = T.softmax(a, v)
+def _softmax_value_and_grads(q, k, v, w):
+    q.grad = k.grad = v.grad = None
+    y = T.softmax(q, k, v)
     T.backward(T.tensor_sum(y * Tensor(w)))
-    return y.data, a.grad, v.grad
+    return y.data, q.grad, k.grad, v.grad
 
 
-@given(lead=st.lists(st.integers(1, 3), max_size=2),
-       broadcast=st.lists(st.booleans(), min_size=2, max_size=2),
-       n=st.integers(1, 6), m=st.integers(1, 9), d=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
-       offset=st.sampled_from([0.0, 70.0, -1000.0]))  # 0: unshifted exp; else shifted
-def test_softmax_matches_the_unfused_oracle(lead, broadcast, n, m, d, seed, offset):
-    gen = np.random.default_rng(seed)
-    v_lead = tuple(1 if flat else extent for extent, flat in zip(lead, broadcast))
-    a = Tensor(gen.uniform(-3.0, 3.0, size=(*lead, n, m)) + offset, requires_grad=True)
-    v = Tensor(gen.normal(size=(*v_lead, m, d)), requires_grad=True)
-    w = gen.normal(size=(*lead, n, d))
-    _assert_softmax_matches_the_oracle(a, v, w)
-
-
-def _assert_softmax_matches_the_oracle(a, v, w):
-    got = _softmax_value_and_grads(a, v, w)
-    expected = _softmax_oracle(a.data, v.data, w)
-    for mine, ref, rtol in zip(got, expected, (1e-13, 1e-12, 1e-12)):
+def _assert_softmax_matches_the_oracle(q, k, v, w):
+    got = _softmax_value_and_grads(q, k, v, w)
+    expected = _softmax_oracle(q.data, k.data, v.data, w)
+    for mine, ref, rtol in zip(got, expected, (1e-13, 1e-12, 1e-12, 1e-12)):
         assert mine.shape == ref.shape
         assert np.abs(mine - ref).max() <= rtol * np.abs(ref).max()
+
+
+def _scores(q, k):
+    return np.matmul(q, np.ascontiguousarray(np.swapaxes(k, -1, -2)))
+
+
+@given(batch=st.integers(1, 2), heads=st.integers(1, 3), n_q=st.integers(1, 9),
+       n_k=st.integers(1, 9), d=st.integers(1, 4), d_v=st.integers(1, 3),
+       scale=st.floats(0.01, 3.0), offset=st.sampled_from([0.0, 70.0, -70.0]),
+       tile=st.integers(1, 200), seed=st.integers(0, 2 ** 16))
+@example(batch=1, heads=1, n_q=5, n_k=3, d=2, d_v=2, scale=3.0, offset=70.0, tile=6, seed=0)
+def test_softmax_matches_the_unfused_oracle(batch, heads, n_q, n_k, d, d_v, scale, offset,
+                                            tile, seed):
+    gen = np.random.default_rng(seed)
+    # q's last column is ``offset`` and k's is 1, so every score gains the
+    # offset: 0 keeps the scores within the norm bound, +-70 puts every row
+    # maximum beyond EXP_SHIFT_FREE, on either side, so each tile shifts
+    qd = gen.uniform(-1.0, 1.0, size=(batch, heads, n_q, d + 1)) * scale
+    kd = gen.uniform(-1.0, 1.0, size=(batch, heads, n_k, d + 1))
+    qd[..., -1], kd[..., -1] = offset, 1.0
+    q, k = Tensor(qd, requires_grad=True), Tensor(kd, requires_grad=True)
+    v = Tensor(gen.normal(size=(batch, heads, n_k, d_v)), requires_grad=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(T, "SCORE_TILE", tile)
+        _assert_softmax_matches_the_oracle(q, k, v, gen.normal(size=(batch, heads, n_q, d_v)))
+    if T.scores_shift_free(qd, kd):
+        assert np.abs(_scores(qd, kd)).max() <= T.EXP_SHIFT_FREE
+
+
+@given(batch=st.integers(1, 2), heads=st.integers(1, 3), n_q=st.integers(1, 24),
+       n_k=st.integers(1, 24), d=st.integers(1, 8), scale=st.floats(0.1, 40.0),
+       tile=st.integers(1, 400), seed=st.integers(0, 2 ** 16))
+def test_the_norm_bound_changes_no_shift_decision(batch, heads, n_q, n_k, d, scale, tile, seed):
+    gen = np.random.default_rng(seed)
+    q = Tensor(gen.normal(size=(batch, heads, n_q, d)) * scale)
+    k = Tensor(gen.normal(size=(batch, heads, n_k, d)))
+    v = Tensor(gen.normal(size=(batch, heads, n_k, 2)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(T, "SCORE_TILE", tile)
+        skipping = T.softmax(q, k, v).data
+        patch.setattr(T, "scores_shift_free", lambda q, k: False)  # every tile takes its maxima
+        np.testing.assert_array_equal(skipping, T.softmax(q, k, v).data)
+    if T.scores_shift_free(q.data, k.data):
+        assert np.abs(_scores(q.data, k.data)).max() <= T.EXP_SHIFT_FREE
+
+
+@pytest.mark.parametrize("length, holds", [(8.0 * (1.0 - 2.0 ** -20), True), (8.0, False)])
+def test_the_norm_bound_at_its_edge(length, holds):
+    # parallel rows: every score is the product of the norms; the bound holds
+    # a hair below EXP_SHIFT_FREE and leaves a score of exactly 64 to the
+    # per-tile rule, which its margin for rounding makes it refuse
+    q, k = np.zeros((1, 1, 2, 3)), np.zeros((1, 1, 3, 3))
+    q[..., 0], k[..., 0] = length, length
+    assert T.scores_shift_free(q, k) == holds
+    assert np.abs(_scores(q, k)).max() <= T.EXP_SHIFT_FREE
 
 
 @pytest.mark.parametrize("peak", [-T.EXP_SHIFT_FREE, T.EXP_SHIFT_FREE,
@@ -347,24 +414,28 @@ def _assert_softmax_matches_the_oracle(a, v, w):
 def test_softmax_matches_the_oracle_at_the_shift_free_bound(rng, peak):
     scores = rng.uniform(-40.0, 0.0, size=(2, 3, 600))
     scores[..., 0] = 0.0
-    a = Tensor(scores + peak, requires_grad=True)  # every row maximum is ``peak``
-    v = Tensor(rng.normal(size=(600, 4)), requires_grad=True)
-    _assert_softmax_matches_the_oracle(a, v, rng.normal(size=(2, 3, 4)))
+    # identity keys make the scores q itself: every row maximum is ``peak``
+    q = Tensor((scores + peak)[None], requires_grad=True)
+    k = Tensor(np.broadcast_to(np.eye(600), (1, 2, 600, 600)).copy(), requires_grad=True)
+    v = Tensor(rng.normal(size=(1, 2, 600, 4)), requires_grad=True)
+    _assert_softmax_matches_the_oracle(q, k, v, rng.normal(size=(1, 2, 3, 4)))
 
 
-def test_softmax_never_writes_its_input(rng):
-    a, v = leaf(rng, 4, 6), leaf(rng, 6, 3)
-    before = a.data.copy(), v.data.copy()
+def test_softmax_never_writes_its_input(monkeypatch, rng):
+    monkeypatch.setattr(T, "SCORE_TILE", 12)  # several tiles: one reused buffer off the tape
+    q, k, v = leaf(rng, 1, 2, 4, 3), leaf(rng, 1, 2, 6, 3), leaf(rng, 1, 2, 6, 2)
+    before = [x.data.copy() for x in (q, k, v)]
     with T.no_grad():
-        T.softmax(a, v)
-    _softmax_value_and_grads(a, v, rng.normal(size=(4, 3)))
-    np.testing.assert_array_equal(a.data, before[0])
-    np.testing.assert_array_equal(v.data, before[1])
+        T.softmax(q, k, v)
+    _softmax_value_and_grads(q, k, v, rng.normal(size=(1, 2, 4, 2)))
+    for x, data in zip((q, k, v), before):
+        np.testing.assert_array_equal(x.data, data)
 
 
-def test_scaled_dot_attention_same_with_and_without_tape(rng):
+def test_scaled_dot_attention_same_with_and_without_tape(monkeypatch, rng):
     from srrnet.attention import scaled_dot_attention
     q, k, v = leaf(rng, 1, 5, 8), leaf(rng, 1, 7, 8), leaf(rng, 1, 7, 8)
+    monkeypatch.setattr(T, "SCORE_TILE", 2 * 7 * 2)  # two query rows a tile
     taped = scaled_dot_attention(q, k, v, heads=2)
     assert taped.requires_grad
     with T.no_grad():
