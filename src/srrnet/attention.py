@@ -28,11 +28,12 @@ pass when a norm bound proves the scores small (see ``tensor.softmax``).
 Its output is a view of a B x n_q x H x d buffer, so merging the heads is
 a view too. Against the per-block loop it replaced (``narrow``, a scores
 ``matmul`` against a strided k^T, a fresh score buffer per block, then
-``concat``), the ``stream_desk128`` frame median went 43.9 -> 34.2 ms over
-10 alternating pairs (2-core x86, one BLAS thread), with bitwise identical
-outputs. Values agree with the normalize-then-multiply chain to 1e-13
-relative and gradients to 1e-12; whole sessions keep the same masks and
-reference frames, with error maps and scores within 1e-12.
+``concat``), the ``stream_desk128`` frame median went 41.8 -> 32.9 ms
+(-21%) over 10 alternating pairs at seed 0 (2-core x86, one BLAS thread),
+with bitwise identical outputs. Values agree with the
+normalize-then-multiply chain to 1e-13 relative and gradients to 1e-12;
+whole sessions keep the same masks and reference frames, with error maps
+and scores within 1e-12.
 """
 
 from __future__ import annotations

