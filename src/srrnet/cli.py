@@ -13,6 +13,7 @@ in the checkpoint (format 2; format-1 files are refused); ``infer`` and
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -233,19 +234,23 @@ def _infer_with_trace(args, trace_path, require_masks: bool
     """Run the checkpoint's model over ``--data`` once and write its score trace.
 
     Also returns the ground-truth masks, ``None`` unless every frame has one.
+    A non-finite score is refused, naming its frame, before anything is written.
     """
     model = load_model(args.checkpoint)
     record = load_sequence(args.data, require_masks=require_masks)
     results = infer_sequence(model, record.frames,
                              reference_mode=args.reference_mode, seed=args.seed)
+    for res in results:
+        if not math.isfinite(res.score):
+            raise RuntimeError(f"non-finite score {res.score} at frame {res.frame_index}")
     gts = record.masks if len(record.masks) == len(record.frames) else None
+    Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
     write_score_trace(trace_path, results, gts)
     return model, results, gts
 
 
 def _cmd_infer(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model, results, _ = _infer_with_trace(args, out / "scores.csv", require_masks=False)
     signed = model.config.decoder.error_target == "signed"
     for res in results:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -73,8 +74,8 @@ def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
     check_extent("size", size)
     if samples_per_param < 1:
         raise ConfigurationError(f"samples_per_param must be at least 1, got {samples_per_param}")
-    if not tol > 0:
-        raise ConfigurationError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):  # no error reaches an infinite tolerance
+        raise ConfigurationError(f"tol must be finite and positive, got {tol}")
     rng = np.random.default_rng(seed)
     triplet = FrameTriplet(
         Tensor(rng.uniform(-1.0, 1.0, size=(1, 3, size, size))),

@@ -184,12 +184,17 @@ def _flatten(value, prefix: str = "") -> dict:
 
 
 def save_checkpoint(path, model: Module):
-    """Write the model's config and all named parameters (little-endian float64)."""
+    """Write the model's config and all named parameters (little-endian float64).
+
+    A non-finite parameter is refused, naming it, and nothing is written.
+    """
     arrays = {"__format_version__": np.asarray([CHECKPOINT_FORMAT_VERSION], dtype="<i8"),
               "__config__": np.asarray(_config_json(model))}
     for name, p in model.named_parameters():
         if name in arrays:
             raise ValueError(f"duplicate parameter name: {name}")
+        if not np.isfinite(p.data).all():
+            raise ValueError(f"parameter {name} is not finite; no checkpoint written")
         arrays[name] = np.ascontiguousarray(p.data, dtype="<f8")
     np.savez(path, **arrays)
 

@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -66,17 +66,25 @@ def compute_loss(pred: PredictionPair, gt: np.ndarray, gamma: float,
 # training triplet samplers
 
 
-@dataclass
-class TrainTriplet:
+class TrainTriplet(NamedTuple):
+    """One training sample as the model's inputs: C (1 x 3 x H x W), P and R
+    (1 x 4 x H x W, each frame with its mask appended) and C's ground truth
+    (1 x 1 x H x W)."""
+
     c_img: np.ndarray
-    c_gt: np.ndarray
-    p_img: np.ndarray
-    p_seg: np.ndarray
-    r_img: np.ndarray
-    r_seg: np.ndarray
-    c_index: int
-    p_index: int
-    r_index: int
+    p_in: np.ndarray
+    r_in: np.ndarray
+    gt: np.ndarray
+
+
+def _branch_input(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """A P or R model input: the frame with its mask appended, 1 x 4 x H x W."""
+    return np.concatenate([frame, mask], axis=0)[None]
+
+
+def _triplet(c: tuple, p: tuple, r: tuple) -> TrainTriplet:
+    """The sample whose C, P and R are the given (frame, mask) pairs."""
+    return TrainTriplet(c[0][None], _branch_input(*p), _branch_input(*r), c[1][None])
 
 
 def sample_training_triplet(sequence: SequenceRecord,
@@ -84,18 +92,11 @@ def sample_training_triplet(sequence: SequenceRecord,
     """Video sampling: random current frame, its predecessor, an earlier reference."""
     n = len(sequence.frames)
     if n < 2:
-        # degenerate single-frame sequence: reuse the frame for all branches
-        img, seg = sequence.frames[0], sequence.masks[0]
-        return TrainTriplet(img, seg, img, seg, img, seg, 0, 0, 0)
-    c = int(rng.integers(1, n))
-    p = c - 1
-    r = int(rng.integers(0, c))
-    return TrainTriplet(
-        c_img=sequence.frames[c], c_gt=sequence.masks[c],
-        p_img=sequence.frames[p], p_seg=sequence.masks[p],
-        r_img=sequence.frames[r], r_seg=sequence.masks[r],
-        c_index=c, p_index=p, r_index=r,
-    )
+        c = p = r = 0  # a single-frame sequence fills every branch with its frame
+    else:
+        c = int(rng.integers(1, n))
+        p, r = c - 1, int(rng.integers(0, c))
+    return _triplet(*[(sequence.frames[i], sequence.masks[i]) for i in (c, p, r)])
 
 
 def sample_static_triplet(pool: Sequence[StaticRecord],
@@ -104,28 +105,15 @@ def sample_static_triplet(pool: Sequence[StaticRecord],
     if not pool:
         raise ConfigurationError("static pool is empty")
     c = int(rng.integers(0, len(pool)))
-    current = pool[c]
     same = [i for i, rec in enumerate(pool)
-            if rec.category == current.category and i != c]
+            if rec.category == pool[c].category and i != c]
     p = int(rng.choice(same)) if same else c
     r = int(rng.integers(0, len(pool)))
-    prev, ref = pool[p], pool[r]
-    return TrainTriplet(
-        c_img=current.image, c_gt=current.mask,
-        p_img=prev.image, p_seg=prev.mask,
-        r_img=ref.image, r_seg=ref.mask,
-        c_index=c, p_index=p, r_index=r,
-    )
-
-
-def _branch_input(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """A P or R model input: the frame with its mask appended, 1 x 4 x H x W."""
-    return np.concatenate([frame, mask], axis=0)[None]
+    return _triplet(*[(pool[i].image, pool[i].mask) for i in (c, p, r)])
 
 
 def triplet_to_input(trip: TrainTriplet) -> tuple[FrameTriplet, np.ndarray]:
-    return FrameTriplet(Tensor(trip.c_img[None]), Tensor(_branch_input(trip.p_img, trip.p_seg)),
-                        Tensor(_branch_input(trip.r_img, trip.r_seg))), trip.c_gt[None]
+    return FrameTriplet(Tensor(trip.c_img), Tensor(trip.p_in), Tensor(trip.r_in)), trip.gt
 
 
 # ---------------------------------------------------------------------------
@@ -137,27 +125,32 @@ def _check_crop(crop: Optional[int], h: int, w: int):
         raise ConfigurationError(f"crop {crop} exceeds the {h}x{w} frame extent")
 
 
+def _without_mask(branch_in: np.ndarray) -> np.ndarray:
+    """A P or R input with its mask channel zeroed."""
+    out = branch_in.copy()
+    out[:, 3] = 0.0
+    return out
+
+
 def _augment(trip: TrainTriplet, rng: np.random.Generator,
              schedule: TrainSchedule) -> TrainTriplet:
-    arrays = [trip.c_img, trip.c_gt, trip.p_img, trip.p_seg, trip.r_img, trip.r_seg]
     if schedule.flip and rng.random() < 0.5:
-        arrays = [a[..., ::-1].copy() for a in arrays]
+        trip = TrainTriplet(*(a[..., ::-1].copy() for a in trip))
     # Bootstrap augmentation: inference starts from a degenerate triplet whose
     # mask channels are all zero, so training must sometimes show that regime.
     if schedule.mask_dropout > 0.0:
         if rng.random() < schedule.mask_dropout:
-            arrays[3] = np.zeros_like(arrays[3])
+            trip = trip._replace(p_in=_without_mask(trip.p_in))
         if rng.random() < schedule.mask_dropout:
-            arrays[5] = np.zeros_like(arrays[5])
+            trip = trip._replace(r_in=_without_mask(trip.r_in))
     crop = schedule.crop
     if crop is not None:
-        h, w = arrays[0].shape[-2:]
+        h, w = trip.gt.shape[-2:]
         if crop < h or crop < w:
             top = int(rng.integers(0, h - crop + 1))
             left = int(rng.integers(0, w - crop + 1))
-            arrays = [a[..., top:top + crop, left:left + crop].copy() for a in arrays]
-    return TrainTriplet(arrays[0], arrays[1], arrays[2], arrays[3],
-                        arrays[4], arrays[5], trip.c_index, trip.p_index, trip.r_index)
+            trip = TrainTriplet(*(a[..., top:top + crop, left:left + crop].copy() for a in trip))
+    return trip
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,8 @@ from srrnet.data import SequenceRecord
 from srrnet.decoder import PredictionPair, binary_mask_from_logits
 from srrnet.gradcheck import gradcheck_model
 from srrnet.model import FULL_SCALE_REFERENCE_PARAMS, build_model
-from srrnet.nn import AdamW, count_parameters
-from srrnet.pipeline import (
-    REFERENCE_MODES,
-    compute_loss,
-    infer_sequence,
-    sample_training_triplet,
-    triplet_to_input,
-)
+from srrnet.nn import count_parameters
+from srrnet.pipeline import REFERENCE_MODES, TrainSchedule, compute_loss, infer_sequence, train
 from srrnet.synth import SynthParams, generate_arrays
 from srrnet.tensor import Tensor
 
@@ -208,28 +202,16 @@ LEARNING_RATE = 1e-3
 
 
 @pytest.mark.slow
-def test_criterion_6_overfit_and_score_trend():
+def test_criterion_6_overfit_and_score_trend(tmp_path):
     t0 = time.time()
     frames, masks = generate_arrays(SynthParams(seed=DATA_SEED, frames=32, size=64,
                                                 contrast=0.35, occlusion_prob=0.5))
     seq = SequenceRecord(name="train", frames=frames[:16], masks=masks[:16])
     model = build_model("desk", seed=MODEL_SEED)
-    opt = AdamW(model.parameters(), lr=LEARNING_RATE)
-    gen = np.random.default_rng(TRAIN_RNG_SEED)
-    bces = []
-    for _ in range(ITERATIONS):
-        trip = sample_training_triplet(seq, gen)
-        if gen.random() < MASK_DROPOUT:
-            trip.p_seg = np.zeros_like(trip.p_seg)
-        if gen.random() < MASK_DROPOUT:
-            trip.r_seg = np.zeros_like(trip.r_seg)
-        triplet, gt = triplet_to_input(trip)
-        pred = model(triplet)
-        loss, parts = compute_loss(pred, gt, 1.0, "absolute")
-        opt.zero_grad()
-        T.backward(loss)
-        opt.step()
-        bces.append(parts["bce"])
+    schedule = TrainSchedule(video_iterations=ITERATIONS, video_lr=LEARNING_RATE,
+                             mask_dropout=MASK_DROPOUT, flip=False, seed=TRAIN_RNG_SEED)
+    result = train(model, schedule, tmp_path, video_sequences=[seq])
+    bces = [row[2] for row in result.loss_trace]
     reached = next((i for i, b in enumerate(bces) if b < 0.05), None)
 
     # held-out continuation: frames 16-31 of the same generated sequence

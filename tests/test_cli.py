@@ -68,6 +68,34 @@ def test_train_non_finite_loss_exits_1(workspace, monkeypatch, capsys):
     assert not (workspace / "nan_run" / "checkpoint.npz").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the gradients overflow on purpose
+def test_train_refuses_to_save_non_finite_weights(workspace, capsys):
+    assert run_cli("train", "--video-data", str(workspace / "video"),
+                   "--out", str(workspace / "inf_run"), "--video-iterations", "1",
+                   "--gamma", "1e308") == 1
+    assert "is not finite; no checkpoint written" in capsys.readouterr().err
+    assert not (workspace / "inf_run" / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "trace-score"])
+def test_a_non_finite_score_exits_1_naming_the_frame(workspace, tmp_path, monkeypatch, capsys,
+                                                     command):
+    import srrnet.decoder as decoder
+    real = decoder.mae_score
+    calls = []
+
+    def nan_on_third(o_err):
+        calls.append(1)
+        return Tensor(np.nan) if len(calls) == 3 else real(o_err)
+
+    monkeypatch.setattr(decoder, "mae_score", nan_on_third)
+    assert run_cli(command, "--data", str(workspace / "video" / "seq0"),
+                   "--checkpoint", str(workspace / "run" / "checkpoint.npz"),
+                   "--out", str(tmp_path / "out")) == 1
+    assert "non-finite score nan at frame 2" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_infer_and_eval(workspace):
     out = workspace / "pred" / "seq0"
     assert run_cli("infer", "--data", str(workspace / "video" / "seq0"),
@@ -238,7 +266,8 @@ def test_gradcheck_command(capsys):
 
 
 @pytest.mark.parametrize("flag, value, field", [("--samples-per-param", "0", "samples_per_param"),
-                                               ("--tol", "0", "tol"), ("--size", "0", "size"),
+                                               ("--tol", "0", "tol"), ("--tol", "inf", "tol"),
+                                               ("--size", "0", "size"),
                                                ("--size", "-32", "size")])
 def test_gradcheck_rejects_a_check_that_checks_nothing(capsys, flag, value, field):
     """No sampled entry, no tolerance an error can stay under, or no extent the

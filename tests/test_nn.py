@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -168,6 +169,17 @@ def test_checkpoint_round_trip(tmp_path, rng):
         np.testing.assert_array_equal(a.data, b.data)
         # the optimizer and gradcheck write parameters in place
         assert b.data.dtype == np.float64 and b.data.flags.writeable
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_checkpoint_refuses_non_finite_parameters_naming_the_first(tmp_path, rng, value):
+    net = TinyNet(rng)
+    params = list(net.named_parameters())
+    for _, p in params[2:]:
+        p.data.flat[-1] = value
+    with pytest.raises(ValueError, match=rf"parameter {re.escape(params[2][0])} is not finite"):
+        save_checkpoint(tmp_path / "ckpt.npz", net)
+    assert not (tmp_path / "ckpt.npz").exists()
 
 
 def test_checkpoint_rejects_mismatched_model(tmp_path, rng):

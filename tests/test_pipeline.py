@@ -14,11 +14,13 @@ from srrnet.data import SequenceRecord, StaticRecord
 from srrnet.decoder import (ERROR_TARGETS, DualPurposeDecoder, PredictionPair,
                             binary_mask_from_logits, mae_score)
 from srrnet.model import ReferenceSlot, SRRNet, build_model
-from srrnet.nn import AdamW, load_checkpoint, save_checkpoint, weights_key
+from srrnet.nn import load_checkpoint, save_checkpoint, weights_key
 from srrnet.pipeline import (
     InferenceSession,
     MemoryState,
     TrainSchedule,
+    TrainTriplet,
+    _augment,
     compute_loss,
     infer_sequence,
     sample_static_triplet,
@@ -133,62 +135,60 @@ def test_gamma_zero_matches_mask_only_gradients(desk_model, rng):
 # samplers
 
 
-def _video_record(rng, n=6, size=32):
-    return SequenceRecord(
-        name="seq",
-        frames=[rng.random((3, size, size)) for _ in range(n)],
-        masks=[(rng.random((1, size, size)) > 0.5).astype(np.float64) for _ in range(n)],
-    )
+def _video_record(n=6, size=32):
+    """Frame t is filled with t and its mask with t + 0.5, so a sample shows its frames."""
+    return SequenceRecord(name="seq", frames=[np.full((3, size, size), float(t)) for t in range(n)],
+                          masks=[np.full((1, size, size), t + 0.5) for t in range(n)])
 
 
-def test_video_sampler_index_laws(rng):
-    seq = _video_record(rng, n=8)
+def _sampled(trip):
+    """The frames a sample of value-filled frames holds as C, P and R, each with its own mask."""
+    c, p, r = (int(a[0, 0, 0, 0]) for a in (trip.c_img, trip.p_in, trip.r_in))
+    assert (trip.gt[0, 0, 0, 0], trip.p_in[0, 3, 0, 0], trip.r_in[0, 3, 0, 0]) == (
+        c + 0.5, p + 0.5, r + 0.5)
+    return c, p, r
+
+
+def test_video_sampler_index_laws():
+    seq = _video_record(n=8)
     gen = np.random.default_rng(0)
     seen_c = set()
     for _ in range(10_000):
-        trip = sample_training_triplet(seq, gen)
-        assert trip.p_index == trip.c_index - 1
-        assert 0 <= trip.r_index < trip.c_index
-        seen_c.add(trip.c_index)
+        c, p, r = _sampled(sample_training_triplet(seq, gen))
+        assert p == c - 1 and 0 <= r < c
+        seen_c.add(c)
     assert seen_c == set(range(1, 8))
 
 
-def test_video_sampler_two_frame_sequence(rng):
-    seq = _video_record(rng, n=2)
+def test_video_sampler_two_frame_sequence():
+    seq = _video_record(n=2)
     gen = np.random.default_rng(0)
     for _ in range(20):
-        trip = sample_training_triplet(seq, gen)
-        assert (trip.c_index, trip.p_index, trip.r_index) == (1, 0, 0)
+        assert _sampled(sample_training_triplet(seq, gen)) == (1, 0, 0)
 
 
-def test_video_sampler_single_frame_fallback(rng):
-    seq = _video_record(rng, n=1)
-    trip = sample_training_triplet(seq, np.random.default_rng(0))
-    assert (trip.c_index, trip.p_index, trip.r_index) == (0, 0, 0)
-    np.testing.assert_array_equal(trip.c_img, trip.p_img)
+def test_video_sampler_single_frame_fallback():
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    assert _sampled(sample_training_triplet(_video_record(n=1), gen)) == (0, 0, 0)
+    assert gen.bit_generator.state == state
 
 
-def _static_pool(rng, spec):
-    pool = []
-    for i, cat in enumerate(spec):
-        pool.append(StaticRecord(name=f"{i:05d}", category=cat,
-                                 image=rng.random((3, 32, 32)),
-                                 mask=(rng.random((1, 32, 32)) > 0.5).astype(np.float64)))
-    return pool
+def _static_pool(spec):
+    """Image i is filled with i and its mask with i + 0.5."""
+    return [StaticRecord(name=f"{i:05d}", category=cat, image=np.full((3, 32, 32), float(i)),
+                         mask=np.full((1, 32, 32), i + 0.5)) for i, cat in enumerate(spec)]
 
 
-def test_static_sampler_category_law(rng):
-    pool = _static_pool(rng, ["a", "a", "b", "b", "b", "c"])
+def test_static_sampler_category_law():
+    pool = _static_pool(["a", "a", "b", "b", "b", "c"])
     gen = np.random.default_rng(0)
     r_cats = set()
     for _ in range(2000):
-        trip = sample_static_triplet(pool, gen)
-        assert pool[trip.p_index].category == pool[trip.c_index].category
-        if pool[trip.c_index].category == "c":
-            assert trip.p_index == trip.c_index  # singleton category falls back
-        else:
-            assert trip.p_index != trip.c_index
-        r_cats.add(pool[trip.r_index].category)
+        c, p, r = _sampled(sample_static_triplet(pool, gen))
+        assert pool[p].category == pool[c].category
+        assert (p == c) == (pool[c].category == "c")  # only a singleton category falls back
+        r_cats.add(pool[r].category)
     assert r_cats == {"a", "b", "c"}  # reference draws from the whole pool
 
 
@@ -197,15 +197,67 @@ def test_static_sampler_empty_pool():
         sample_static_triplet([], np.random.default_rng(0))
 
 
-def test_triplet_to_input_builds_valid_network_input(rng):
-    seq = _video_record(rng, n=4)
-    trip = sample_training_triplet(seq, np.random.default_rng(0))
+def test_triplet_to_input_builds_valid_network_input():
+    trip = sample_training_triplet(_video_record(n=4), np.random.default_rng(0))
     triplet, gt = triplet_to_input(trip)
     assert triplet.c_img.shape == (1, 3, 32, 32)
     assert triplet.p_in.shape == (1, 4, 32, 32)
     assert triplet.r_in.shape == (1, 4, 32, 32)
     assert gt.shape == (1, 1, 32, 32)
-    np.testing.assert_array_equal(triplet.p_in.data[0, 3], trip.p_seg[0])
+    np.testing.assert_array_equal(triplet.p_in.data, trip.p_in)
+
+
+# ---------------------------------------------------------------------------
+# augmentation
+
+
+def _position_coded(size=64):
+    """A sample whose every channel is a distinct multiple of one position-coded plane."""
+    plane = np.arange(1.0, size * size + 1).reshape(1, 1, size, size)
+    return TrainTriplet(*(plane * np.arange(first, first + n)[:, None, None]
+                          for first, n in ((2, 3), (5, 4), (9, 4), (1, 1))))
+
+
+def _assert_aligned(trip):
+    for a, first in ((trip.c_img, 2), (trip.p_in, 5), (trip.r_in, 9)):
+        scale = np.arange(first, first + a.shape[1])[:, None, None]
+        np.testing.assert_array_equal(a, trip.gt * scale)
+
+
+def test_flip_and_crop_keep_every_array_aligned():
+    gen = np.random.default_rng(0)
+    corners = set()
+    for _ in range(20):
+        out = _augment(_position_coded(), gen, TrainSchedule(flip=True, crop=32))
+        assert out.gt.shape == (1, 1, 32, 32)
+        _assert_aligned(out)
+        corners.add((out.gt[0, 0, 0, 0], bool(out.gt[0, 0, 0, 1] < out.gt[0, 0, 0, 0])))
+    assert {flipped for _, flipped in corners} == {False, True} and len(corners) > 2
+
+
+def test_mask_dropout_zeroes_only_the_mask_channel_of_p_or_r():
+    trip = _position_coded()
+    gen = np.random.default_rng(0)
+    seen = set()
+    for _ in range(40):
+        out = _augment(trip, gen, TrainSchedule(flip=False, mask_dropout=0.5))
+        seen.add(tuple(not a[:, 3].any() for a in (out.p_in, out.r_in)))
+        for a, b in ((out.p_in, trip.p_in), (out.r_in, trip.r_in)):
+            assert np.array_equal(a[:, 3], b[:, 3]) or not a[:, 3].any()
+            a[:, 3] = b[:, 3]
+        _assert_aligned(out)  # every other channel is the input's
+    assert seen == {(False, False), (True, False), (False, True), (True, True)}
+    _assert_aligned(trip)  # the input sample is left as it was
+
+
+@pytest.mark.parametrize("crop", [None, 64])
+def test_augment_without_augmentation_draws_nothing(crop):
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    out = _augment(_position_coded(), gen, TrainSchedule(flip=False, crop=crop))
+    assert gen.bit_generator.state == state
+    _assert_aligned(out)
+    assert out.gt.shape == (1, 1, 64, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +594,13 @@ def _load_other_weights(model, frames, tmp_path):
     load_checkpoint(tmp_path / "other.npz", model)
 
 
-def _take_one_adamw_step(model, frames, tmp_path):
-    pr = np.concatenate([frames[0], np.zeros((1, 64, 64))], axis=0)[None]
-    pred = model(FrameTriplet(Tensor(frames[1][None]), Tensor(pr), Tensor(pr)))
-    T.backward(T.mean(pred.supervision_logits * pred.supervision_logits) + T.mean(pred.o_err))
-    AdamW(model.parameters(), lr=1e-2).step()
+def _train_one_step(model, frames, tmp_path):
+    sequence = SequenceRecord(name="two", frames=frames[:2], masks=[np.zeros((1, 64, 64))] * 2)
+    train(model, TrainSchedule(video_iterations=1, video_lr=1e-2), tmp_path,
+          video_sequences=[sequence])
 
 
-WEIGHT_CHANGES = {"load_checkpoint": _load_other_weights, "adamw_step": _take_one_adamw_step}
+WEIGHT_CHANGES = {"load_checkpoint": _load_other_weights, "adamw_step": _train_one_step}
 
 
 @pytest.mark.parametrize("change", sorted(WEIGHT_CHANGES))
