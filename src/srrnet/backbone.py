@@ -14,9 +14,9 @@ the attention mode lets R read only R (every mode but ``full``), R's encoding
 does not depend on C or P: the backbone either runs C, P and R jointly, or C
 and P alone against R's maps and cross keys/values from an earlier pass,
 exactly the ops of P alone. The backbone is a pure function of its arguments:
-``PyramidFeatures.reference()`` copies R's half of a joint pass, and whoever
-keeps it across calls (``model.SRRNet``, in the triplet's reference slot)
-decides when it is still valid.
+whoever keeps R's maps and keys/values of a joint pass across calls
+(``model.SRRNet``, in the triplet's reference slot) decides when they are
+still valid.
 """
 
 from __future__ import annotations
@@ -102,21 +102,6 @@ class PyramidFeatures:
     r: list = field(default_factory=list)
     kv: list = field(default_factory=list)
 
-    def reference(self) -> "PyramidFeatures":
-        """R's maps and cross keys/values as arrays that own their buffers, off any graph.
-
-        A joint pass's R arrays are views into buffers stacked with P; a copy
-        keeps R's half alone alive, in the same layout (so the same GEMM
-        rounding).
-        """
-        def own(t: Tensor) -> Tensor:
-            return Tensor(t.data.copy(order="K"))
-
-        return PyramidFeatures(
-            r=[own(r) for r in self.r],
-            kv=[[None if kv is None else (own(kv[0]), own(kv[1])) for kv in stage]
-                for stage in self.kv])
-
 
 class PatchEmbed(Module):
     """Overlapping strided convolution followed by token layer norm."""
@@ -193,8 +178,9 @@ class RMABackbone(Module):
 
         Without ``reference``, P and R are stacked once, here, and run jointly
         with C. ``reference`` holds R's maps and cross keys/values from an
-        earlier pass over the same ``r_in`` (``PyramidFeatures.reference()``;
-        valid only where R reads only R): P then runs alone against them.
+        earlier joint pass over the same ``r_in`` (its ``r`` and ``kv``, views
+        into buffers stacked with P; valid only where R reads only R): P then
+        runs alone against them.
         """
         features = PyramidFeatures()
         joint = reference is None

@@ -41,6 +41,15 @@ def _frame_stems(directory: Path) -> list[str]:
     return stems
 
 
+def _read_mask_for(path: Path, frame: np.ndarray) -> np.ndarray:
+    """Read a mask, refusing one whose extent is not its frame's."""
+    mask = read_mask(path)
+    if mask.shape[1:] != frame.shape[1:]:
+        raise DatasetError(f"mask {path} is {mask.shape[1]}x{mask.shape[2]} but its frame "
+                           f"is {frame.shape[1]}x{frame.shape[2]}")
+    return mask
+
+
 def load_sequence(directory, require_masks: bool = True) -> SequenceRecord:
     directory = Path(directory)
     frames, masks = [], []
@@ -48,7 +57,7 @@ def load_sequence(directory, require_masks: bool = True) -> SequenceRecord:
         frames.append(read_frame(directory / f"{stem}.ppm"))
         mask_path = directory / f"{stem}.pgm"
         if mask_path.exists():
-            masks.append(read_mask(mask_path))
+            masks.append(_read_mask_for(mask_path, frames[-1]))
         elif require_masks:
             raise DatasetError(f"missing mask {mask_path}")
     return SequenceRecord(name=directory.name, frames=frames, masks=masks)
@@ -78,12 +87,9 @@ def load_static_pool(directory) -> list[StaticRecord]:
             stem, category = line.split()
         except ValueError as exc:
             raise DatasetError(f"malformed manifest line {line!r}") from exc
-        records.append(StaticRecord(
-            name=stem,
-            category=category,
-            image=read_frame(directory / f"{stem}.ppm"),
-            mask=read_mask(directory / f"{stem}.pgm"),
-        ))
+        image = read_frame(directory / f"{stem}.ppm")
+        records.append(StaticRecord(name=stem, category=category, image=image,
+                                    mask=_read_mask_for(directory / f"{stem}.pgm", image)))
     if not records:
         raise DatasetError(f"static pool {directory} is empty")
     return records

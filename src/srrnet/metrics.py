@@ -265,8 +265,12 @@ def evaluate_dataset(pred_dir, gt_dir, allow_missing: bool = False,
             if not pred_path.exists():
                 missing.append(str(pred_path))
                 continue
-            gt = read_pgm(seq / f"{stem}.pgm").astype(np.float64) / 255.0
+            gt_path = seq / f"{stem}.pgm"
+            gt = read_pgm(gt_path).astype(np.float64) / 255.0
             pred = read_pgm(pred_path).astype(np.float64) / 255.0
+            if pred.shape != gt.shape:
+                raise ValueError(f"prediction {pred_path} is {pred.shape[0]}x{pred.shape[1]} but "
+                                 f"its ground truth {gt_path} is {gt.shape[0]}x{gt.shape[1]}")
             row = compute_pair_metrics(pred, gt)
             if np.isnan(row["f_w_beta"]):
                 skipped += 1

@@ -57,15 +57,17 @@ def preset_config(name: str, attention_mode: str = "rma",
 class ReferenceSlot:
     """What a model keeps across the calls of one inference session.
 
-    ``reference`` is R's encoding of ``r_in`` (``PyramidFeatures.reference()``),
-    kept only where R reads only R (every attention mode but ``full``), and
-    ``collapse`` the collapsed decoder (see ``decoder``). Both are valid for
-    one model and one weights generation, ``key``: a call with another key
-    empties the slot first. ``nn.load_checkpoint`` and ``AdamW.step`` start a
-    new weights generation; a parameter written in place by any other means
-    leaves the slot stale, and a stale slot changes outputs: give the session
-    a new slot after such a write. The slot is ignored with the gradient tape
-    on, since its tensors carry no graph.
+    ``reference`` is R's encoding of ``r_in``: the ``r`` and ``kv`` of the
+    joint pass that first read it, as they are (views into buffers stacked
+    with P, which they keep alive), kept only where R reads only R (every
+    attention mode but ``full``), and ``collapse`` the collapsed decoder (see
+    ``decoder``). Both are valid for one model and one weights generation,
+    ``key``: a call with another key empties the slot first.
+    ``nn.load_checkpoint`` and ``AdamW.step`` start a new weights generation;
+    a parameter written in place by any other means leaves the slot stale,
+    and a stale slot changes outputs: give the session a new slot after such
+    a write. The slot is ignored with the gradient tape on, since its tensors
+    carry no graph.
     """
 
     key: Optional[tuple] = None  # weights_key of the model that filled the slot
@@ -111,7 +113,8 @@ class SRRNet(Module):
             slot.r_in = slot.reference = None  # drop the old encoding before building a new one
         features = self.backbone(triplet, slot.reference)
         if slot.reference is None and reference_is_separable(self.config.attention_mode):
-            slot.reference, slot.r_in = features.reference(), r_in.copy()
+            slot.reference = PyramidFeatures(r=features.r, kv=features.kv)
+            slot.r_in = r_in.copy()
         if slot.collapse is None:
             slot.collapse = self.decoder.collapse()
         return self.decoder(features, triplet.height, triplet.width, slot.collapse)

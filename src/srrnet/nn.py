@@ -165,10 +165,6 @@ class AdamW:
             vhat = self._v[i] / (1.0 - b2 ** self.t)
             p.data -= self.lr * (mhat / (np.sqrt(vhat) + ADAMW_EPS) + WEIGHT_DECAY * p.data)
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
 
 def _config_json(model: Module) -> str:
     config = getattr(model, "config", None)  # a model's config dataclass; bare modules have none

@@ -39,8 +39,8 @@ def compute_loss(pred: PredictionPair, gt: np.ndarray, gamma: float,
     The BCE acts on the foreground-minus-background logit of
     ``pred.supervision_logits``. The error target is ``gt - pred.o_msk`` (its
     absolute value unless ``error_target`` is ``"signed"``), resized to the
-    error map's grid when the resolutions differ; ``o_msk`` is an argmax, so
-    no gradient flows through the target.
+    error map's grid; ``o_msk`` is an argmax, so no gradient flows through
+    the target.
     """
     if error_target not in ERROR_TARGETS:
         raise ConfigurationError(f"unknown error target {error_target!r}")
@@ -54,8 +54,7 @@ def compute_loss(pred: PredictionPair, gt: np.ndarray, gamma: float,
 
     raw = gt - pred.o_msk
     target = np.abs(raw) if error_target == "absolute" else raw
-    if target.shape[2:] != tuple(o_err.shape[2:]):
-        target = T.bilinear_resize(Tensor(target), o_err.shape[2], o_err.shape[3]).data
+    target = T.bilinear_resize(Tensor(target), o_err.shape[2], o_err.shape[3]).data
     mse = T.mse(o_err, target)
     total = bce + gamma * mse
     return total, {"bce": float(bce.data), "mse": float(mse.data),
@@ -336,8 +335,8 @@ def _train_stage(model: SRRNet, sample: Callable[[np.random.Generator], TrainTri
         if not np.isfinite(loss.data).all():
             # a non-finite loss would poison every weight through the optimizer
             raise RuntimeError(
-                f"non-finite loss {loss.item()} at {stage} iteration {it + 1}")
-        opt.zero_grad()
+                f"non-finite loss {float(loss.data)} at {stage} iteration {it + 1}")
+        model.zero_grad()
         T.backward(loss)
         opt.step()
         trace.append((len(trace), stage, parts["bce"], parts["mse"], parts["total"]))

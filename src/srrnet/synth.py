@@ -141,6 +141,7 @@ def generate_static_pool(seed: int, images: int, size: int, out_dir) -> Path:
     """Write a static pretraining pool with a per-image category manifest."""
     if images < 1:
         raise ConfigurationError(f"static pool images must be at least 1, got {images}")
+    check_extent("size", size)  # before the directory is made, so a refusal leaves none
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = []

@@ -77,9 +77,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
     def detach(self) -> "Tensor":
         """Stop-gradient copy: same values, no tape participation."""
         return Tensor(self.data)
@@ -274,35 +271,25 @@ def tensor_sum(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, broadcasting the leading ones.
+    """Product of ``a``'s last axis with a 2-d ``b``, for every leading index of ``a``.
 
-    With a 2-d ``b`` the rows of every leading index of ``a`` go through one
-    GEMM, forward and backward: numpy would call one GEMM per leading index,
-    streaming ``b`` once for each. With one leading index this is numpy's own
+    The rows of every leading index of ``a`` go through one GEMM, forward and
+    backward: numpy would call one GEMM per leading index, streaming ``b``
+    once for each. With one leading index (a 2-d ``a``) this is numpy's own
     GEMM; with more, a row may round differently in the last bit, since BLAS
     picks its kernels by the shape of the whole product.
     """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatchError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeMismatchError(f"matmul needs a >=2-d and a 2-d operand, got {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    if b.ndim == 2 and a.ndim > 2:
-        rows = a.data.reshape(-1, a.shape[-1])
-        data = np.matmul(rows, b.data).reshape(a.shape[:-1] + b.shape[-1:])
-
-        def bwd(g):
-            g2 = g.reshape(-1, b.shape[-1])
-            _accumulate(a, np.matmul(g2, b.data.T).reshape(a.shape))
-            _accumulate(b, np.matmul(rows.T, g2))
-
-        return _make(data, (a, b), bwd)
-    data = np.matmul(a.data, b.data)
+    rows = a.data.reshape(-1, a.shape[-1])
+    data = np.matmul(rows, b.data).reshape(a.shape[:-1] + b.shape[-1:])
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
+        g2 = g.reshape(-1, b.shape[-1])
+        _accumulate(a, np.matmul(g2, b.data.T).reshape(a.shape))
+        _accumulate(b, np.matmul(rows.T, g2))
 
     return _make(data, (a, b), bwd)
 
@@ -557,9 +544,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 
 
 def _interp_matrix(n_out: int, n_in: int) -> np.ndarray:
-    """Row-stochastic 1-d interpolation matrix, half-pixel centers, clamped edges."""
-    if n_out == n_in:
-        return np.eye(n_in)
+    """Row-stochastic 1-d interpolation matrix, half-pixel centers, clamped edges.
+
+    At an equal extent every source position lands on a pixel, so this is
+    exactly the identity.
+    """
     m = np.zeros((n_out, n_in))
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)

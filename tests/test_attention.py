@@ -169,15 +169,11 @@ def test_desk128_score_blocks_fit_the_budget_and_cover_every_score(monkeypatch, 
 # the attention primitive against the normalize-then-multiply chain
 
 
-def _softmax_probs(a):
-    """The probabilities softmax(a) along the last axis, off the tape."""
-    y = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
-    return Tensor(y / y.sum(axis=-1, keepdims=True))
-
-
 def _unfused_softmax(q, k, v):
-    """The oracle for ``T.softmax(q, k, v)``: score, normalize, then multiply."""
-    return T.matmul(_softmax_probs(T.matmul(q, T.transpose(k, (0, 1, 3, 2)))), v)
+    """The oracle for ``T.softmax(q, k, v)``: score, normalize, then multiply, off the tape."""
+    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    y = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return Tensor(np.matmul(y / y.sum(axis=-1, keepdims=True), v.data))
 
 
 @pytest.mark.parametrize("preset, reference_mode, frames",

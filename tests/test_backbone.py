@@ -5,7 +5,7 @@ import pytest
 
 from srrnet import nn
 from srrnet import tensor as T
-from srrnet.backbone import FrameTriplet, PyramidFeatures, RMABackbone
+from srrnet.backbone import FrameTriplet, RMABackbone
 from srrnet.model import ReferenceSlot, SRRNet, build_model, preset_config
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
@@ -196,43 +196,6 @@ def test_p_and_r_are_stacked_once_per_forward(monkeypatch, desk_model, rng):
     stackings.clear()
     desk_model(triplet)  # the tape on: the joint route
     assert stackings == [2]
-
-
-@pytest.mark.parametrize("attention_mode", ["rma", "self_only"])
-def test_slot_arrays_own_their_buffers(rng, attention_mode):
-    """The slot keeps copies of R's arrays, not views into buffers stacked with P."""
-    model = build_model("desk", attention_mode=attention_mode, seed=0)
-    triplet = make_triplet(rng)
-    slot = ReferenceSlot()
-    with T.no_grad():
-        model(FrameTriplet(triplet.c_img, triplet.p_in, triplet.r_in, reference=slot))
-    reference = slot.reference
-    for stage, r_map, stage_kv in zip(model.backbone.stages, reference.r, reference.kv):
-        kv = [t for block_kv in stage_kv if block_kv is not None for t in block_kv]
-        assert len(kv) == (0 if attention_mode == "self_only" else 2 * len(stage.blocks))
-        for t in [r_map, *kv]:
-            assert t.data.flags.owndata
-
-
-def test_slot_copies_read_like_the_views_they_replace(monkeypatch, desk_model, rng):
-    """A frame that reuses the slot's copies is bitwise the one that reuses the views.
-
-    The copies keep the views' memory layout, so every later GEMM sees the
-    same operand strides and rounds the same way.
-    """
-    first, second = make_triplet(rng), make_triplet(rng)
-
-    def reuse():  # fill a slot from ``first``, then run ``second``'s C and P against it
-        slot = ReferenceSlot()
-        with T.no_grad():
-            desk_model(FrameTriplet(first.c_img, first.p_in, first.r_in, reference=slot))
-            return desk_model(FrameTriplet(second.c_img, second.p_in, first.r_in, reference=slot))
-
-    copied = reuse()
-    monkeypatch.setattr(PyramidFeatures, "reference", lambda self: self)
-    viewed = reuse()
-    np.testing.assert_array_equal(copied.supervision_logits.data, viewed.supervision_logits.data)
-    np.testing.assert_array_equal(copied.o_err.data, viewed.o_err.data)
 
 
 def test_backbone_neither_reads_nor_writes_the_slot(desk_model, rng):

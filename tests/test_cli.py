@@ -384,4 +384,6 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
         assert run_cli("synth", "--out", str(tmp_path / "bad"), "--motion-amplitude", amplitude) == 1
         assert (f"error: motion_amplitude must be finite and non-negative, got {float(amplitude)}"
                 in capsys.readouterr().err)
+    assert run_cli("synth", "--out", str(tmp_path / "bad"), "--static-pool", "2", "--size", "48") == 1
+    assert "error: size must be a positive multiple of 32, got 48" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()

@@ -245,6 +245,15 @@ def test_load_sequence_missing_masks(tmp_path):
     assert len(record.frames) == 2 and len(record.masks) == 1
 
 
+def test_load_sequence_refuses_a_mask_of_another_extent_naming_it(tmp_path):
+    out = generate_sequence(SynthParams(seed=4, frames=2, size=64), tmp_path / "seq")
+    generate_sequence(SynthParams(seed=4, frames=2, size=32), tmp_path / "small")
+    (out / "00001.pgm").write_bytes((tmp_path / "small" / "00001.pgm").read_bytes())
+    for require_masks in (True, False):
+        with pytest.raises(DatasetError, match=r"mask .*00001\.pgm is 32x32 but its frame is 64x64"):
+            load_sequence(out, require_masks=require_masks)
+
+
 def test_load_video_dataset_layouts(tmp_path):
     root = tmp_path / "data"
     generate_sequence(SynthParams(seed=1, frames=2, size=32), root / "s1")
@@ -281,4 +290,12 @@ def test_load_static_pool(tmp_path):
         load_static_pool(out)
     (out / "categories.txt").unlink()
     with pytest.raises(DatasetError, match="categories.txt"):
+        load_static_pool(out)
+
+
+def test_load_static_pool_refuses_a_mask_of_another_extent_naming_it(tmp_path):
+    out = generate_static_pool(1, 2, 64, tmp_path / "pool")
+    small = generate_static_pool(1, 2, 32, tmp_path / "small")
+    (out / "00001.pgm").write_bytes((small / "00001.pgm").read_bytes())
+    with pytest.raises(DatasetError, match=r"mask .*00001\.pgm is 32x32 but its frame is 64x64"):
         load_static_pool(out)

@@ -334,6 +334,14 @@ def test_evaluate_dataset_missing_predictions(tmp_path):
     assert report.per_sequence[0].n_frames == 1
 
 
+def test_evaluate_dataset_refuses_a_prediction_of_another_extent_naming_it(tmp_path):
+    _write_mask_dir(tmp_path, "gt", [_blob(2), _blob(4)])
+    _write_mask_dir(tmp_path, "pred", [_blob(2), np.zeros((8, 16))])
+    with pytest.raises(ValueError, match=r"prediction .*pred.00001\.pgm is 8x16 but its "
+                                         r"ground truth .*gt.00001\.pgm is 16x16"):
+        evaluate_dataset(tmp_path / "pred", tmp_path / "gt")
+
+
 def test_evaluate_dataset_empty_gt_frames_warn(tmp_path):
     gt_root = tmp_path / "gt"
     pred_root = tmp_path / "pred"

@@ -24,6 +24,9 @@ def leaf(rng, *shape):
 def test_matmul_matches_numpy(rng):
     a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))
     np.testing.assert_array_equal(T.matmul(Tensor(a), Tensor(b)).data, a @ b)
+    # a 2-d left operand, contiguous or a transposed view, is numpy's own GEMM
+    for left in (rng.normal(size=(3, 4)), rng.normal(size=(4, 3)).T):
+        np.testing.assert_array_equal(T.matmul(Tensor(left), Tensor(b)).data, left @ b)
 
 
 def _slabs(x):
@@ -290,12 +293,13 @@ def test_mean_sum_grads(rng):
 
 
 def test_matmul_grads(rng):
-    a = leaf(rng, 2, 3, 4)
-    b = leaf(rng, 4, 5)
-    w = rng.normal(size=(2, 3, 5))
-    loss = lambda: T.tensor_sum(T.matmul(a, b) * Tensor(w))
-    assert_grad_matches(loss, a)
-    assert_grad_matches(loss, b)
+    for leading in ((2, 3), ()):  # a 3-d and a 2-d left operand
+        a = leaf(rng, *leading, 3, 4)
+        b = leaf(rng, 4, 5)
+        w = rng.normal(size=leading + (3, 5))
+        loss = lambda: T.tensor_sum(T.matmul(a, b) * Tensor(w))
+        assert_grad_matches(loss, a)
+        assert_grad_matches(loss, b)
 
 
 def test_softmax_sigmoid_gelu_grads(rng):
@@ -594,6 +598,10 @@ def test_matmul_shape_errors(rng):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
     with pytest.raises(ShapeMismatchError):
         T.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+    # the right operand is a weight matrix: a batch of them is refused, naming both shapes
+    with pytest.raises(ShapeMismatchError,
+                       match=r"a 2-d operand, got \(2, 3, 4, 5\) x \(2, 3, 5, 6\)"):
+        T.matmul(Tensor(np.ones((2, 3, 4, 5))), Tensor(np.ones((2, 3, 5, 6))))
 
 
 def test_tensor_division_by_tensor_rejected():
