@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import __version__
@@ -230,7 +231,7 @@ def _cmd_train(args) -> int:
 
 
 def _infer_with_trace(args, trace_path, require_masks: bool
-                      ) -> tuple[SRRNet, list[StepResult], list | None]:
+                      ) -> tuple[SRRNet, list[StepResult], Sequence | None]:
     """Run the checkpoint's model over ``--data`` once and write its score trace.
 
     Also returns the ground-truth masks, ``None`` unless every frame has one.

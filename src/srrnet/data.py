@@ -3,27 +3,55 @@
 Layout: one directory per sequence, frames ``NNNNN.ppm`` with masks
 ``NNNNN.pgm``. A static pool is a flat directory of image/mask pairs plus a
 ``categories.txt`` manifest with one ``NNNNN <category>`` line per image.
+
+A loaded sequence keeps each file's 8-bit pixels (3 bytes a pixel for a
+frame, 1 for a mask) and decodes a frame or mask to float64 only when it is
+read, since a single pass reads each one once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .pnm import read_frame, read_mask
+from .pnm import decode_frame, decode_mask, read_frame, read_pgm, read_ppm
 
 
 class DatasetError(ValueError):
     pass
 
 
+class DecodedImages(Sequence):
+    """Read-only stored 8-bit images that decode to a fresh float64 array on each access."""
+
+    def __init__(self, pixels: list[np.ndarray], decode: Callable[[np.ndarray], np.ndarray]):
+        self._pixels = pixels
+        self._decode = decode
+
+    def __len__(self) -> int:
+        return len(self._pixels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return DecodedImages(self._pixels[index], self._decode)
+        return self._decode(self._pixels[index])
+
+
 @dataclass
 class SequenceRecord:
+    """A sequence's frames and masks, read by ``len``, ``[i]`` and iteration.
+
+    ``load_sequence`` fills both with ``DecodedImages``; any sequence of
+    arrays, such as a list, works too.
+    """
+
     name: str
-    frames: list[np.ndarray]   # each 3 x H x W in [0, 1]
-    masks: list[np.ndarray]    # each 1 x H x W in {0, 1}; may be empty for unlabeled
+    frames: Sequence[np.ndarray]   # each 3 x H x W float64 in [0, 1]
+    masks: Sequence[np.ndarray]    # each 1 x H x W float64 in {0, 1}; may be empty for unlabeled
 
 
 @dataclass
@@ -41,26 +69,38 @@ def _frame_stems(directory: Path) -> list[str]:
     return stems
 
 
-def _read_mask_for(path: Path, frame: np.ndarray) -> np.ndarray:
-    """Read a mask, refusing one whose extent is not its frame's."""
-    mask = read_mask(path)
-    if mask.shape[1:] != frame.shape[1:]:
-        raise DatasetError(f"mask {path} is {mask.shape[1]}x{mask.shape[2]} but its frame "
-                           f"is {frame.shape[1]}x{frame.shape[2]}")
+def _read_mask_for(path: Path, extent: tuple) -> np.ndarray:
+    """Read a mask's 8-bit pixels, refusing an extent other than its frame's (H, W)."""
+    mask = read_pgm(path)
+    if mask.shape != extent:
+        raise DatasetError(f"mask {path} is {mask.shape[0]}x{mask.shape[1]} but its frame "
+                           f"is {extent[0]}x{extent[1]}")
     return mask
 
 
 def load_sequence(directory, require_masks: bool = True) -> SequenceRecord:
+    """Read and check every file of a sequence, keeping its pixels at 8 bits.
+
+    A frame whose extent differs from the first frame's, or a mask whose
+    extent differs from its frame's, is refused naming the file.
+    """
     directory = Path(directory)
     frames, masks = [], []
     for stem in _frame_stems(directory):
-        frames.append(read_frame(directory / f"{stem}.ppm"))
+        frame_path = directory / f"{stem}.ppm"
+        frame = read_ppm(frame_path)
+        if frames and frame.shape != frames[0].shape:
+            (h, w, _), (first_h, first_w, _) = frame.shape, frames[0].shape
+            raise DatasetError(f"frame {frame_path} is {h}x{w} but the frames before it "
+                               f"are {first_h}x{first_w}")
+        frames.append(frame)
         mask_path = directory / f"{stem}.pgm"
         if mask_path.exists():
-            masks.append(_read_mask_for(mask_path, frames[-1]))
+            masks.append(_read_mask_for(mask_path, frame.shape[:2]))
         elif require_masks:
             raise DatasetError(f"missing mask {mask_path}")
-    return SequenceRecord(name=directory.name, frames=frames, masks=masks)
+    return SequenceRecord(name=directory.name, frames=DecodedImages(frames, decode_frame),
+                          masks=DecodedImages(masks, decode_mask))
 
 
 def sequence_dirs(root) -> list[Path]:
@@ -88,8 +128,9 @@ def load_static_pool(directory) -> list[StaticRecord]:
         except ValueError as exc:
             raise DatasetError(f"malformed manifest line {line!r}") from exc
         image = read_frame(directory / f"{stem}.ppm")
+        mask = _read_mask_for(directory / f"{stem}.pgm", image.shape[1:])
         records.append(StaticRecord(name=stem, category=category, image=image,
-                                    mask=_read_mask_for(directory / f"{stem}.pgm", image)))
+                                    mask=decode_mask(mask)))
     if not records:
         raise DatasetError(f"static pool {directory} is empty")
     return records

@@ -93,11 +93,15 @@ class DecoderConfig:
 
 @dataclass
 class PredictionPair:
-    """Decoder output: mask logits, binary mask, error map, scalar score."""
+    """Decoder output: mask logits, binary mask, error map, scalar score.
+
+    ``o_msk`` is bool, one byte a pixel; mixed with a float64 operand it reads
+    as exactly 0.0 and 1.0.
+    """
 
     mask_logits: Tensor         # B x 2 x (H/4) x (W/4)
     supervision_logits: Tensor  # B x 2 x H x W, mask_logits resized to the input
-    o_msk: np.ndarray           # B x 1 x H x W, values in {0, 1}
+    o_msk: np.ndarray           # B x 1 x H x W bool
     o_err: Tensor               # B x 1 x (H/4) x (W/4), in (0, 1), or (-1, 1) if signed
     score: Tensor               # scalar, spatial mean of |o_err|
 
@@ -137,8 +141,12 @@ def channel_linear(x_map: Tensor, weight: Tensor) -> Tensor:
 
 
 def binary_mask_from_logits(logits: Tensor) -> np.ndarray:
-    """Argmax over the two-channel axis; equal logits classify as background."""
-    return (logits.data[:, 1:2] > logits.data[:, 0:1]).astype(np.float64)
+    """Argmax over the two-channel axis as a B x 1 x H x W bool array.
+
+    Equal logits classify as background. The mask stays bool rather than
+    uint8 because ``bool - bool`` raises where ``uint8 - uint8`` would wrap.
+    """
+    return logits.data[:, 1:2] > logits.data[:, 0:1]
 
 
 def mae_score(o_err: Tensor) -> Tensor:

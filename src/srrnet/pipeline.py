@@ -10,6 +10,7 @@ prefix-argmin of the score stream (earliest minimum on ties).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -176,8 +177,11 @@ class MemoryState:
 
 @dataclass
 class StepResult:
+    """One frame's outputs. ``o_msk`` is bool, so a kept result costs one
+    byte a mask pixel plus its quarter-resolution float64 error map."""
+
     frame_index: int
-    o_msk: np.ndarray       # 1 x H x W binary
+    o_msk: np.ndarray       # 1 x H x W bool
     o_err: np.ndarray       # 1 x (H/4) x (W/4)
     score: float
     updated: bool
@@ -203,7 +207,8 @@ class InferenceSession:
         it is the next P and, while its score is the best so far, R.
         """
         first_frame = np.asarray(first_frame, dtype=np.float64)
-        self.prev_in = _branch_input(first_frame, np.zeros((1,) + first_frame.shape[1:]))
+        self.prev_in = _branch_input(first_frame,
+                                     np.zeros((1,) + first_frame.shape[1:], dtype=bool))
         self.memory = MemoryState(r_in=self.prev_in)
         self.frame_counter = 0
         self._history: list[tuple[np.ndarray, np.ndarray]] = []  # random mode only
@@ -353,9 +358,10 @@ def train(model: SRRNet, schedule: TrainSchedule, out_dir,
     Writes ``loss.csv`` and ``checkpoint.npz`` into ``out_dir``. A crop
     larger than any given frame or pool image is refused before any step.
     """
-    for image in ([f for seq in video_sequences or () for f in seq.frames]
-                  + [rec.image for rec in static_pool or ()]):
-        _check_crop(schedule.crop, *image.shape[-2:])
+    if schedule.crop is not None:  # one decoded frame alive at a time
+        for image in itertools.chain((f for seq in video_sequences or () for f in seq.frames),
+                                     (rec.image for rec in static_pool or ())):
+            _check_crop(schedule.crop, *image.shape[-2:])
     rng = np.random.default_rng(schedule.seed)
     out_dir = Path(out_dir)
     result = TrainResult(checkpoint_path=out_dir / "checkpoint.npz",

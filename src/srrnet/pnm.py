@@ -100,16 +100,24 @@ def write_pgm(path, image: np.ndarray):
         f.write(image.tobytes())
 
 
+def decode_frame(img: np.ndarray) -> np.ndarray:
+    """An H x W x 3 uint8 image as the 3 x H x W float64 frame in [0, 1] the model reads."""
+    return img.astype(np.float64).transpose(2, 0, 1) / 255.0
+
+
+def decode_mask(m: np.ndarray) -> np.ndarray:
+    """An H x W uint8 image as a 1 x H x W float64 mask in {0, 1}: 128 and up is foreground."""
+    return (m.astype(np.float64) / 255.0 >= 0.5).astype(np.float64)[None]
+
+
 def read_frame(path) -> np.ndarray:
     """Read a PPM frame as a 3 x H x W float64 array in [0, 1]."""
-    img = read_ppm(path)
-    return img.astype(np.float64).transpose(2, 0, 1) / 255.0
+    return decode_frame(read_ppm(path))
 
 
 def read_mask(path) -> np.ndarray:
     """Read a PGM mask as a 1 x H x W float64 array in {0, 1}."""
-    m = read_pgm(path)
-    return (m.astype(np.float64) / 255.0 >= 0.5).astype(np.float64)[None]
+    return decode_mask(read_pgm(path))
 
 
 def write_mask(path, mask: np.ndarray):

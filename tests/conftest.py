@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import srrnet
 from srrnet import tensor as T
 
 # Property tests draw the same examples on every run, so tier-1 stays
@@ -70,3 +77,31 @@ def desk_model():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+PEAK_BYTES = """
+def peak_bytes():
+    # VmHWM is this address space's own high-water mark; ru_maxrss would
+    # start at the forking parent's peak
+    with open("/proc/self/status") as f:
+        line = next(line for line in f if line.startswith("VmHWM:"))
+    return int(line.split()[1]) * 1024
+"""
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                                reason="needs Linux /proc")
+
+
+def run_peak_probe(script: str, *argv) -> str:
+    """Run ``script`` in a fresh interpreter and return its stdout.
+
+    The child imports this tree's ``srrnet`` and has ``peak_bytes()``, its
+    own peak resident size, defined before ``script`` runs.
+    """
+    src = str(Path(srrnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", PEAK_BYTES + textwrap.dedent(script),
+                           *map(str, argv)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from srrnet.nn import load_checkpoint
 from srrnet.pipeline import infer_sequence, write_score_trace
 from srrnet.pnm import read_pgm
 from srrnet.tensor import Tensor
+
+from conftest import needs_proc, run_peak_probe
 
 
 def run_cli(*args):
@@ -94,6 +97,61 @@ def test_a_non_finite_score_exits_1_naming_the_frame(workspace, tmp_path, monkey
                    "--out", str(tmp_path / "out")) == 1
     assert "non-finite score nan at frame 2" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_mixed_frame_extents_exit_1_naming_the_frame_before_any_step(workspace, tmp_path,
+                                                                       capsys):
+    seq = tmp_path / "video" / "mixed"
+    seq.mkdir(parents=True)
+    for stem in ("00000", "00001"):
+        for ext in (".ppm", ".pgm"):
+            shutil.copy(workspace / "video" / "seq0" / f"{stem}{ext}", seq)
+    assert run_cli("synth", "--out", str(tmp_path / "big"), "--frames", "1", "--size", "64") == 0
+    for ext in (".ppm", ".pgm"):
+        shutil.copy(tmp_path / "big" / f"00000{ext}", seq / f"00002{ext}")
+    checkpoint = str(workspace / "run" / "checkpoint.npz")
+    out = tmp_path / "out"
+    for argv in (["infer", "--data", str(seq), "--checkpoint", checkpoint, "--out", str(out)],
+                 ["trace-score", "--data", str(seq), "--checkpoint", checkpoint,
+                  "--out", str(out / "scores.csv")],
+                 ["train", "--video-data", str(seq.parent), "--video-iterations", "1",
+                  "--out", str(out)]):
+        assert run_cli(*argv) == 1
+        assert (f"frame {seq / '00002.ppm'} is 64x64 but the frames before it are 32x32"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+INFER_PEAK = """
+import sys
+from srrnet.cli import main
+assert main(sys.argv[1:]) == 0
+print(peak_bytes())
+"""
+
+
+@needs_proc
+def test_infer_peak_grows_by_a_few_bytes_a_pixel_per_frame(workspace, tmp_path):
+    """``infer`` holds a loaded frame at 8 bits a channel and a mask at one byte.
+
+    Between an N-frame and a 2N-frame 128x128 sequence the child's peak
+    resident size grows by about 5 bytes a pixel per extra frame. Holding
+    float64 frames, ground-truth masks and result masks grew it by about 44.
+    """
+    n, size = 40, 128
+    long = tmp_path / "long"
+    assert run_cli("synth", "--out", str(long), "--frames", str(2 * n), "--size", str(size),
+                   "--seed", "3") == 0
+    short = tmp_path / "short"
+    short.mkdir()
+    for path in sorted(long.iterdir())[:2 * n]:  # the first n frames and their masks
+        shutil.copy(path, short)
+    peaks = [int(run_peak_probe(INFER_PEAK, "infer", "--data", seq,
+                                "--checkpoint", workspace / "run" / "checkpoint.npz",
+                                "--out", tmp_path / f"out_{seq.name}").split()[-1])
+             for seq in (short, long)]
+    per_pixel = (peaks[1] - peaks[0]) / (n * size * size)
+    assert per_pixel < 12, (peaks, per_pixel)
 
 
 def test_infer_and_eval(workspace):

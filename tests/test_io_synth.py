@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from srrnet.data import (DatasetError, load_sequence, load_static_pool, load_video_dataset,
@@ -252,6 +252,57 @@ def test_load_sequence_refuses_a_mask_of_another_extent_naming_it(tmp_path):
     for require_masks in (True, False):
         with pytest.raises(DatasetError, match=r"mask .*00001\.pgm is 32x32 but its frame is 64x64"):
             load_sequence(out, require_masks=require_masks)
+
+
+def test_load_sequence_refuses_a_frame_of_another_extent_naming_it(tmp_path):
+    out = generate_sequence(SynthParams(seed=4, frames=2, size=64), tmp_path / "seq")
+    generate_sequence(SynthParams(seed=4, frames=2, size=32), tmp_path / "small")
+    for ext in (".ppm", ".pgm"):
+        (out / f"00002{ext}").write_bytes((tmp_path / "small" / f"00001{ext}").read_bytes())
+    for require_masks in (True, False):
+        with pytest.raises(DatasetError, match=r"frame .*00002\.ppm is 32x32 but the frames "
+                                               r"before it are 64x64"):
+            load_sequence(out, require_masks=require_masks)
+
+
+@st.composite
+def _sequence_pixels(draw):
+    """One to three frames and masks of one drawn extent, as the 8-bit pixels written."""
+    h, w, n = draw(st.integers(1, 24)), draw(st.integers(1, 24)), draw(st.integers(1, 3))
+    return ([draw(hnp.arrays(np.uint8, (h, w, 3))) for _ in range(n)],
+            [draw(hnp.arrays(np.uint8, (h, w))) for _ in range(n)])
+
+
+def _assert_bitwise(a: np.ndarray, b: np.ndarray):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# every mask byte, so both sides of the threshold between 127 and 128, on a non-square extent
+@example(([np.zeros((8, 32, 3), np.uint8)], [np.arange(256, dtype=np.uint8).reshape(8, 32)]))
+@given(pixels=_sequence_pixels())
+def test_loaded_records_decode_bitwise_like_reading_each_file(pixels):
+    images, masks = pixels
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (image, mask) in enumerate(zip(images, masks)):
+            write_ppm(Path(tmp) / f"{i:05d}.ppm", image)
+            write_pgm(Path(tmp) / f"{i:05d}.pgm", mask)
+        record = load_sequence(tmp)
+        assert len(record.frames) == len(record.masks) == len(images)
+        for i in range(len(images)):
+            _assert_bitwise(record.frames[i], read_frame(Path(tmp) / f"{i:05d}.ppm"))
+            _assert_bitwise(record.masks[i], read_mask(Path(tmp) / f"{i:05d}.pgm"))
+
+
+def test_loaded_frames_and_masks_are_fresh_arrays_on_each_access(tmp_path):
+    out = generate_sequence(SynthParams(seed=4, frames=3, size=32), tmp_path / "seq")
+    record = load_sequence(out)
+    for images in (record.frames, record.masks):
+        kept = [image.copy() for image in images]
+        for image in images:
+            image[...] = -1.0
+        for i in range(-len(kept), len(kept)):
+            _assert_bitwise(images[i], kept[i])
+        assert [a.tobytes() for a in images[1:]] == [a.tobytes() for a in kept[1:]]
 
 
 def test_load_video_dataset_layouts(tmp_path):

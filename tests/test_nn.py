@@ -1,13 +1,8 @@
 """Layers, parameter registration, the optimizer, and checkpoint round-trips."""
 
 import dataclasses
-import os
 import re
-import subprocess
-import sys
-import textwrap
 import zipfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +26,7 @@ from srrnet.nn import (
 )
 from srrnet.tensor import ConfigurationError, Tensor
 
-from conftest import assert_grad_matches
+from conftest import assert_grad_matches, needs_proc, run_peak_probe
 from test_backbone import make_triplet
 
 
@@ -283,13 +278,6 @@ import sys
 import numpy as np
 from srrnet.nn import Module, Parameter, load_checkpoint
 
-def peak_bytes():
-    # VmHWM is this address space's own high-water mark; ru_maxrss would
-    # start at the forking parent's peak
-    with open("/proc/self/status") as f:
-        line = next(line for line in f if line.startswith("VmHWM:"))
-    return int(line.split()[1]) * 1024
-
 class Arrays(Module):
     def __init__(self, n, size):
         for i in range(n):
@@ -304,7 +292,7 @@ print(rise)
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+@needs_proc
 def test_load_reads_one_parameter_at_a_time(tmp_path):
     """Loading raises the peak resident size by about one parameter, not the file.
 
@@ -316,13 +304,7 @@ def test_load_reads_one_parameter_at_a_time(tmp_path):
     path = tmp_path / "big.npz"
     save_checkpoint(path, Arrays([(size,)] * n))
     checkpoint_bytes = n * size * 8
-    src = str(Path(srrnet.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(LOAD_PROBE), str(path),
-                           str(n), str(size)], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert done.returncode == 0, done.stderr
-    rise = int(done.stdout.split()[-1])
+    rise = int(run_peak_probe(LOAD_PROBE, path, n, size).split()[-1])
     assert rise < 0.5 * checkpoint_bytes, (rise, checkpoint_bytes)
 
 

@@ -494,6 +494,31 @@ def test_cached_session_matches_uncached_model(slot_frames, reference_mode, atte
         previous_r = r
 
 
+def test_bool_masks_build_the_inputs_and_loss_float_masks_build(slot_frames, desk_model, rng):
+    """A step's bool mask enters the next P and R inputs and the error target as
+    exactly 0.0 and 1.0, so they are bitwise what a float64 mask builds."""
+    recorder = RecordingModel(build_model("desk", seed=0), SLOT_SCORES)
+    results = infer_sequence(recorder, slot_frames, reference_mode="random", seed=3)
+    h, w = slot_frames[0].shape[1:]
+    built = [np.concatenate([slot_frames[0], np.zeros((1, h, w))])[None].tobytes()]
+    for t, (res, (_, p_in, r_in)) in enumerate(zip(results, recorder.inputs)):
+        assert res.o_msk.dtype == np.bool_ and res.o_msk.shape == (1, h, w)
+        assert p_in.dtype == r_in.dtype == np.float64
+        assert p_in.tobytes() == built[-1]
+        assert r_in.tobytes() in built
+        built.append(np.concatenate([slot_frames[t], res.o_msk.astype(np.float64)])[None]
+                     .tobytes())
+
+    from test_backbone import make_triplet
+    pred = desk_model(make_triplet(rng, size=32))
+    as_float = dataclasses.replace(pred, o_msk=pred.o_msk.astype(np.float64))
+    gt = (rng.random((1, 1, 32, 32)) > 0.5).astype(np.float64)
+    for error_target in ERROR_TARGETS:
+        total, parts = compute_loss(pred, gt, 1.0, error_target)
+        total_float, parts_float = compute_loss(as_float, gt, 1.0, error_target)
+        assert parts == parts_float and total.data.tobytes() == total_float.data.tobytes()
+
+
 def _count_refills(monkeypatch):
     """The ``r_in`` of every model call that refills its triplet's reference slot."""
     refills = []
