@@ -3,6 +3,11 @@
 A checkpoint (format 2) stores the model's config as JSON beside its float64
 parameters: loading refuses a model with another config, ``model.load_model``
 rebuilds the model from the file alone, and format-1 files are refused.
+
+Each parameter's array is allocated once, when its module is built: the
+initial draw is clipped in place, and a load reads into that same array, so a
+load holds no array beyond the model for a ``<f8`` C-order file (what
+``save_checkpoint`` writes) and one scratch array for any other layout.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import zipfile
 from typing import Iterator
 
 import numpy as np
@@ -92,7 +98,7 @@ def count_parameters(model: Module) -> int:
 
 def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
     x = rng.normal(0.0, INIT_STD, size=shape)
-    return np.clip(x, -2.0 * INIT_STD, 2.0 * INIT_STD)
+    return np.clip(x, -2.0 * INIT_STD, 2.0 * INIT_STD, out=x)
 
 
 class Linear(Module):
@@ -195,6 +201,17 @@ def save_checkpoint(path, model: Module):
     np.savez(path, **arrays)
 
 
+def _open_checkpoint(path):
+    """The npz archive at ``path``, open; a file that is not a whole one is refused, naming it."""
+    try:
+        blob = np.load(path)
+    except (zipfile.BadZipFile, EOFError) as exc:  # a copy cut short, or an empty file
+        raise ValueError(f"checkpoint {path} is not a complete npz archive: {exc}") from None
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise ValueError(f"checkpoint {path} is a single array, not an npz archive")
+    return blob
+
+
 def _stored_config(blob, path):
     """The config in an open checkpoint; refuses every format but the current one."""
     version = int(blob["__format_version__"][0])
@@ -208,14 +225,16 @@ def _stored_config(blob, path):
 
 def read_checkpoint_config(path):
     """The config a checkpoint was saved with, as JSON values (None for a bare module)."""
-    with np.load(path) as blob:
+    with _open_checkpoint(path) as blob:
         return _stored_config(blob, path)
 
 
 def _open_array(blob, stack: contextlib.ExitStack, name: str):
     """Open a checkpoint array and read its ``.npy`` header: ``(file, shape, fortran, dtype)``.
 
-    The file is left at the start of the data and closes with ``stack``.
+    The file is left at the start of the data and closes with ``stack``. An
+    array whose data bytes differ from what its header promises is refused,
+    naming it, so a truncated file fails before any parameter is written.
     """
     f = stack.enter_context(blob.zip.open(f"{name}.npy"))
     version = np.lib.format.read_magic(f)
@@ -224,32 +243,47 @@ def _open_array(blob, stack: contextlib.ExitStack, name: str):
     shape, fortran, dtype = read_header(f)
     if dtype.hasobject:
         raise ValueError(f"checkpoint array {name} holds Python objects")
+    stored = blob.zip.getinfo(f"{name}.npy").file_size - f.tell()
+    promised = math.prod(shape) * dtype.itemsize
+    if stored != promised:
+        raise ValueError(f"checkpoint array {name} is truncated or corrupt: it holds "
+                         f"{stored} data bytes, but its header promises {promised}")
     return f, shape, fortran, dtype
 
 
-def _read_data(f, shape, fortran: bool, dtype) -> np.ndarray:
-    """The array data after an already-read header, read in place chunk by chunk."""
-    out = np.empty(shape[::-1] if fortran else shape, dtype=dtype)
-    view = memoryview(out).cast("B")
+def _read_into(out: np.ndarray, f, shape, fortran: bool, dtype):
+    """Fill ``out`` with the array data after an already-read header, chunk by chunk.
+
+    Data in ``out``'s own dtype and C order (what ``save_checkpoint`` writes)
+    is read straight into ``out``'s bytes; any other layout is read into one
+    scratch array and cast into ``out``.
+    """
+    direct = not fortran and dtype == out.dtype and out.flags.c_contiguous
+    target = out if direct else np.empty(shape[::-1] if fortran else shape, dtype=dtype)
+    view = memoryview(target).cast("B")
     for start in range(0, len(view), READ_CHUNK_BYTES):
         chunk = view[start:start + READ_CHUNK_BYTES]
         if f.readinto(chunk) != len(chunk):
             raise ValueError("checkpoint array data is truncated")
-    return out.T if fortran else out
+    if not direct:
+        np.copyto(out, target.T if fortran else target)
 
 
 def load_checkpoint(path, model: Module):
     """Load parameters by name into a model built with the checkpoint's config.
 
-    A differing config, parameter name or shape raises ``ValueError`` before
-    any parameter changes; a config difference names the field and both
-    values. The checks read only the ``.npy`` headers, and the parameters are
-    then filled one at a time from the same open files (each header is parsed
-    once), so a load holds at most one array beyond the model.
+    A differing config, parameter name, shape, a dtype that does not cast to
+    the parameter's, or array data shorter or longer than its header raises
+    ``ValueError`` before any parameter changes; a config difference names
+    the field and both values. The checks read only the ``.npy`` headers and
+    member sizes, and each parameter is then read into its own array from the
+    same open files (each header is parsed once), so every ``p.data`` stays
+    the array it was, and a load holds no array beyond the model for a
+    ``<f8`` C-order file and one scratch array for any other layout.
     """
     built = _flatten(json.loads(_config_json(model)))
     model_params = dict(model.named_parameters())
-    with np.load(path) as blob, contextlib.ExitStack() as stack:
+    with _open_checkpoint(path) as blob, contextlib.ExitStack() as stack:
         saved = _flatten(_stored_config(blob, path))
         for field in sorted(saved.keys() | built.keys()):
             was, now = saved.get(field, "<absent>"), built.get(field, "<absent>")
@@ -267,6 +301,9 @@ def load_checkpoint(path, model: Module):
             if shape != p.data.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: checkpoint {shape} vs model {p.data.shape}")
+            if not np.can_cast(dtype, p.data.dtype, casting="same_kind"):
+                raise ValueError(f"checkpoint array {name} holds {dtype}, which does not "
+                                 f"cast to the model's {p.data.dtype}")
         _next_weights_generation()
         for name, p in model_params.items():
-            p.data = np.asarray(_read_data(*opened[name]), dtype=np.float64)
+            _read_into(p.data, *opened[name])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -55,6 +56,17 @@ def assert_grad_matches(loss_fn, tensor, step: float = 1e-6,
     a = analytic_grad(loss_fn, tensor)
     f = fd_grad(loss_fn, tensor, step=step)
     np.testing.assert_allclose(a, f, rtol=rtol, atol=atol)
+
+
+def parameter_digest(model) -> str:
+    """sha256 over every named parameter: its name, a NUL, then its bytes in C order.
+
+    The scheme of the benchmark's training digest, without the loss trace.
+    """
+    digest = hashlib.sha256()
+    for name, p in model.named_parameters():
+        digest.update(name.encode() + b"\0" + np.ascontiguousarray(p.data).tobytes())
+    return digest.hexdigest()
 
 
 acceptance_lines: list[str] = []

@@ -6,6 +6,7 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from srrnet.cli import _apply_config_file, build_parser, main
@@ -13,7 +14,7 @@ from srrnet.data import load_sequence
 from srrnet.model import build_model, load_model
 from srrnet.nn import load_checkpoint
 from srrnet.pipeline import infer_sequence, write_score_trace
-from srrnet.pnm import read_pgm
+from srrnet.pnm import read_pgm, read_ppm
 from srrnet.tensor import Tensor
 
 from conftest import needs_proc, run_peak_probe
@@ -366,6 +367,24 @@ def test_infer_rejects_a_checkpoint_config_that_builds_no_model(workspace, tmp_p
     assert f"error: checkpoint {path} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["infer", "trace-score", "train"])
+def test_a_checkpoint_that_is_no_whole_npz_exits_1_naming_it(workspace, tmp_path, capsys,
+                                                            command):
+    """A copy cut short, an empty file or a single ``.npy`` array is the CLI's error line."""
+    full = (workspace / "run" / "checkpoint.npz").read_bytes()
+    (tmp_path / "cut.npz").write_bytes(full[:len(full) // 2])
+    (tmp_path / "empty.npz").write_bytes(b"")
+    np.save(tmp_path / "one.npy", np.zeros(3))
+    data = ["--video-data", str(workspace / "video")] if command == "train" else \
+        ["--data", str(workspace / "video" / "seq0")]
+    for path, reason in ((tmp_path / "cut.npz", "is not a complete npz archive"),
+                         (tmp_path / "empty.npz", "is not a complete npz archive"),
+                         (tmp_path / "one.npy", "is a single array, not an npz archive")):
+        assert run_cli(command, *data, "--checkpoint", str(path),
+                       "--out", str(tmp_path / "out")) == 1
+        assert f"error: checkpoint {path} {reason}" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# synth settings\nframes=2\nsize=32\nseed=9\n")
@@ -424,6 +443,46 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("synth", "--no-such-flag")
     assert exc.value.code == 2
+
+
+SYNTH_NUMBERS = ["contrast", "motion-amplitude", "occlusion-prob", "texture-grain"]
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "-4", "0.5", "1", "3", "1e300", "-1e300",
+               "abc", "", "1,5", "0x10"]
+
+
+def exit_code(argv) -> int:
+    """``main``'s return value, or the code of argparse's usage-error exit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@given(values=st.fixed_dictionaries({name: st.none() | st.sampled_from(EDGE_VALUES)
+                                     for name in SYNTH_NUMBERS}),
+       in_config=st.fixed_dictionaries({name: st.booleans() for name in SYNTH_NUMBERS}),
+       frames=st.integers(1, 3), size=st.sampled_from([32, 64]))
+@settings(max_examples=80)
+def test_synth_exits_0_1_or_2_on_any_value(tmp_path_factory, values, in_config, frames, size):
+    """Edge values, as flags or through ``--config``: an exit code, never an exception.
+
+    A run that exits 0 has written ``frames`` frames and masks that parse.
+    """
+    root = tmp_path_factory.mktemp("synth")
+    argv = ["synth", "--out", str(root / "seq"), "--frames", str(frames), "--size", str(size)]
+    config = [f"{name}={value}" for name, value in values.items()
+              if value is not None and in_config[name]]
+    argv += [f"--{name}={value}" for name, value in values.items()
+             if value is not None and not in_config[name]]
+    if config:
+        (root / "run.cfg").write_text("\n".join(config) + "\n")
+        argv += ["--config", str(root / "run.cfg")]
+    code = exit_code(argv)
+    assert code in (0, 1, 2), (argv, config, code)
+    if code == 0:
+        for i in range(frames):
+            assert read_ppm(root / "seq" / f"{i:05d}.ppm").shape == (size, size, 3)
+            assert read_pgm(root / "seq" / f"{i:05d}.pgm").shape == (size, size)
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

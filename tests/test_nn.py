@@ -26,7 +26,7 @@ from srrnet.nn import (
 )
 from srrnet.tensor import ConfigurationError, Tensor
 
-from conftest import assert_grad_matches, needs_proc, run_peak_probe
+from conftest import assert_grad_matches, needs_proc, parameter_digest, run_peak_probe
 from test_backbone import make_triplet
 
 
@@ -77,10 +77,28 @@ def test_linear_runs_a_batch_in_one_gemm(rng, monkeypatch):
     np.testing.assert_array_equal(stacked, items)
 
 
-def test_trunc_normal_init_is_clipped(rng):
-    lin = Linear(64, 64, rng)
+def test_trunc_normal_init_is_clipped():
+    lin = Linear(64, 64, np.random.default_rng(12345))
     assert np.abs(lin.weight.data).max() <= 0.04 + 1e-12
     assert np.all(lin.bias.data == 0.0)
+    # the in-place clip keeps the draws and their order: bitwise the plain formula
+    expected = np.clip(np.random.default_rng(12345).normal(0.0, 0.02, (64, 64)), -0.04, 0.04)
+    np.testing.assert_array_equal(lin.weight.data, expected)
+    assert (np.abs(expected) == 0.04).any()  # some draws were clipped
+
+
+# sha256 of each build's parameters (conftest.parameter_digest); a change to the
+# draws, their order or their arithmetic changes every output after it
+BUILD_DIGESTS = {
+    ("desk", 0): "e56e1641fcd76dbd4b8df6e45813c7d84c879b2685729a3b2163c1ad95ee5d39",
+    ("desk", 17): "b9861a5050b0eac5d889572e5f73fb9d17f29ac00e37bbcee0c7f25c8afdb0db",
+    ("full", 0): "804a70f2a34f3f09ddfe3d16c72675ed9b68497fcec7f053ab1ed2fd1a3e8e16",
+}
+
+
+@pytest.mark.parametrize("preset, seed", list(BUILD_DIGESTS))
+def test_build_model_draws_are_pinned(preset, seed):
+    assert parameter_digest(build_model(preset, seed=seed)) == BUILD_DIGESTS[preset, seed]
 
 
 def test_module_grads_match_fd(rng):
@@ -159,9 +177,11 @@ def test_checkpoint_round_trip(tmp_path, rng):
     save_checkpoint(path, net)
     other = TinyNet(np.random.default_rng(999))
     assert not np.array_equal(other.fc.weight.data, net.fc.weight.data)
+    arrays = [p.data for p in other.parameters()]
     load_checkpoint(path, other)
-    for (_, a), (_, b) in zip(net.named_parameters(), other.named_parameters()):
+    for (_, a), (_, b), array in zip(net.named_parameters(), other.named_parameters(), arrays):
         np.testing.assert_array_equal(a.data, b.data)
+        assert b.data is array  # read into the array the module was built with
         # the optimizer and gradcheck write parameters in place
         assert b.data.dtype == np.float64 and b.data.flags.writeable
 
@@ -239,27 +259,59 @@ def _write_npz(path, arrays: dict, config="null"):
 
 def test_load_reads_fortran_ordered_and_float32_arrays(tmp_path):
     w0 = np.asfortranarray(np.arange(6.0).reshape(2, 3))
-    w1 = np.arange(4, dtype=np.float32)
+    w1 = np.arange(4, dtype=np.float32) + 0.1  # float32 -> float64 is exact
+    w2 = np.arange(5.0).astype(">f8")  # byte-swapped
     path = tmp_path / "foreign.npz"
-    _write_npz(path, {"w0": w0, "w1": w1})
-    target = Arrays([(2, 3), (4,)])
+    _write_npz(path, {"w0": w0, "w1": w1, "w2": w2})
+    target = Arrays([(2, 3), (4,), (5,)])
+    arrays = [p.data for p in target.parameters()]
     load_checkpoint(path, target)
     np.testing.assert_array_equal(target.w0.data, w0)
     np.testing.assert_array_equal(target.w1.data, w1)
-    assert target.w1.data.dtype == np.float64
+    np.testing.assert_array_equal(target.w2.data, w2)
+    for p, array in zip(target.parameters(), arrays):
+        assert p.data is array and p.data.dtype == np.float64
+
+
+def _rewrite_member(path, out, name: str, edit):
+    """Copy the checkpoint at ``path`` to ``out`` with member ``name``'s bytes edited."""
+    with zipfile.ZipFile(path) as src, zipfile.ZipFile(out, "w") as dst:
+        for item in src.infolist():
+            data = src.read(item)
+            dst.writestr(item, edit(data) if item.filename == name else data)
+
+
+def _assert_load_refused(path, shapes, match: str):
+    """Loading ``path`` into fresh ``Arrays(shapes)`` raises and changes no parameter."""
+    target = Arrays(shapes)
+    before = [(p.data, p.data.copy()) for p in target.parameters()]
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(path, target)
+    for p, (array, values) in zip(target.parameters(), before):
+        assert p.data is array
+        np.testing.assert_array_equal(p.data, values)
 
 
 def test_load_refuses_truncated_array_data(tmp_path):
     path = tmp_path / "short.npz"
-    _write_npz(path, {"w0": np.zeros(6)})
-    with zipfile.ZipFile(path) as src, zipfile.ZipFile(tmp_path / "cut.npz", "w") as dst:
-        for item in src.infolist():
-            data = src.read(item)
-            if item.filename == "w0.npy":
-                data = data[:-8]  # the header still promises six values
-            dst.writestr(item, data)
-    with pytest.raises(ValueError, match="truncated"):
-        load_checkpoint(tmp_path / "cut.npz", Arrays([(6,)]))
+    # w0 loads first, so a refusal found only while reading w1 would leave w0 written
+    _write_npz(path, {"w0": np.full(3, 7.0), "w1": np.zeros(6)})
+    _rewrite_member(path, tmp_path / "cut.npz", "w1.npy",
+                    lambda data: data[:-8])  # the header still promises six values
+    _assert_load_refused(tmp_path / "cut.npz", [(3,), (6,)], "array w1 is truncated")
+
+
+@pytest.mark.parametrize("case", ["padded", "complex"])
+def test_load_refuses_an_array_it_cannot_read_exactly_naming_it(tmp_path, case):
+    bad = tmp_path / "bad.npz"
+    if case == "padded":  # data bytes beyond what the header promises
+        _write_npz(tmp_path / "ckpt.npz", {"w0": np.full(3, 7.0), "w1": np.zeros(6)})
+        _rewrite_member(tmp_path / "ckpt.npz", bad, "w1.npy", lambda data: data + bytes(8))
+        match = "array w1 is truncated or corrupt: it holds 56 data bytes"
+    else:  # a dtype that does not cast to the parameter's
+        _write_npz(bad, {"w0": np.full(3, 7.0), "w1": np.zeros(6, complex)})
+        match = "array w1 holds complex128, which does not cast to the model's float64"
+    _assert_load_refused(bad, [(3,), (6,)], match)
 
 
 def test_config_mismatch_leaves_the_model_unchanged(tmp_path):
@@ -294,18 +346,63 @@ print(rise)
 
 @needs_proc
 def test_load_reads_one_parameter_at_a_time(tmp_path):
-    """Loading raises the peak resident size by about one parameter, not the file.
+    """Loading raises the peak resident size by well under one parameter.
 
     The child process builds a model of four 16 MB parameters and loads a
-    checkpoint of the same shapes into it. Reading every array before
-    assigning any would raise the peak by the whole 64 MB checkpoint.
+    checkpoint of the same shapes into it. Each array is read into the
+    parameter's own bytes, so the load allocates no parameter-sized array;
+    a new array per parameter would raise the peak by one parameter, and
+    reading every array before assigning any by the whole 64 MB checkpoint.
     """
     n, size = 4, 2 * 1024 * 1024
     path = tmp_path / "big.npz"
     save_checkpoint(path, Arrays([(size,)] * n))
-    checkpoint_bytes = n * size * 8
+    parameter_bytes = size * 8
     rise = int(run_peak_probe(LOAD_PROBE, path, n, size).split()[-1])
-    assert rise < 0.5 * checkpoint_bytes, (rise, checkpoint_bytes)
+    assert rise < 0.1 * parameter_bytes, (rise, parameter_bytes)
+
+
+SETUP_PROBE = """
+import sys
+import numpy as np
+from srrnet.nn import Conv2d, LayerNorm, Linear, Module, count_parameters, load_checkpoint
+from srrnet.nn import save_checkpoint
+
+class Mixed(Module):
+    def __init__(self, rng):
+        self.layers = []
+        for c in (64, 128, 320, 512):
+            self.layers += [LayerNorm(c), Linear(c, c, rng), Linear(c, 4 * c, rng),
+                            Linear(4 * c, c, rng), Conv2d(c, c, 3, rng)]
+        self.layers += [Linear(768, 3072, rng), Linear(3072, 768, rng)]
+
+if sys.argv[2] == "save":
+    save_checkpoint(sys.argv[1], Mixed(np.random.default_rng(99)))
+    sys.exit()
+before = peak_bytes()
+for seed in range(3):  # as the benchmark's repeated set-ups do
+    model = Mixed(np.random.default_rng(seed))
+    load_checkpoint(sys.argv[1], model)
+    parameter_bytes = count_parameters(model) * 8
+    del model
+print(parameter_bytes, peak_bytes() - before)
+"""
+
+
+@needs_proc
+def test_repeated_build_and_load_peaks_at_one_model(tmp_path):
+    """Three build+load set-ups in one process peak at one model's parameters.
+
+    The child builds a module of mixed-size Linear/Conv2d/LayerNorm
+    parameters (89 MiB), loads a checkpoint into it and drops it, three
+    times. A second array per clipped draw or per loaded parameter raised
+    the peak by 39% of the parameter bytes; drawn, clipped and loaded in
+    one buffer each, the rise stays within 2%.
+    """
+    path = tmp_path / "mixed.npz"
+    run_peak_probe(SETUP_PROBE, path, "save")
+    parameter_bytes, rise = map(int, run_peak_probe(SETUP_PROBE, path, "load").split())
+    assert rise < 1.02 * parameter_bytes, (rise, parameter_bytes)
 
 
 # ---------------------------------------------------------------------------
