@@ -331,7 +331,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,9 +4,9 @@ Layout: one directory per sequence, frames ``NNNNN.ppm`` with masks
 ``NNNNN.pgm``. A static pool is a flat directory of image/mask pairs plus a
 ``categories.txt`` manifest with one ``NNNNN <category>`` line per image.
 
-A loaded sequence keeps each file's 8-bit pixels (3 bytes a pixel for a
-frame, 1 for a mask) and decodes a frame or mask to float64 only when it is
-read, since a single pass reads each one once.
+A loaded sequence or static pool keeps each file's 8-bit pixels (3 bytes a
+pixel for a frame, 1 for a mask) and decodes a frame or mask to float64 only
+when it is read, since a pass or a training sample reads only a few.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pnm import decode_frame, decode_mask, read_frame, read_pgm, read_ppm
+from .pnm import decode_frame, decode_mask, read_pgm, read_ppm
 
 
 class DatasetError(ValueError):
@@ -58,8 +58,56 @@ class SequenceRecord:
 class StaticRecord:
     name: str
     category: str
-    image: np.ndarray
-    mask: np.ndarray
+    image: np.ndarray  # 3 x H x W float64 in [0, 1]
+    mask: np.ndarray   # 1 x H x W float64 in {0, 1}
+
+
+class StaticPool(Sequence):
+    """A loaded static pool, read by ``len`` and ``[i]`` like a list of ``StaticRecord``.
+
+    Images and masks stay at 8 bits. ``pool[i]`` is a view of record i: its
+    ``name`` and ``category`` are stored, and its ``image`` and ``mask``
+    decode a fresh float64 array on each read, so indexing the pool's
+    categories decodes nothing.
+    """
+
+    def __init__(self, names: list[str], categories: list[str],
+                 images: list[np.ndarray], masks: list[np.ndarray]):
+        self.names, self.categories = names, categories
+        self.images = DecodedImages(images, decode_frame)
+        self.masks = DecodedImages(masks, decode_mask)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, index: int) -> "PooledRecord":
+        if not -len(self) <= index < len(self):  # IndexError also ends iteration
+            raise IndexError(f"static pool index {index} out of range")
+        return PooledRecord(self, index)
+
+
+@dataclass(frozen=True)
+class PooledRecord:
+    """Record ``index`` of a ``StaticPool``, read like a ``StaticRecord``."""
+
+    pool: StaticPool
+    index: int
+
+    @property
+    def name(self) -> str:
+        return self.pool.names[self.index]
+
+    @property
+    def category(self) -> str:
+        return self.pool.categories[self.index]
+
+    @property
+    def image(self) -> np.ndarray:
+        return self.pool.images[self.index]
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self.pool.masks[self.index]
 
 
 def _frame_stems(directory: Path) -> list[str]:
@@ -113,12 +161,13 @@ def load_video_dataset(root) -> list[SequenceRecord]:
     return [load_sequence(d) for d in sequence_dirs(root)]
 
 
-def load_static_pool(directory) -> list[StaticRecord]:
+def load_static_pool(directory) -> StaticPool:
+    """Read and check every image and mask the manifest names, keeping their pixels at 8 bits."""
     directory = Path(directory)
     manifest = directory / "categories.txt"
     if not manifest.exists():
         raise DatasetError(f"static pool {directory} lacks categories.txt")
-    records = []
+    names, categories, images, masks = [], [], [], []
     for line in manifest.read_text().splitlines():
         line = line.strip()
         if not line:
@@ -127,10 +176,11 @@ def load_static_pool(directory) -> list[StaticRecord]:
             stem, category = line.split()
         except ValueError as exc:
             raise DatasetError(f"malformed manifest line {line!r}") from exc
-        image = read_frame(directory / f"{stem}.ppm")
-        mask = _read_mask_for(directory / f"{stem}.pgm", image.shape[1:])
-        records.append(StaticRecord(name=stem, category=category, image=image,
-                                    mask=decode_mask(mask)))
-    if not records:
+        image = read_ppm(directory / f"{stem}.ppm")
+        masks.append(_read_mask_for(directory / f"{stem}.pgm", image.shape[:2]))
+        names.append(stem)
+        categories.append(category)
+        images.append(image)
+    if not names:
         raise DatasetError(f"static pool {directory} is empty")
-    return records
+    return StaticPool(names, categories, images, masks)

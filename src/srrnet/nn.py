@@ -164,11 +164,13 @@ class AdamW:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            g = p.grad
-            self._m[i] = b1 * self._m[i] + (1.0 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1.0 - b2) * g * g
-            mhat = self._m[i] / (1.0 - b1 ** self.t)
-            vhat = self._v[i] / (1.0 - b2 ** self.t)
+            g, m, v = p.grad, self._m[i], self._v[i]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            mhat = m / (1.0 - b1 ** self.t)
+            vhat = v / (1.0 - b2 ** self.t)
             p.data -= self.lr * (mhat / (np.sqrt(vhat) + ADAMW_EPS) + WEIGHT_DECAY * p.data)
 
 

@@ -99,17 +99,34 @@ def sample_training_triplet(sequence: SequenceRecord,
     return _triplet(*[(sequence.frames[i], sequence.masks[i]) for i in (c, p, r)])
 
 
-def sample_static_triplet(pool: Sequence[StaticRecord],
-                          rng: np.random.Generator) -> TrainTriplet:
-    """Static sampling: same-category neighbor as P, any pool image as R."""
+def static_sampler(pool: Sequence[StaticRecord]
+                   ) -> Callable[[np.random.Generator], TrainTriplet]:
+    """Static sampling: same-category neighbor as P, any pool image as R.
+
+    The pool's categories are indexed once, here; each sample then reads
+    only its own category's members and its three records.
+    """
     if not pool:
         raise ConfigurationError("static pool is empty")
-    c = int(rng.integers(0, len(pool)))
-    same = [i for i, rec in enumerate(pool)
-            if rec.category == pool[c].category and i != c]
-    p = int(rng.choice(same)) if same else c
-    r = int(rng.integers(0, len(pool)))
-    return _triplet(*[(pool[i].image, pool[i].mask) for i in (c, p, r)])
+    categories = [rec.category for rec in pool]
+    members: dict[str, list[int]] = {}
+    for i, category in enumerate(categories):
+        members.setdefault(category, []).append(i)
+
+    def sample(rng: np.random.Generator) -> TrainTriplet:
+        c = int(rng.integers(0, len(pool)))
+        same = [i for i in members[categories[c]] if i != c]
+        p = int(rng.choice(same)) if same else c
+        r = int(rng.integers(0, len(pool)))
+        return _triplet(*[(pool[i].image, pool[i].mask) for i in (c, p, r)])
+
+    return sample
+
+
+def sample_static_triplet(pool: Sequence[StaticRecord],
+                          rng: np.random.Generator) -> TrainTriplet:
+    """One static sample; ``static_sampler`` indexes the pool once for many."""
+    return static_sampler(pool)(rng)
 
 
 def triplet_to_input(trip: TrainTriplet) -> tuple[FrameTriplet, np.ndarray]:
@@ -335,13 +352,13 @@ def _train_stage(model: SRRNet, sample: Callable[[np.random.Generator], TrainTri
     for it in range(iterations):
         trip = _augment(sample(rng), rng, schedule)
         triplet, gt = triplet_to_input(trip)
+        model.zero_grad()  # the last step's gradients are not kept alive through this forward
         pred = model(triplet)
         loss, parts = compute_loss(pred, gt, schedule.gamma, error_target)
         if not np.isfinite(loss.data).all():
             # a non-finite loss would poison every weight through the optimizer
             raise RuntimeError(
                 f"non-finite loss {float(loss.data)} at {stage} iteration {it + 1}")
-        model.zero_grad()
         T.backward(loss)
         opt.step()
         trace.append((len(trace), stage, parts["bce"], parts["mse"], parts["total"]))
@@ -370,9 +387,8 @@ def train(model: SRRNet, schedule: TrainSchedule, out_dir,
     if schedule.static_iterations > 0:
         if not static_pool:
             raise ConfigurationError("static pretraining requested without a static pool")
-        _train_stage(model, lambda r: sample_static_triplet(static_pool, r),
-                     schedule.static_iterations, schedule.static_lr, schedule,
-                     rng, "static", result.loss_trace, progress)
+        _train_stage(model, static_sampler(static_pool), schedule.static_iterations,
+                     schedule.static_lr, schedule, rng, "static", result.loss_trace, progress)
 
     if schedule.video_iterations > 0:
         if not video_sequences:

@@ -110,16 +110,6 @@ def decode_mask(m: np.ndarray) -> np.ndarray:
     return (m.astype(np.float64) / 255.0 >= 0.5).astype(np.float64)[None]
 
 
-def read_frame(path) -> np.ndarray:
-    """Read a PPM frame as a 3 x H x W float64 array in [0, 1]."""
-    return decode_frame(read_ppm(path))
-
-
-def read_mask(path) -> np.ndarray:
-    """Read a PGM mask as a 1 x H x W float64 array in {0, 1}."""
-    return decode_mask(read_pgm(path))
-
-
 def write_mask(path, mask: np.ndarray):
     """Write a binary mask (values in [0, 1], any leading singleton axes) as PGM."""
     m = np.asarray(mask, dtype=np.float64)

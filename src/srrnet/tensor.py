@@ -132,7 +132,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(loss: Tensor):
-    """Run reverse-mode accumulation from a scalar loss over the whole graph."""
+    """Run reverse-mode accumulation from a scalar loss over the whole graph.
+
+    The pass consumes the tape: once a node's closure has run, the node drops
+    its gradient, its parent links and its closure, so memory falls as the
+    walk goes and a second ``backward`` over the same graph propagates
+    nothing. Leaves (tensors without a closure, such as parameters and
+    ``requires_grad`` inputs) keep their accumulated gradients.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     topo: list[Tensor] = []
@@ -151,9 +158,13 @@ def backward(loss: Tensor):
             if id(parent) not in seen:
                 stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward_fn is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward_fn is None:
+            continue
+        if node.grad is not None:
             node._backward_fn(node.grad)
+        node.grad, node._parents, node._backward_fn = None, (), None
 
 
 # ---------------------------------------------------------------------------

@@ -92,12 +92,20 @@ def rng():
 
 
 PEAK_BYTES = """
+def _status_bytes(key):
+    with open("/proc/self/status") as f:
+        line = next(line for line in f if line.startswith(key))
+    return int(line.split()[1]) * 1024
+
 def peak_bytes():
     # VmHWM is this address space's own high-water mark; ru_maxrss would
     # start at the forking parent's peak
-    with open("/proc/self/status") as f:
-        line = next(line for line in f if line.startswith("VmHWM:"))
-    return int(line.split()[1]) * 1024
+    return _status_bytes("VmHWM:")
+
+def resident_bytes():
+    # VmRSS now; a rise of peak_bytes() over it is not hidden by an earlier,
+    # already freed peak (such as the imports')
+    return _status_bytes("VmRSS:")
 """
 
 needs_proc = pytest.mark.skipif(not Path("/proc/self/status").exists(),
@@ -108,7 +116,8 @@ def run_peak_probe(script: str, *argv) -> str:
     """Run ``script`` in a fresh interpreter and return its stdout.
 
     The child imports this tree's ``srrnet`` and has ``peak_bytes()``, its
-    own peak resident size, defined before ``script`` runs.
+    own peak resident size, and ``resident_bytes()``, its resident size now,
+    defined before ``script`` runs.
     """
     src = str(Path(srrnet.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

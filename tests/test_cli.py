@@ -100,6 +100,15 @@ def test_a_non_finite_score_exits_1_naming_the_frame(workspace, tmp_path, monkey
     assert not any(tmp_path.iterdir())
 
 
+def test_a_directory_as_the_checkpoint_exits_1_with_an_error_line(workspace, tmp_path, capsys):
+    """Any OSError is reported as one ``error:`` line, not a traceback."""
+    assert run_cli("infer", "--data", str(workspace / "video" / "seq0"),
+                   "--checkpoint", str(workspace / "run"), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_mixed_frame_extents_exit_1_naming_the_frame_before_any_step(workspace, tmp_path,
                                                                        capsys):
     seq = tmp_path / "video" / "mixed"

@@ -140,6 +140,22 @@ def test_adamw_first_step_matches_hand_computation():
     np.testing.assert_allclose(p.data, expected, atol=1e-12)
 
 
+def test_adamw_updates_its_moments_in_place(rng):
+    p = Parameter(rng.normal(size=(3, 4)))
+    opt = AdamW([p], lr=0.1)
+    m, v = opt._m[0], opt._v[0]
+    m_ref, v_ref = np.zeros_like(m), np.zeros_like(v)
+    for _ in range(3):
+        p.grad = rng.normal(size=(3, 4))
+        opt.step()
+        # the same operations, in the same order, as freshly allocated arrays
+        m_ref = 0.9 * m_ref + (1.0 - 0.9) * p.grad
+        v_ref = 0.999 * v_ref + (1.0 - 0.999) * p.grad * p.grad
+    assert opt._m[0] is m and opt._v[0] is v
+    np.testing.assert_array_equal(m, m_ref)
+    np.testing.assert_array_equal(v, v_ref)
+
+
 def test_adamw_weight_decay_is_decoupled():
     p = Parameter(np.array([2.0]))
     p.grad = np.array([0.0])

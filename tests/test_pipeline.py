@@ -25,12 +25,14 @@ from srrnet.pipeline import (
     infer_sequence,
     sample_static_triplet,
     sample_training_triplet,
+    static_sampler,
     train,
     triplet_to_input,
     write_score_trace,
 )
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
+from conftest import needs_proc, run_peak_probe
 from factored_decoder import FOLD_RTOL, factored_decoder, max_rel_diff
 
 
@@ -190,6 +192,20 @@ def test_static_sampler_category_law():
         assert (p == c) == (pool[c].category == "c")  # only a singleton category falls back
         r_cats.add(pool[r].category)
     assert r_cats == {"a", "b", "c"}  # reference draws from the whole pool
+
+
+def test_static_sampler_draws_as_a_scan_of_the_whole_pool_would():
+    """Indexed once, the sampler makes the same draws and picks as the law
+    stated over the whole pool: P uniform over C's other category members."""
+    pool = _static_pool(["a", "b", "a", "c", "b", "a", "b"])
+    sample, gen, oracle = static_sampler(pool), np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(300):
+        c = int(oracle.integers(0, len(pool)))
+        same = [i for i, rec in enumerate(pool) if rec.category == pool[c].category and i != c]
+        p = int(oracle.choice(same)) if same else c
+        expected = (c, p, int(oracle.integers(0, len(pool))))
+        assert _sampled(sample(gen)) == expected
+        assert gen.bit_generator.state == oracle.bit_generator.state
 
 
 def test_static_sampler_empty_pool():
@@ -825,6 +841,40 @@ def test_train_two_stages_and_artifacts(tmp_path):
     load_checkpoint(result.checkpoint_path, fresh)
     for (_, a), (_, b) in zip(model.named_parameters(), fresh.named_parameters()):
         np.testing.assert_array_equal(a.data, b.data)
+
+
+TRAIN_PEAK_PROBE = """
+import sys
+from srrnet.data import load_sequence
+from srrnet.model import build_model
+from srrnet.nn import count_parameters
+from srrnet.pipeline import TrainSchedule, train
+
+sequence = load_sequence(sys.argv[1])
+model = build_model("desk", seed=0)
+before = resident_bytes()
+train(model, TrainSchedule(video_iterations=3, seed=0), sys.argv[2],
+      video_sequences=[sequence])
+print(count_parameters(model) * 8, peak_bytes() - before)
+"""
+
+
+@needs_proc
+def test_training_peak_is_bounded_by_the_live_tape(tmp_path):
+    """Three desk training steps on a 64x64 sequence peak within 24 MiB
+    above the gradients and both AdamW moments (the weights are already
+    resident).
+
+    Keeping every node's gradient, parent links and closure until backward
+    ended, and the last step's gradients through the next forward, peaked
+    at 37 MiB above them; freeing each node once its closure has run peaks
+    at 16 MiB.
+    """
+    from srrnet.synth import SynthParams, generate_sequence
+    seq = generate_sequence(SynthParams(seed=3, frames=6, size=64), tmp_path / "seq")
+    parameter_bytes, rise = map(int, run_peak_probe(TRAIN_PEAK_PROBE, seq,
+                                                    tmp_path / "run").split())
+    assert rise < 3 * parameter_bytes + 24 * 2**20, (rise, parameter_bytes)
 
 
 @pytest.mark.parametrize("field, value", [("static_iterations", -1), ("video_iterations", -2),

@@ -8,9 +8,10 @@ from hypothesis import assume, example, given, strategies as st
 from scipy import special
 
 from srrnet import tensor as T
+from srrnet.nn import Linear
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
-from conftest import assert_grad_matches
+from conftest import assert_grad_matches, fd_grad
 
 
 def leaf(rng, *shape):
@@ -577,6 +578,27 @@ def test_backward_requires_scalar(rng):
     a = leaf(rng, 3)
     with pytest.raises(ValueError):
         T.backward(a * a)
+
+
+def test_backward_consumes_the_tape_and_leaves_keep_their_gradients(rng):
+    x = leaf(rng, 4, 3)
+    lin = Linear(3, 2, rng)
+
+    def forward():
+        hidden = T.gelu(lin(x))
+        return hidden, T.mean(hidden * hidden)
+
+    hidden, loss = forward()
+    T.backward(loss)
+    for node in (hidden, loss):
+        assert node.grad is None and node._parents == () and node._backward_fn is None
+    for t in (x, lin.weight, lin.bias):  # a requires_grad input and the model's Parameters
+        np.testing.assert_allclose(t.grad, fd_grad(lambda: forward()[1], t),
+                                   rtol=1e-5, atol=1e-7)
+    kept = [t.grad.copy() for t in (x, lin.weight, lin.bias)]
+    T.backward(loss)  # the consumed tape propagates nothing
+    for t, grad in zip((x, lin.weight, lin.bias), kept):
+        np.testing.assert_array_equal(t.grad, grad)
 
 
 def test_deep_chain_backward_is_iterative():
