@@ -108,14 +108,13 @@ def static_sampler(pool: Sequence[StaticRecord]
     """
     if not pool:
         raise ConfigurationError("static pool is empty")
-    categories = [rec.category for rec in pool]
     members: dict[str, list[int]] = {}
-    for i, category in enumerate(categories):
-        members.setdefault(category, []).append(i)
+    for i, rec in enumerate(pool):
+        members.setdefault(rec.category, []).append(i)
 
     def sample(rng: np.random.Generator) -> TrainTriplet:
         c = int(rng.integers(0, len(pool)))
-        same = [i for i in members[categories[c]] if i != c]
+        same = [i for i in members[pool[c].category] if i != c]
         p = int(rng.choice(same)) if same else c
         r = int(rng.integers(0, len(pool)))
         return _triplet(*[(pool[i].image, pool[i].mask) for i in (c, p, r)])
