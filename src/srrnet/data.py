@@ -4,9 +4,18 @@ Layout: one directory per sequence, frames ``NNNNN.ppm`` with masks
 ``NNNNN.pgm``. A static pool is a flat directory of image/mask pairs plus a
 ``categories.txt`` manifest with one ``NNNNN <category>`` line per image.
 
-A loaded sequence or static pool keeps each file's 8-bit pixels (3 bytes a
-pixel for a frame, 1 for a mask) and decodes a frame or mask to float64 only
-when it is read, since a pass or a training sample reads only a few.
+Every loader reads and checks every file once at load, so a bad file stops a
+command before its first step. What it then keeps depends on how often the
+caller reads a file:
+
+- ``load_sequence``, the loader of a single pass (``infer``, ``trace-score``),
+  keeps only each file's path. ``frames[i]`` and ``masks[i]`` read, check and
+  decode their file again on each access, so the pass holds no pixels of the
+  frames it has not reached or has done with.
+- ``load_video_dataset`` and ``load_static_pool``, the loaders of training,
+  keep each file's 8-bit pixels (3 bytes a pixel for a frame, 1 for a mask),
+  since training reads each frame many times; a frame or mask is decoded to
+  float64 only when it is read.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,32 +35,45 @@ class DatasetError(ValueError):
 
 
 class DecodedImages(Sequence):
-    """Read-only stored 8-bit images that decode to a fresh float64 array on each access."""
+    """Read-only stored images that decode to a fresh float64 array on each access.
 
-    def __init__(self, pixels: list[np.ndarray], decode: Callable[[np.ndarray], np.ndarray]):
-        self._pixels = pixels
+    Each stored item is what a loader kept of one file, its 8-bit pixels or
+    its path, and ``decode`` turns it into the array the model reads.
+    """
+
+    def __init__(self, items: list, decode: Callable[[object], np.ndarray]):
+        self._items = items
         self._decode = decode
 
     def __len__(self) -> int:
-        return len(self._pixels)
+        return len(self._items)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return DecodedImages(self._pixels[index], self._decode)
-        return self._decode(self._pixels[index])
+            return DecodedImages(self._items[index], self._decode)
+        return self._decode(self._items[index])
 
 
 @dataclass
 class SequenceRecord:
     """A sequence's frames and masks, read by ``len``, ``[i]`` and iteration.
 
-    ``load_sequence`` fills both with ``DecodedImages``; any sequence of
-    arrays, such as a list, works too.
+    ``load_sequence`` fills both with ``DecodedImages`` that read each file on
+    access, and ``load_video_dataset`` with ones that decode stored 8-bit
+    pixels (see the module docstring for why). Any sequence of arrays, such as
+    a list, works too. ``extent`` is the (H, W) every frame shares; a loader
+    sets it from the files, and a record built from arrays takes its first
+    frame's.
     """
 
     name: str
     frames: Sequence[np.ndarray]   # each 3 x H x W float64 in [0, 1]
     masks: Sequence[np.ndarray]    # each 1 x H x W float64 in {0, 1}; may be empty for unlabeled
+    extent: Optional[tuple[int, int]] = None
+
+    def __post_init__(self):
+        if self.extent is None:
+            self.extent = tuple(self.frames[0].shape[-2:])
 
 
 @dataclass
@@ -61,19 +83,24 @@ class StaticRecord:
     image: np.ndarray  # 3 x H x W float64 in [0, 1]
     mask: np.ndarray   # 1 x H x W float64 in {0, 1}
 
+    @property
+    def extent(self) -> tuple[int, int]:
+        return tuple(self.image.shape[-2:])
+
 
 class StaticPool(Sequence):
     """A loaded static pool, read by ``len`` and ``[i]`` like a list of ``StaticRecord``.
 
     Images and masks stay at 8 bits. ``pool[i]`` is a view of record i: its
-    ``name`` and ``category`` are stored, and its ``image`` and ``mask``
-    decode a fresh float64 array on each read, so indexing the pool's
-    categories decodes nothing.
+    ``name``, ``category`` and ``extent`` are stored, and its ``image`` and
+    ``mask`` decode a fresh float64 array on each read, so indexing the
+    pool's categories or extents decodes nothing.
     """
 
     def __init__(self, names: list[str], categories: list[str],
                  images: list[np.ndarray], masks: list[np.ndarray]):
         self.names, self.categories = names, categories
+        self.extents = [image.shape[:2] for image in images]
         self.images = DecodedImages(images, decode_frame)
         self.masks = DecodedImages(masks, decode_mask)
 
@@ -102,6 +129,10 @@ class PooledRecord:
         return self.pool.categories[self.index]
 
     @property
+    def extent(self) -> tuple[int, int]:
+        return self.pool.extents[self.index]
+
+    @property
     def image(self) -> np.ndarray:
         return self.pool.images[self.index]
 
@@ -117,38 +148,59 @@ def _frame_stems(directory: Path) -> list[str]:
     return stems
 
 
-def _read_mask_for(path: Path, extent: tuple) -> np.ndarray:
-    """Read a mask's 8-bit pixels, refusing an extent other than its frame's (H, W)."""
-    mask = read_pgm(path)
-    if mask.shape != extent:
-        raise DatasetError(f"mask {path} is {mask.shape[0]}x{mask.shape[1]} but its frame "
-                           f"is {extent[0]}x{extent[1]}")
-    return mask
+def _checked(path: Path, pixels: np.ndarray, extent: tuple, against: str) -> np.ndarray:
+    """``pixels`` read from ``path``, refusing an (H, W) other than ``extent``.
+
+    The refusal reads ``<frame|mask> <path> is HxW but <against> <extent>``.
+    """
+    if pixels.shape[:2] != extent:
+        kind = "frame" if pixels.ndim == 3 else "mask"
+        raise DatasetError(f"{kind} {path} is {pixels.shape[0]}x{pixels.shape[1]} but "
+                           f"{against} {extent[0]}x{extent[1]}")
+    return pixels
 
 
-def load_sequence(directory, require_masks: bool = True) -> SequenceRecord:
-    """Read and check every file of a sequence, keeping its pixels at 8 bits.
+def _walk_sequence(directory: Path, require_masks: bool,
+                   keep: Callable[[Path, np.ndarray], object]) -> tuple[list, list, tuple]:
+    """Read and check every file of a sequence, keeping ``keep(path, pixels)`` of each.
 
     A frame whose extent differs from the first frame's, or a mask whose
-    extent differs from its frame's, is refused naming the file.
+    extent differs from its frame's, is refused naming the file. Returns what
+    was kept of the frames and of the masks, and the frames' (H, W).
     """
-    directory = Path(directory)
-    frames, masks = [], []
+    frames, masks, extent = [], [], None
     for stem in _frame_stems(directory):
         frame_path = directory / f"{stem}.ppm"
         frame = read_ppm(frame_path)
-        if frames and frame.shape != frames[0].shape:
-            (h, w, _), (first_h, first_w, _) = frame.shape, frames[0].shape
-            raise DatasetError(f"frame {frame_path} is {h}x{w} but the frames before it "
-                               f"are {first_h}x{first_w}")
-        frames.append(frame)
+        extent = extent or frame.shape[:2]
+        frames.append(keep(frame_path, _checked(frame_path, frame, extent,
+                                                "the frames before it are")))
         mask_path = directory / f"{stem}.pgm"
         if mask_path.exists():
-            masks.append(_read_mask_for(mask_path, frame.shape[:2]))
+            masks.append(keep(mask_path, _checked(mask_path, read_pgm(mask_path), extent,
+                                                  "its frame is")))
         elif require_masks:
             raise DatasetError(f"missing mask {mask_path}")
-    return SequenceRecord(name=directory.name, frames=DecodedImages(frames, decode_frame),
-                          masks=DecodedImages(masks, decode_mask))
+    return frames, masks, extent
+
+
+def load_sequence(directory, require_masks: bool = True) -> SequenceRecord:
+    """Read and check every file of a sequence, keeping only their paths.
+
+    Each ``frames[i]`` or ``masks[i]`` reads its file again and makes every
+    check of the load, so a file rewritten at another extent since the load
+    raises ``DatasetError`` naming it, a truncated one ``PnmParseError`` and a
+    deleted one ``FileNotFoundError``.
+    """
+    directory = Path(directory)
+    paths, mask_paths, extent = _walk_sequence(directory, require_masks, lambda path, _: path)
+
+    def reread(read, decode):
+        return lambda path: decode(_checked(path, read(path), extent,
+                                            "its sequence was loaded at"))
+
+    return SequenceRecord(directory.name, DecodedImages(paths, reread(read_ppm, decode_frame)),
+                          DecodedImages(mask_paths, reread(read_pgm, decode_mask)), extent)
 
 
 def sequence_dirs(root) -> list[Path]:
@@ -158,7 +210,13 @@ def sequence_dirs(root) -> list[Path]:
 
 
 def load_video_dataset(root) -> list[SequenceRecord]:
-    return [load_sequence(d) for d in sequence_dirs(root)]
+    """Read and check every file of every sequence under ``root``, keeping their 8-bit pixels."""
+    records = []
+    for directory in sequence_dirs(root):
+        frames, masks, extent = _walk_sequence(directory, True, lambda _, pixels: pixels)
+        records.append(SequenceRecord(directory.name, DecodedImages(frames, decode_frame),
+                                      DecodedImages(masks, decode_mask), extent))
+    return records
 
 
 def load_static_pool(directory) -> StaticPool:
@@ -177,7 +235,8 @@ def load_static_pool(directory) -> StaticPool:
         except ValueError as exc:
             raise DatasetError(f"malformed manifest line {line!r}") from exc
         image = read_ppm(directory / f"{stem}.ppm")
-        masks.append(_read_mask_for(directory / f"{stem}.pgm", image.shape[:2]))
+        mask_path = directory / f"{stem}.pgm"
+        masks.append(_checked(mask_path, read_pgm(mask_path), image.shape[:2], "its frame is"))
         names.append(stem)
         categories.append(category)
         images.append(image)

@@ -374,10 +374,10 @@ def train(model: SRRNet, schedule: TrainSchedule, out_dir,
     Writes ``loss.csv`` and ``checkpoint.npz`` into ``out_dir``. A crop
     larger than any given frame or pool image is refused before any step.
     """
-    if schedule.crop is not None:  # one decoded frame alive at a time
-        for image in itertools.chain((f for seq in video_sequences or () for f in seq.frames),
-                                     (rec.image for rec in static_pool or ())):
-            _check_crop(schedule.crop, *image.shape[-2:])
+    if schedule.crop is not None:  # stored extents: nothing is decoded
+        for extent in itertools.chain((seq.extent for seq in video_sequences or ()),
+                                      (rec.extent for rec in static_pool or ())):
+            _check_crop(schedule.crop, *extent)
     rng = np.random.default_rng(schedule.seed)
     out_dir = Path(out_dir)
     result = TrainResult(checkpoint_path=out_dir / "checkpoint.npz",

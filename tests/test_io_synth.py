@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,54 @@ def test_loaded_frames_and_masks_are_fresh_arrays_on_each_access(tmp_path):
         for i in range(-len(kept), len(kept)):
             _assert_bitwise(images[i], kept[i])
         assert [a.tobytes() for a in images[1:]] == [a.tobytes() for a in kept[1:]]
+
+
+def test_a_loaded_sequence_checks_each_file_again_on_access(tmp_path):
+    """``load_sequence`` keeps paths, so each access reads and checks its file."""
+    out = generate_sequence(SynthParams(seed=4, frames=3, size=64), tmp_path / "seq")
+    small = generate_sequence(SynthParams(seed=4, frames=1, size=32), tmp_path / "small")
+    record = load_sequence(out)
+    for ext, images in ((".ppm", record.frames), (".pgm", record.masks)):
+        (out / f"00001{ext}").write_bytes((small / f"00000{ext}").read_bytes())
+        kind = "frame" if ext == ".ppm" else "mask"
+        with pytest.raises(DatasetError, match=rf"{kind} .*00001\{ext} is 32x32 but its "
+                                               r"sequence was loaded at 64x64"):
+            images[1]
+    truncated = out / "00002.ppm"
+    truncated.write_bytes(truncated.read_bytes()[:-1])
+    with pytest.raises(PnmParseError, match="truncated payload"):
+        record.frames[2]
+    (out / "00000.pgm").unlink()
+    with pytest.raises(FileNotFoundError):
+        record.masks[0]
+    _assert_bitwise(record.frames[0], decode_frame(read_ppm(out / "00000.ppm")))
+
+
+def test_training_reads_each_file_once_and_a_pass_once_per_access(tmp_path, monkeypatch):
+    """``load_video_dataset`` keeps each file's pixels, since training samples
+    each frame many times; ``load_sequence`` keeps paths and reads a file at
+    load and again on each access."""
+    import srrnet.data
+    from srrnet.pipeline import sample_training_triplet
+    reads = Counter()
+    for name in ("read_ppm", "read_pgm"):  # wrapped where the loaders look them up
+        read = getattr(srrnet.data, name)
+        monkeypatch.setattr(srrnet.data, name,
+                            lambda path, read=read: reads.update([Path(path).name]) or read(path))
+    out = generate_sequence(SynthParams(seed=4, frames=4, size=32), tmp_path / "seq")
+    each_once = Counter(p.name for p in out.iterdir())
+    assert len(each_once) == 8
+    video = load_video_dataset(out)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        sample_training_triplet(video[0], rng)
+    assert reads == each_once
+    reads.clear()
+    record = load_sequence(out)
+    assert reads == each_once
+    record.frames[1], record.frames[1], record.masks[3], list(record.frames)
+    assert reads == each_once + Counter({"00000.ppm": 1, "00001.ppm": 3, "00002.ppm": 1,
+                                         "00003.ppm": 1, "00003.pgm": 1})
 
 
 def test_load_video_dataset_layouts(tmp_path):
