@@ -6,8 +6,11 @@ default; explicit flags win. Exit codes: 0 success, 1 numeric/runtime failure,
 2 usage error.
 
 ``train`` fixes the model, ``--error-target`` included, and stores its config
-in the checkpoint (format 2; format-1 files are refused); ``infer`` and
-``trace-score`` take the model from the checkpoint and have no model flags.
+in the checkpoint (format 3: the parameters as one flat float64 member;
+format-1 and format-2 files are refused, naming their format); ``infer`` and
+``trace-score`` take the model from the checkpoint and have no model flags. A
+checkpoint that cannot be read, corrupt members included, is an ``error:``
+line with exit 1.
 """
 
 from __future__ import annotations

@@ -529,6 +529,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     wmat = w.data.reshape(out_ch, in_ch * kh * kw)
     out = np.matmul(wmat, cols).reshape(out_ch, batch, oh, ow).transpose(1, 0, 2, 3)
     out += b.data.reshape(1, out_ch, 1, 1)
+    padded_extent = xp.shape[2:]  # the closure keeps the extent, not the padded copy
 
     def bwd(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(out_ch, batch * oh * ow)
@@ -536,7 +537,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             _accumulate(w, np.matmul(g2, cols.T).reshape(w.shape))
         if x.requires_grad:
             gcols = np.matmul(wmat.T, g2).reshape(in_ch, kh, kw, batch, oh, ow)
-            gxp = np.zeros((in_ch, batch) + xp.shape[2:])
+            gxp = np.zeros((in_ch, batch) + padded_extent)
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gcols[:, i, j]

@@ -3,6 +3,7 @@
 import csv
 import json
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -396,6 +397,28 @@ def test_a_checkpoint_that_is_no_whole_npz_exits_1_naming_it(workspace, tmp_path
         assert run_cli(command, *data, "--checkpoint", str(path),
                        "--out", str(tmp_path / "out")) == 1
         assert f"error: checkpoint {path} {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["infer", "trace-score", "train"])
+def test_a_checkpoint_with_a_corrupt_member_exits_1_naming_it(workspace, tmp_path, capsys,
+                                                              command):
+    """One flipped parameter byte fails the archive's CRC check: an error line, exit 1."""
+    source = workspace / "run" / "checkpoint.npz"
+    raw = bytearray(source.read_bytes())
+    with zipfile.ZipFile(source) as archive:
+        tail = archive.read("__params__.npy")[-64:]
+    at = raw.find(tail)  # members are stored uncompressed, so their bytes appear as they are
+    assert at > 0 and raw.find(tail, at + 1) == -1
+    raw[at + 8] ^= 0xFF
+    path = tmp_path / "flipped.npz"
+    path.write_bytes(bytes(raw))
+    data = ["--video-data", str(workspace / "video")] if command == "train" else \
+        ["--data", str(workspace / "video" / "seq0")]
+    assert run_cli(command, *data, "--checkpoint", str(path),
+                   "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {path} member __params__ is corrupt: "
+                          "Bad CRC-32"), err
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -1,11 +1,15 @@
 """Layers, parameter registration, the optimizer, and checkpoint round-trips."""
 
 import dataclasses
+import json
 import re
+import tempfile
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import srrnet
 from srrnet import tensor as T
@@ -22,6 +26,7 @@ from srrnet.nn import (
     Parameter,
     count_parameters,
     load_checkpoint,
+    read_checkpoint_config,
     save_checkpoint,
 )
 from srrnet.tensor import ConfigurationError, Tensor
@@ -210,7 +215,7 @@ def test_checkpoint_refuses_non_finite_parameters_naming_the_first(tmp_path, rng
         p.data.flat[-1] = value
     with pytest.raises(ValueError, match=rf"parameter {re.escape(params[2][0])} is not finite"):
         save_checkpoint(tmp_path / "ckpt.npz", net)
-    assert not (tmp_path / "ckpt.npz").exists()
+    assert not list(tmp_path.iterdir())  # neither the checkpoint nor a temporary file
 
 
 def test_checkpoint_rejects_mismatched_model(tmp_path, rng):
@@ -237,8 +242,49 @@ def test_checkpoint_stores_little_endian_float64(tmp_path, rng):
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, net)
     with np.load(path) as blob:
-        assert int(blob["__format_version__"][0]) == 2
-        assert blob["fc.weight"].dtype == np.dtype("<f8")
+        assert sorted(blob.files) == ["__config__", "__format_version__", "__index__",
+                                      "__params__"]
+        assert int(blob["__format_version__"][0]) == 3
+        index = json.loads(str(blob["__index__"]))
+        params = blob["__params__"]
+    named = list(net.named_parameters())
+    assert index == [[name, list(p.data.shape)] for name, p in named]
+    assert params.dtype == np.dtype("<f8") and params.ndim == 1
+    np.testing.assert_array_equal(params, np.concatenate([p.data.ravel() for _, p in named]))
+
+
+def test_save_stores_members_uncompressed(tmp_path, rng):
+    """As ``np.savez`` does, so a load reads the parameters' bytes as they are."""
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, TinyNet(rng))
+    with zipfile.ZipFile(path) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+
+
+def test_save_writes_exactly_the_given_path(tmp_path, rng):
+    net = TinyNet(rng)
+    path = tmp_path / "run" / "ckpt"  # no .npz suffix is added
+    path.parent.mkdir()
+    save_checkpoint(path, net)
+    assert [p.name for p in path.parent.iterdir()] == ["ckpt"]
+    other = TinyNet(np.random.default_rng(7))
+    load_checkpoint(path, other)
+    assert parameter_digest(other) == parameter_digest(net)
+
+
+def test_an_interrupted_save_leaves_the_old_checkpoint_whole(tmp_path, rng, monkeypatch):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, TinyNet(rng))
+    old = path.read_bytes()
+
+    def fail(*args):  # after the small members, before the parameters' bytes
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", fail)
+    with pytest.raises(OSError, match="no space left"):
+        save_checkpoint(path, TinyNet(np.random.default_rng(7)))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
 
 
 class Arrays(Module):
@@ -267,24 +313,26 @@ def test_failed_load_leaves_the_model_unchanged(tmp_path, shapes):
         np.testing.assert_array_equal(p.data, values, err_msg=name)
 
 
-def _write_npz(path, arrays: dict, config="null"):
-    """A checkpoint written by plain ``np.savez``, as another writer might."""
-    np.savez(path, __format_version__=np.asarray([2], dtype="<i8"),
-             __config__=np.asarray(config), **arrays)
+def _write_npz(path, arrays: dict, dtype="<f8", config="null"):
+    """A format-3 checkpoint of ``arrays`` written by plain ``np.savez``, as another writer might."""
+    index = [[name, list(np.shape(a))] for name, a in arrays.items()]
+    flat = np.concatenate([np.ravel(a) for a in arrays.values()] + [np.zeros(0)])
+    np.savez(path, __format_version__=np.asarray([3], dtype="<i8"),
+             __config__=np.asarray(config), __index__=np.asarray(json.dumps(index)),
+             __params__=flat.astype(dtype))
 
 
-def test_load_reads_fortran_ordered_and_float32_arrays(tmp_path):
-    w0 = np.asfortranarray(np.arange(6.0).reshape(2, 3))
-    w1 = np.arange(4, dtype=np.float32) + 0.1  # float32 -> float64 is exact
-    w2 = np.arange(5.0).astype(">f8")  # byte-swapped
+@pytest.mark.parametrize("dtype", [">f8", "<f4"])
+def test_load_reads_a_byte_swapped_or_float32_member(tmp_path, dtype):
+    w0 = np.arange(6.0).reshape(2, 3) + 0.1  # float32 -> float64 is exact after the cast
+    w1 = np.arange(4.0) - 0.5
     path = tmp_path / "foreign.npz"
-    _write_npz(path, {"w0": w0, "w1": w1, "w2": w2})
-    target = Arrays([(2, 3), (4,), (5,)])
+    _write_npz(path, {"w0": w0, "w1": w1}, dtype=dtype)
+    target = Arrays([(2, 3), (4,)])
     arrays = [p.data for p in target.parameters()]
     load_checkpoint(path, target)
-    np.testing.assert_array_equal(target.w0.data, w0)
-    np.testing.assert_array_equal(target.w1.data, w1)
-    np.testing.assert_array_equal(target.w2.data, w2)
+    np.testing.assert_array_equal(target.w0.data, w0.astype(dtype))
+    np.testing.assert_array_equal(target.w1.data, w1.astype(dtype))
     for p, array in zip(target.parameters(), arrays):
         assert p.data is array and p.data.dtype == np.float64
 
@@ -310,24 +358,45 @@ def _assert_load_refused(path, shapes, match: str):
 
 def test_load_refuses_truncated_array_data(tmp_path):
     path = tmp_path / "short.npz"
-    # w0 loads first, so a refusal found only while reading w1 would leave w0 written
+    # w0's bytes come first, so a refusal found only while reading w1 would leave w0 written
     _write_npz(path, {"w0": np.full(3, 7.0), "w1": np.zeros(6)})
-    _rewrite_member(path, tmp_path / "cut.npz", "w1.npy",
-                    lambda data: data[:-8])  # the header still promises six values
-    _assert_load_refused(tmp_path / "cut.npz", [(3,), (6,)], "array w1 is truncated")
+    _rewrite_member(path, tmp_path / "cut.npz", "__params__.npy",
+                    lambda data: data[:-8])  # the header still promises nine values
+    _assert_load_refused(tmp_path / "cut.npz", [(3,), (6,)],
+                         "__params__ is truncated or corrupt: it holds 64 data bytes")
 
 
-@pytest.mark.parametrize("case", ["padded", "complex"])
+@pytest.mark.parametrize("case", ["padded", "complex", "count"])
 def test_load_refuses_an_array_it_cannot_read_exactly_naming_it(tmp_path, case):
     bad = tmp_path / "bad.npz"
     if case == "padded":  # data bytes beyond what the header promises
         _write_npz(tmp_path / "ckpt.npz", {"w0": np.full(3, 7.0), "w1": np.zeros(6)})
-        _rewrite_member(tmp_path / "ckpt.npz", bad, "w1.npy", lambda data: data + bytes(8))
-        match = "array w1 is truncated or corrupt: it holds 56 data bytes"
-    else:  # a dtype that does not cast to the parameter's
-        _write_npz(bad, {"w0": np.full(3, 7.0), "w1": np.zeros(6, complex)})
-        match = "array w1 holds complex128, which does not cast to the model's float64"
+        _rewrite_member(tmp_path / "ckpt.npz", bad, "__params__.npy",
+                        lambda data: data + bytes(8))
+        match = "__params__ is truncated or corrupt: it holds 80 data bytes"
+    elif case == "complex":  # a dtype that does not cast to the parameters'
+        _write_npz(bad, {"w0": np.full(3, 7.0), "w1": np.zeros(6)}, dtype=complex)
+        match = "__params__ holds complex128, which does not cast to the model's float64"
+    else:  # a whole member with one value more than the index lists
+        _write_npz(tmp_path / "ckpt.npz", {"w0": np.full(3, 7.0), "w1": np.zeros(7)})
+        with np.load(tmp_path / "ckpt.npz") as blob:
+            members = {name: blob[name] for name in blob.files}
+        members["__index__"] = np.asarray(json.dumps([["w0", [3]], ["w1", [6]]]))
+        np.savez(bad, **members)
+        match = r"__params__ has shape \(10,\), but its index lists 9 values"
     _assert_load_refused(bad, [(3,), (6,)], match)
+
+
+def test_load_reads_in_stored_order_whatever_the_attribute_order(tmp_path):
+    shapes = [(2, 3), (4,), (5,)]
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, Arrays(shapes, fill=7.0))
+    reordered = Module()
+    for i in (2, 1, 0):
+        setattr(reordered, f"w{i}", Parameter(np.zeros(shapes[i])))
+    load_checkpoint(path, reordered)
+    for i, shape in enumerate(shapes):
+        np.testing.assert_array_equal(getattr(reordered, f"w{i}").data, np.full(shape, 7.0 + i))
 
 
 def test_config_mismatch_leaves_the_model_unchanged(tmp_path):
@@ -376,6 +445,41 @@ def test_load_reads_one_parameter_at_a_time(tmp_path):
     parameter_bytes = size * 8
     rise = int(run_peak_probe(LOAD_PROBE, path, n, size).split()[-1])
     assert rise < 0.1 * parameter_bytes, (rise, parameter_bytes)
+
+
+SAVE_PROBE = """
+import sys
+import numpy as np
+from srrnet.nn import Module, Parameter, save_checkpoint
+
+class Arrays(Module):
+    def __init__(self, n, size):
+        for i in range(n):
+            setattr(self, f"w{i}", Parameter(np.full(size, 1.0 + i)))
+
+model = Arrays(int(sys.argv[2]), int(sys.argv[3]))
+before = peak_bytes()
+save_checkpoint(sys.argv[1], model)
+print(peak_bytes() - before)
+"""
+
+
+@needs_proc
+def test_save_writes_one_parameter_at_a_time(tmp_path):
+    """Saving raises the peak resident size by well under one parameter.
+
+    The child process saves a model of four 16 MB parameters. Each
+    parameter's bytes are written straight from its array, so the save
+    allocates no parameter-sized array; the finiteness check's boolean mask
+    is an eighth of one. ``np.savez`` copied each array in 16 MiB chunks, a
+    whole parameter here, and one flat concatenated copy would be all four.
+    """
+    n, size = 4, 2 * 1024 * 1024
+    rise = int(run_peak_probe(SAVE_PROBE, tmp_path / "big.npz", n, size).split()[-1])
+    parameter_bytes = size * 8
+    assert rise < 0.25 * parameter_bytes, (rise, parameter_bytes)
+    with np.load(tmp_path / "big.npz") as blob:
+        assert blob["__params__"].size == n * size
 
 
 SETUP_PROBE = """
@@ -497,3 +601,62 @@ def test_checkpoint_refuses_format_1(tmp_path):
     for load in (lambda: load_checkpoint(path, net), lambda: load_model(path)):
         with pytest.raises(ValueError, match="format 1, which predates the stored model config"):
             load()
+
+
+def test_checkpoint_refuses_format_2(tmp_path):
+    """Format 2 stored one ``.npy`` member per parameter beside the config."""
+    net = build_model("desk", seed=0)
+    arrays = {"__format_version__": np.asarray([2], dtype="<i8"),
+              "__config__": np.asarray(json.dumps(dataclasses.asdict(net.config),
+                                                  sort_keys=True))}
+    arrays.update((name, p.data) for name, p in net.named_parameters())
+    path = tmp_path / "old.npz"
+    np.savez(path, **arrays)
+    for load in (lambda: load_checkpoint(path, net), lambda: load_model(path),
+                 lambda: read_checkpoint_config(path)):
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))} is format 2, "
+                                             "which stores one member per parameter; retrain "
+                                             "to write format 3"):
+            load()
+
+
+def test_a_load_opens_the_same_members_whatever_the_parameter_count(tmp_path, monkeypatch):
+    opened = []
+    real = zipfile.ZipFile.open
+    monkeypatch.setattr(zipfile.ZipFile, "open",
+                        lambda self, name, *a, **k: opened.append(name) or real(self, name, *a, **k))
+    counts = []
+    for n in (2, 50):
+        path = tmp_path / f"{n}.npz"
+        save_checkpoint(path, Arrays([(3,)] * n, fill=1.0))
+        opened.clear()
+        load_checkpoint(path, Arrays([(3,)] * n))
+        counts.append(sorted(opened))
+    members = ["__config__.npy", "__format_version__.npy", "__index__.npy", "__params__.npy"]
+    assert counts == [members, members]
+
+
+@settings(max_examples=30)
+@given(shapes=st.lists(st.lists(st.integers(0, 3), max_size=3).map(tuple),
+                       min_size=1, max_size=5),
+       dtype=st.sampled_from(["<f8", ">f8", "<f4"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_checkpoint_round_trips_any_parameter_shapes(shapes, dtype, seed):
+    """Size-0 and 0-d parameters included; ``<f8`` is ``save_checkpoint``'s own file."""
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(size=shape).astype(dtype).astype(np.float64) for shape in shapes]
+    source = Arrays(shapes)
+    for p, value in zip(source.parameters(), values):
+        p.data[...] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.npz"
+        if dtype == "<f8":
+            save_checkpoint(path, source)
+        else:
+            _write_npz(path, dict((name, p.data) for name, p in source.named_parameters()),
+                       dtype=dtype)
+        target = Arrays(shapes, fill=-1.0)
+        arrays = [p.data for p in target.parameters()]
+        load_checkpoint(path, target)
+    for p, array, value in zip(target.parameters(), arrays, values):
+        assert p.data is array and p.data.dtype == np.float64
+        np.testing.assert_array_equal(p.data, value)

@@ -473,6 +473,22 @@ def test_conv2d_grads(rng, stride, padding):
     assert_grad_matches(loss, b)
 
 
+def test_a_taped_padded_conv2d_keeps_no_padded_copy(rng):
+    """The backward closure needs only the padded extent, so the padded input is freed."""
+    x = leaf(rng, 1, 2, 6, 6)
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    out = T.conv2d(x, w, Tensor(rng.normal(size=3), requires_grad=True), padding=1)
+
+    def arrays(value):  # an array and every array whose memory it views
+        while isinstance(value, np.ndarray):
+            yield value
+            value = value.base
+
+    held = {a.shape for cell in out._backward_fn.__closure__
+            for a in arrays(cell.cell_contents)}
+    assert (1, 2, 8, 8) not in held, held
+
+
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
 def test_conv2d_batch_runs_as_the_per_item_convolutions(rng, stride, padding):
     x = rng.normal(size=(2, 3, 8, 8))
