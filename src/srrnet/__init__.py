@@ -14,7 +14,6 @@ from .pipeline import (
     TrainSchedule,
     compute_loss,
     infer_sequence,
-    sample_static_triplet,
     sample_training_triplet,
     train,
 )

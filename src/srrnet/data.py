@@ -15,7 +15,8 @@ caller reads a file:
 - ``load_video_dataset`` and ``load_static_pool``, the loaders of training,
   keep each file's 8-bit pixels (3 bytes a pixel for a frame, 1 for a mask),
   since training reads each frame many times; a frame or mask is decoded to
-  float64 only when it is read.
+  float64 only when it is read. A static pool is a list of ``StaticRecord``,
+  whose ``pool[i].image`` and ``pool[i].mask`` decode on each read.
 """
 
 from __future__ import annotations
@@ -48,9 +49,7 @@ class DecodedImages(Sequence):
     def __len__(self) -> int:
         return len(self._items)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return DecodedImages(self._items[index], self._decode)
+    def __getitem__(self, index: int) -> np.ndarray:
         return self._decode(self._items[index])
 
 
@@ -76,69 +75,32 @@ class SequenceRecord:
             self.extent = tuple(self.frames[0].shape[-2:])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StaticRecord:
-    name: str
-    category: str
-    image: np.ndarray  # 3 x H x W float64 in [0, 1]
-    mask: np.ndarray   # 1 x H x W float64 in {0, 1}
+    """One static pool image and its mask, kept at 8 bits.
 
-    @property
-    def extent(self) -> tuple[int, int]:
-        return tuple(self.image.shape[-2:])
-
-
-class StaticPool(Sequence):
-    """A loaded static pool, read by ``len`` and ``[i]`` like a list of ``StaticRecord``.
-
-    Images and masks stay at 8 bits. ``pool[i]`` is a view of record i: its
-    ``name``, ``category`` and ``extent`` are stored, and its ``image`` and
-    ``mask`` decode a fresh float64 array on each read, so indexing the
-    pool's categories or extents decodes nothing.
+    ``image`` and ``mask`` decode a fresh float64 array on each read, so
+    reading a record's ``category`` or ``extent`` decodes nothing.
     """
 
-    def __init__(self, names: list[str], categories: list[str],
-                 images: list[np.ndarray], masks: list[np.ndarray]):
-        self.names, self.categories = names, categories
-        self.extents = [image.shape[:2] for image in images]
-        self.images = DecodedImages(images, decode_frame)
-        self.masks = DecodedImages(masks, decode_mask)
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __getitem__(self, index: int) -> "PooledRecord":
-        if not -len(self) <= index < len(self):  # IndexError also ends iteration
-            raise IndexError(f"static pool index {index} out of range")
-        return PooledRecord(self, index)
-
-
-@dataclass(frozen=True)
-class PooledRecord:
-    """Record ``index`` of a ``StaticPool``, read like a ``StaticRecord``."""
-
-    pool: StaticPool
-    index: int
-
-    @property
-    def name(self) -> str:
-        return self.pool.names[self.index]
-
-    @property
-    def category(self) -> str:
-        return self.pool.categories[self.index]
+    name: str
+    category: str
+    image_pixels: np.ndarray  # H x W x 3 uint8
+    mask_pixels: np.ndarray   # H x W uint8
 
     @property
     def extent(self) -> tuple[int, int]:
-        return self.pool.extents[self.index]
+        return self.image_pixels.shape[:2]
 
     @property
     def image(self) -> np.ndarray:
-        return self.pool.images[self.index]
+        """3 x H x W float64 in [0, 1]."""
+        return decode_frame(self.image_pixels)
 
     @property
     def mask(self) -> np.ndarray:
-        return self.pool.masks[self.index]
+        """1 x H x W float64 in {0, 1}."""
+        return decode_mask(self.mask_pixels)
 
 
 def _frame_stems(directory: Path) -> list[str]:
@@ -219,13 +181,13 @@ def load_video_dataset(root) -> list[SequenceRecord]:
     return records
 
 
-def load_static_pool(directory) -> StaticPool:
+def load_static_pool(directory) -> list[StaticRecord]:
     """Read and check every image and mask the manifest names, keeping their pixels at 8 bits."""
     directory = Path(directory)
     manifest = directory / "categories.txt"
     if not manifest.exists():
         raise DatasetError(f"static pool {directory} lacks categories.txt")
-    names, categories, images, masks = [], [], [], []
+    pool = []
     for line in manifest.read_text().splitlines():
         line = line.strip()
         if not line:
@@ -236,10 +198,8 @@ def load_static_pool(directory) -> StaticPool:
             raise DatasetError(f"malformed manifest line {line!r}") from exc
         image = read_ppm(directory / f"{stem}.ppm")
         mask_path = directory / f"{stem}.pgm"
-        masks.append(_checked(mask_path, read_pgm(mask_path), image.shape[:2], "its frame is"))
-        names.append(stem)
-        categories.append(category)
-        images.append(image)
-    if not names:
+        mask = _checked(mask_path, read_pgm(mask_path), image.shape[:2], "its frame is")
+        pool.append(StaticRecord(stem, category, image, mask))
+    if not pool:
         raise DatasetError(f"static pool {directory} is empty")
-    return StaticPool(names, categories, images, masks)
+    return pool

@@ -40,10 +40,14 @@ def mae(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(np.abs(pred - gt).mean())
 
 
+def _binary(mask: np.ndarray) -> np.ndarray:
+    """The foreground of a mask in [0, 1]: its pixels above 0.5."""
+    return np.asarray(mask, dtype=np.float64) > 0.5
+
+
 def mdice(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Dice coefficient on binary masks; both-empty pairs score 1."""
-    pred = np.asarray(pred, dtype=bool)
-    gt = np.asarray(gt, dtype=bool)
+    """Dice coefficient of the masks binarized at 0.5; both-empty pairs score 1."""
+    pred, gt = _binary(pred), _binary(gt)
     _validate_pair(pred, gt)
     inter = np.logical_and(pred, gt).sum()
     total = pred.sum() + gt.sum()
@@ -53,9 +57,8 @@ def mdice(pred: np.ndarray, gt: np.ndarray) -> float:
 
 
 def miou(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Intersection over union on binary masks; both-empty pairs score 1."""
-    pred = np.asarray(pred, dtype=bool)
-    gt = np.asarray(gt, dtype=bool)
+    """Intersection over union of the masks binarized at 0.5; both-empty pairs score 1."""
+    pred, gt = _binary(pred), _binary(gt)
     _validate_pair(pred, gt)
     inter = np.logical_and(pred, gt).sum()
     union = np.logical_or(pred, gt).sum()
@@ -129,7 +132,7 @@ def s_measure(pred: np.ndarray, gt: np.ndarray) -> float:
     all-foreground scores ``mean(pred)``.
     """
     pred = np.asarray(pred, dtype=np.float64)
-    gt = (np.asarray(gt, dtype=np.float64) > 0.5).astype(np.float64)
+    gt = _binary(gt).astype(np.float64)
     _validate_pair(pred, gt)
     y = gt.mean()
     if y == 0.0:
@@ -159,7 +162,7 @@ def weighted_fbeta(pred: np.ndarray, gt: np.ndarray) -> float:
     dataset skip those frames with a warning.
     """
     pred = np.asarray(pred, dtype=np.float64)
-    gt_bool = np.asarray(gt, dtype=np.float64) > 0.5
+    gt_bool = _binary(gt)
     _validate_pair(pred, gt_bool)
     if not gt_bool.any():
         raise ValueError("weighted_fbeta is undefined for an empty ground truth")
@@ -221,8 +224,7 @@ def compute_pair_metrics(pred: np.ndarray, gt: np.ndarray) -> dict:
     """All five measures for one frame."""
     out = {
         "s_alpha": s_measure(pred, gt),
-        "mae": mae((np.asarray(pred) > 0.5).astype(np.float64),
-                   (np.asarray(gt) > 0.5).astype(np.float64)),
+        "mae": mae(_binary(pred).astype(np.float64), _binary(gt).astype(np.float64)),
         "mdice": mdice(pred, gt),
         "miou": miou(pred, gt),
     }

@@ -122,12 +122,6 @@ def static_sampler(pool: Sequence[StaticRecord]
     return sample
 
 
-def sample_static_triplet(pool: Sequence[StaticRecord],
-                          rng: np.random.Generator) -> TrainTriplet:
-    """One static sample; ``static_sampler`` indexes the pool once for many."""
-    return static_sampler(pool)(rng)
-
-
 def triplet_to_input(trip: TrainTriplet) -> tuple[FrameTriplet, np.ndarray]:
     return FrameTriplet(Tensor(trip.c_img), Tensor(trip.p_in), Tensor(trip.r_in)), trip.gt
 

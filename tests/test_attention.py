@@ -10,7 +10,6 @@ from srrnet import tensor as T
 from srrnet.attention import (
     ATTENTION_MODES,
     AttentionConfig,
-    BranchWeights,
     RMABlock,
     scaled_dot_attention,
     split_batch,

@@ -305,7 +305,6 @@ def test_loaded_frames_and_masks_are_fresh_arrays_on_each_access(tmp_path):
             image[...] = -1.0
         for i in range(-len(kept), len(kept)):
             _assert_bitwise(images[i], kept[i])
-        assert [a.tobytes() for a in images[1:]] == [a.tobytes() for a in kept[1:]]
 
 
 def test_a_loaded_sequence_checks_each_file_again_on_access(tmp_path):

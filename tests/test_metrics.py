@@ -249,6 +249,19 @@ def test_metric_invariances():
         assert mdice(binary, gt) >= miou(binary, gt)
 
 
+def test_every_measure_binarizes_at_one_half():
+    """A grey level below 0.5 is background for Dice and IoU as for MAE; read
+    as foreground, one extra row at 1/255 scored Dice 0.8 and IoU 0.667."""
+    gt = np.zeros((6, 6))
+    gt[1:3] = 1.0
+    pred = gt.copy()
+    pred[3] = 1.0 / 255.0
+    row = compute_pair_metrics(pred, gt)
+    assert (row["mae"], row["mdice"], row["miou"]) == (0.0, 1.0, 1.0)
+    pred[3] = 128.0 / 255.0  # the lowest PGM value above the threshold
+    assert (mdice(pred, gt), miou(pred, gt)) == (0.8, pytest.approx(2.0 / 3.0))
+
+
 def test_both_empty_convention():
     z = np.zeros((4, 4))
     assert mdice(z, z) == 1.0 and miou(z, z) == 1.0

@@ -23,7 +23,6 @@ from srrnet.pipeline import (
     _augment,
     compute_loss,
     infer_sequence,
-    sample_static_triplet,
     sample_training_triplet,
     static_sampler,
     train,
@@ -177,17 +176,27 @@ def test_video_sampler_single_frame_fallback():
 
 
 def _static_pool(spec):
-    """Image i is filled with i and its mask with i + 0.5."""
-    return [StaticRecord(name=f"{i:05d}", category=cat, image=np.full((3, 32, 32), float(i)),
-                         mask=np.full((1, 32, 32), i + 0.5)) for i, cat in enumerate(spec)]
+    """Image i's pixels are all i, and its mask is foreground iff i is odd."""
+    return [StaticRecord(name=f"{i:05d}", category=cat,
+                         image_pixels=np.full((32, 32, 3), i, np.uint8),
+                         mask_pixels=np.full((32, 32), 255 * (i % 2), np.uint8))
+            for i, cat in enumerate(spec)]
+
+
+def _static_sampled(trip):
+    """The images a static sample holds as C, P and R, each with its own mask."""
+    c, p, r = (round(255 * a[0, 0, 0, 0]) for a in (trip.c_img, trip.p_in, trip.r_in))
+    assert (trip.gt[0, 0, 0, 0], trip.p_in[0, 3, 0, 0], trip.r_in[0, 3, 0, 0]) == (
+        c % 2, p % 2, r % 2)
+    return c, p, r
 
 
 def test_static_sampler_category_law():
     pool = _static_pool(["a", "a", "b", "b", "b", "c"])
-    gen = np.random.default_rng(0)
+    sample, gen = static_sampler(pool), np.random.default_rng(0)
     r_cats = set()
     for _ in range(2000):
-        c, p, r = _sampled(sample_static_triplet(pool, gen))
+        c, p, r = _static_sampled(sample(gen))
         assert pool[p].category == pool[c].category
         assert (p == c) == (pool[c].category == "c")  # only a singleton category falls back
         r_cats.add(pool[r].category)
@@ -204,13 +213,30 @@ def test_static_sampler_draws_as_a_scan_of_the_whole_pool_would():
         same = [i for i, rec in enumerate(pool) if rec.category == pool[c].category and i != c]
         p = int(oracle.choice(same)) if same else c
         expected = (c, p, int(oracle.integers(0, len(pool))))
-        assert _sampled(sample(gen)) == expected
+        assert _static_sampled(sample(gen)) == expected
         assert gen.bit_generator.state == oracle.bit_generator.state
+
+
+def test_a_static_sample_decodes_only_its_own_three_records(monkeypatch):
+    """Indexing the pool decodes nothing, and a sample decodes its C, P and R."""
+    import srrnet.data
+    decoded = []
+    for name in ("decode_frame", "decode_mask"):  # wrapped where StaticRecord looks them up
+        decode = getattr(srrnet.data, name)
+        monkeypatch.setattr(srrnet.data, name, lambda pixels, name=name, decode=decode:
+                            decoded.append(name) or decode(pixels))
+    pool = _static_pool(["a", "b", "a", "c", "b", "a", "b"] * 20)
+    sample, gen = static_sampler(pool), np.random.default_rng(5)
+    assert decoded == []
+    for _ in range(10):
+        _static_sampled(sample(gen))
+        assert sorted(decoded) == ["decode_frame"] * 3 + ["decode_mask"] * 3
+        decoded.clear()
 
 
 def test_static_sampler_empty_pool():
     with pytest.raises(ConfigurationError):
-        sample_static_triplet([], np.random.default_rng(0))
+        static_sampler([])
 
 
 def test_triplet_to_input_builds_valid_network_input():
