@@ -17,7 +17,7 @@ from . import tensor as T
 from .attention import AttentionConfig, reference_is_separable
 from .backbone import FrameTriplet, PyramidFeatures, RMABackbone, StageConfig
 from .decoder import DecoderCollapse, DecoderConfig, DualPurposeDecoder, PredictionPair
-from .nn import Module, load_checkpoint, read_checkpoint_config, weights_key
+from .nn import Module, build_from_checkpoint, weights_key
 from .tensor import ConfigurationError
 
 FULL_SCALE_REFERENCE_PARAMS = 53_790_000  # published headline parameter count
@@ -128,16 +128,17 @@ def build_model(preset: str = "desk", attention_mode: str = "rma",
 
 def load_model(path) -> SRRNet:
     """Rebuild the model a checkpoint was saved from, with its weights."""
-    stored = read_checkpoint_config(path)
-    if stored is None:
-        raise ValueError(f"checkpoint {path} holds no model config")
-    try:
-        stages = [StageConfig(**{**s, "attention": AttentionConfig(**s["attention"])})
-                  for s in stored["stages"]]
-        model = SRRNet(ModelConfig(stages=stages, decoder=DecoderConfig(**stored["decoder"]),
-                                   attention_mode=stored["attention_mode"]))
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"checkpoint {path} holds a model config that does not build a "
-                         f"model: {type(exc).__name__}: {exc}") from exc
-    load_checkpoint(path, model)
-    return model
+
+    def build(stored) -> SRRNet:
+        if stored is None:
+            raise ValueError(f"checkpoint {path} holds no model config")
+        try:
+            stages = [StageConfig(**{**s, "attention": AttentionConfig(**s["attention"])})
+                      for s in stored["stages"]]
+            return SRRNet(ModelConfig(stages=stages, decoder=DecoderConfig(**stored["decoder"]),
+                                      attention_mode=stored["attention_mode"]))
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"checkpoint {path} holds a model config that does not build a "
+                             f"model: {type(exc).__name__}: {exc}") from exc
+
+    return build_from_checkpoint(path, build)

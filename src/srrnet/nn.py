@@ -28,7 +28,7 @@ import json
 import math
 import os
 import zipfile
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -290,12 +290,6 @@ def _stored_config(blob, path):
     return json.loads(str(_read_member(blob, path, "__config__")))
 
 
-def read_checkpoint_config(path):
-    """The config a checkpoint was saved with, as JSON values (None for a bare module)."""
-    with _open_checkpoint(path) as blob:
-        return _stored_config(blob, path)
-
-
 def _stored_index(blob, path) -> list[tuple[str, tuple]]:
     """The ``(name, shape)`` of each stored parameter, in the order of their bytes."""
     raw = str(_read_member(blob, path, "__index__"))
@@ -358,38 +352,56 @@ def load_checkpoint(path, model: Module):
     other dtype. A CRC failure is found only once the last byte is read, so
     it raises ``ValueError`` after the parameters are overwritten.
     """
+    with _open_checkpoint(path) as blob:
+        _load_open(blob, path, _stored_config(blob, path), model)
+
+
+def build_from_checkpoint(path, build: Callable[[Any], Module]) -> Module:
+    """``build(config)`` on the config the checkpoint at ``path`` was saved with,
+    loaded with the checkpoint's parameters as by ``load_checkpoint``.
+
+    The archive is opened once, for the config and the parameters both.
+    """
+    with _open_checkpoint(path) as blob:
+        config = _stored_config(blob, path)
+        model = build(config)
+        _load_open(blob, path, config, model)
+    return model
+
+
+def _load_open(blob, path, config, model: Module):
+    """``load_checkpoint``'s checks and reads, from an open archive whose stored config is ``config``."""
     built = _flatten(json.loads(_config_json(model)))
     model_params = dict(model.named_parameters())
-    with _open_checkpoint(path) as blob:
-        saved = _flatten(_stored_config(blob, path))
-        for field in sorted(saved.keys() | built.keys()):
-            was, now = saved.get(field, "<absent>"), built.get(field, "<absent>")
-            if was != now:
-                raise ValueError(f"checkpoint {path} holds a model with {field}={was!r}, "
-                                 f"but the model to load has {field}={now!r}")
-        index = _stored_index(blob, path)
-        stored = [name for name, _ in index]
-        missing = sorted(set(model_params) - set(stored))
-        extra = sorted(set(stored) - set(model_params))
-        if missing or extra:
-            raise ValueError(f"checkpoint/model mismatch; missing={missing[:5]} extra={extra[:5]}")
-        if len(stored) != len(model_params):
-            raise ValueError(f"checkpoint {path} lists a parameter more than once")
-        for name, shape in index:
-            if shape != model_params[name].data.shape:
-                raise ValueError(f"shape mismatch for {name}: checkpoint {shape} "
-                                 f"vs model {model_params[name].data.shape}")
-        with _member(blob, path, "__params__") as member, \
-                io.BufferedReader(member, READ_BUFFER_BYTES) as f:
-            shape, dtype = _read_header(f, blob.zip.getinfo("__params__.npy").file_size, path)
-            count = sum(p.data.size for p in model_params.values())
-            if shape != (count,):
-                raise ValueError(f"checkpoint {path} __params__ has shape {shape}, but its "
-                                 f"index lists {count} values")
-            for p in model_params.values():
-                if not np.can_cast(dtype, p.data.dtype, casting="same_kind"):
-                    raise ValueError(f"checkpoint {path} __params__ holds {dtype}, which "
-                                     f"does not cast to the model's {p.data.dtype}")
-            _next_weights_generation()
-            for name, _ in index:
-                _read_into(model_params[name].data, f, dtype)
+    saved = _flatten(config)
+    for field in sorted(saved.keys() | built.keys()):
+        was, now = saved.get(field, "<absent>"), built.get(field, "<absent>")
+        if was != now:
+            raise ValueError(f"checkpoint {path} holds a model with {field}={was!r}, "
+                             f"but the model to load has {field}={now!r}")
+    index = _stored_index(blob, path)
+    stored = [name for name, _ in index]
+    missing = sorted(set(model_params) - set(stored))
+    extra = sorted(set(stored) - set(model_params))
+    if missing or extra:
+        raise ValueError(f"checkpoint/model mismatch; missing={missing[:5]} extra={extra[:5]}")
+    if len(stored) != len(model_params):
+        raise ValueError(f"checkpoint {path} lists a parameter more than once")
+    for name, shape in index:
+        if shape != model_params[name].data.shape:
+            raise ValueError(f"shape mismatch for {name}: checkpoint {shape} "
+                             f"vs model {model_params[name].data.shape}")
+    with _member(blob, path, "__params__") as member, \
+            io.BufferedReader(member, READ_BUFFER_BYTES) as f:
+        shape, dtype = _read_header(f, blob.zip.getinfo("__params__.npy").file_size, path)
+        count = sum(p.data.size for p in model_params.values())
+        if shape != (count,):
+            raise ValueError(f"checkpoint {path} __params__ has shape {shape}, but its "
+                             f"index lists {count} values")
+        for p in model_params.values():
+            if not np.can_cast(dtype, p.data.dtype, casting="same_kind"):
+                raise ValueError(f"checkpoint {path} __params__ holds {dtype}, which "
+                                 f"does not cast to the model's {p.data.dtype}")
+        _next_weights_generation()
+        for name, _ in index:
+            _read_into(model_params[name].data, f, dtype)

@@ -6,10 +6,12 @@ implemented here as a differentiable primitive. Values are always float64:
 gradient checks against central finite differences need the precision.
 
 Buffer rule: a primitive returns a buffer it allocated itself and may fill
-that buffer, or a scratch buffer it allocated, in place (softmax writes its
-scores into a buffer of its own and exponentiates them there; layer_norm
-normalizes its own centered copy), but it never writes into an input's
-``data``; backward closures read inputs and outputs after the forward pass.
+that buffer, or a scratch buffer it allocated, in place (softmax writes each
+tile's scores into one buffer of its own and exponentiates them there, and
+its backward does the same again in a buffer of the backward's own;
+layer_norm normalizes its own centered copy), but it never writes into an
+input's ``data``; backward closures read inputs and outputs after the
+forward pass.
 """
 
 from __future__ import annotations
@@ -359,10 +361,19 @@ def softmax(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     tile's scores are written into one buffer, exponentiated in place,
     multiplied into the output and normalized there, as FlashAttention does
     (Dao et al., arXiv 2205.14135): the n_q x d_v output is divided by the
-    row sums, so the n_q x n_k probabilities are never formed. Off the tape
-    every tile reuses that one buffer; on it, each tile keeps its own
-    exponentials for the backward, which uses FlashAttention's row term
-    D = rowsum(g * out).
+    row sums, so the n_q x n_k probabilities are never formed. Every tile
+    reuses that one buffer, on the tape or off it.
+
+    On the tape the backward keeps q, k, v, k^T, the output, each tile's
+    row sums and, for a tile that shifted, its row maxima: nothing of size
+    n_q x n_k. It recomputes each tile's exponentials into one buffer of its
+    own by the forward's ops on the same views (GEMM into the buffer, the
+    shift, exp), so they equal the forward's bit for bit, and then uses
+    FlashAttention's row term D = rowsum(g * out) (recomputation: Dao et
+    al., section 3.1). A desk training step at 192 x 192 peaked at 137 MiB
+    this way, against 548 MiB with every tile's exponentials kept, and one
+    at 256 x 256 at 198 against 1,500 MiB (VmHWM, 2-core x86); the backward
+    pays one more GEMM and exp per tile for it.
 
     The shift by the row maxima only guards ``exp`` against overflow and
     cancels in the division, so it is skipped while every row maximum lies
@@ -386,33 +397,42 @@ def softmax(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     d_v = v.shape[3]
     kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
     shift_free = scores_shift_free(q.data, k.data)
-    taped = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     bounds = row_tiles(batch, heads, n_q, n_k)
+    tiles = list(zip(bounds, bounds[1:]))
     largest = bounds[-1] - bounds[-2]  # rows of the last tile, the largest
-    buf = None if taped else np.empty(batch * heads * largest * n_k)
+    buf = np.empty(batch * heads * largest * n_k)
     out = np.empty((batch, n_q, heads, d_v))
     outh = out.transpose(0, 2, 1, 3)
-    kept = []
-    for start, stop in zip(bounds, bounds[1:]):
+    kept = []  # per tile, the row sums and the row maxima it was shifted by, if any
+    for start, stop in tiles:
         shape = (batch, heads, stop - start, n_k)
-        e = np.empty(shape) if taped else buf[:math.prod(shape)].reshape(shape)
+        e = buf[:math.prod(shape)].reshape(shape)
         np.matmul(q.data[:, :, start:stop], kt, out=e)
+        shift = None
         if not shift_free:
             peak = e.max(axis=-1, keepdims=True)
             if np.abs(peak).max() > EXP_SHIFT_FREE:
                 e -= peak
+                shift = peak
         np.exp(e, out=e)
         s = e.sum(axis=-1, keepdims=True)
         o = outh[:, :, start:stop]
         np.matmul(e, v.data, out=o)
         o /= s
-        if taped:
-            kept.append((start, stop, e, s))
+        kept.append((s, shift))
 
     def bwd(g):
         gq, gk, gv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
         vt = np.swapaxes(v.data, -1, -2)
-        for start, stop, e, s in kept:
+        tile = np.empty(batch * heads * largest * n_k)
+        for (start, stop), (s, shift) in zip(tiles, kept):
+            # the forward's exponentials, recomputed by the same ops on the same views
+            shape = (batch, heads, stop - start, n_k)
+            e = tile[:math.prod(shape)].reshape(shape)
+            np.matmul(q.data[:, :, start:stop], kt, out=e)
+            if shift is not None:
+                e -= shift
+            np.exp(e, out=e)
             gt = g[:, :, start:stop]
             gs = gt / s
             gv += np.matmul(np.swapaxes(e, -1, -2), gs)

@@ -26,7 +26,6 @@ from srrnet.nn import (
     Parameter,
     count_parameters,
     load_checkpoint,
-    read_checkpoint_config,
     save_checkpoint,
 )
 from srrnet.tensor import ConfigurationError, Tensor
@@ -569,6 +568,36 @@ def test_load_model_draws_no_weights_it_overwrites(tmp_path, monkeypatch):
         np.testing.assert_array_equal(a.data, b.data)
 
 
+def test_load_model_opens_its_checkpoint_once(tmp_path, monkeypatch):
+    """One open archive serves the config and the parameters, and a refusal
+    found in either still names the file."""
+    net = build_model("desk", seed=3)
+    good = tmp_path / "model.npz"
+    save_checkpoint(good, net)
+    with np.load(good) as blob:
+        members = {name: blob[name] for name in blob.files}
+    refusals = {"bare": "holds no model config",
+                "unbuildable": "holds a model config that does not build a model",
+                "index": "has a malformed parameter index",
+                "dtype": "__params__ holds complex128, which does not cast"}
+    save_checkpoint(tmp_path / "bare.npz", Arrays([(3,)]))
+    np.savez(tmp_path / "unbuildable.npz", **{**members, "__config__": np.asarray('{"stages": []}')})
+    np.savez(tmp_path / "index.npz", **{**members, "__index__": np.asarray("not json")})
+    np.savez(tmp_path / "dtype.npz", **{**members,
+                                        "__params__": members["__params__"].astype(complex)})
+    opens = []
+    real = np.load
+    monkeypatch.setattr(np, "load", lambda path, *a, **k: opens.append(path) or real(path, *a, **k))
+    load_model(good)
+    assert opens == [good]
+    for name, message in refusals.items():
+        path = tmp_path / f"{name}.npz"
+        opens.clear()
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} {message}")):
+            load_model(path)
+        assert opens == [path]
+
+
 @pytest.mark.parametrize("field, saved, built", [
     ("attention_mode", "rma", "full"),
     ("decoder.error_target", "absolute", "signed"),
@@ -612,8 +641,7 @@ def test_checkpoint_refuses_format_2(tmp_path):
     arrays.update((name, p.data) for name, p in net.named_parameters())
     path = tmp_path / "old.npz"
     np.savez(path, **arrays)
-    for load in (lambda: load_checkpoint(path, net), lambda: load_model(path),
-                 lambda: read_checkpoint_config(path)):
+    for load in (lambda: load_checkpoint(path, net), lambda: load_model(path)):
         with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))} is format 2, "
                                              "which stores one member per parameter; retrain "
                                              "to write format 3"):

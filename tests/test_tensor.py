@@ -12,6 +12,7 @@ from srrnet.nn import Linear
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
 from conftest import assert_grad_matches, fd_grad
+from keep_every_tile import keep_every_tile_softmax
 
 
 def leaf(rng, *shape):
@@ -428,14 +429,96 @@ def test_softmax_matches_the_oracle_at_the_shift_free_bound(rng, peak):
 
 
 def test_softmax_never_writes_its_input(monkeypatch, rng):
-    monkeypatch.setattr(T, "SCORE_TILE", 12)  # several tiles: one reused buffer off the tape
-    q, k, v = leaf(rng, 1, 2, 4, 3), leaf(rng, 1, 2, 6, 3), leaf(rng, 1, 2, 6, 2)
-    before = [x.data.copy() for x in (q, k, v)]
-    with T.no_grad():
-        T.softmax(q, k, v)
-    _softmax_value_and_grads(q, k, v, rng.normal(size=(1, 2, 4, 2)))
-    for x, data in zip((q, k, v), before):
-        np.testing.assert_array_equal(x.data, data)
+    monkeypatch.setattr(T, "SCORE_TILE", 12)  # several tiles, each through one reused buffer
+    for offset in (0.0, 70.0):  # at 70 every row maximum leaves the bound: every tile shifts
+        q, k, v = leaf(rng, 1, 2, 4, 3), leaf(rng, 1, 2, 6, 3), leaf(rng, 1, 2, 6, 2)
+        q.data[..., -1], k.data[..., -1] = offset, 1.0
+        assert _tile_shifts(q.data, k.data) == [bool(offset)] * 4
+        before = [x.data.copy() for x in (q, k, v)]
+        with T.no_grad():
+            T.softmax(q, k, v)
+        y = T.softmax(q, k, v)
+        out = y.data.copy()
+        T.backward(T.tensor_sum(y * Tensor(rng.normal(size=(1, 2, 4, 2)))))  # recomputes each tile
+        for x, data in zip((q, k, v, y), before + [out]):
+            np.testing.assert_array_equal(x.data, data)
+
+
+def _tile_shifts(q, k) -> list:
+    """Per tile of ``row_tiles``, whether ``softmax`` shifts its scores by their row maxima."""
+    batch, heads, n_q, _ = q.shape
+    bounds = T.row_tiles(batch, heads, n_q, k.shape[2])
+    if T.scores_shift_free(q, k):
+        return [False] * (len(bounds) - 1)
+    peaks = _scores(q, k).max(axis=-1)
+    return [bool(np.abs(peaks[:, :, a:b]).max() > T.EXP_SHIFT_FREE)
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def _assert_bitwise(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def _assert_backward_matches_keep_every_tile(q, k, v, g, grads):
+    """softmax's output and the gradients its backward leaves on the tape's
+    leaves equal the keep-every-tile oracle's, bit for bit; only the leaves in
+    ``grads`` (a subset of ``"qkv"``) require grad, and only they get one."""
+    leaves = [Tensor(x, requires_grad=name in grads) for name, x in zip("qkv", (q, k, v))]
+    y = T.softmax(*leaves)
+    T.backward(T.tensor_sum(y * Tensor(g)))
+    out, *expected = keep_every_tile_softmax(q, k, v, g)
+    _assert_bitwise(y.data, out)
+    for name, t, ref in zip("qkv", leaves, expected):
+        if name in grads:
+            _assert_bitwise(t.grad, np.zeros_like(ref) + ref)  # as _accumulate adds it
+        else:
+            assert t.grad is None
+
+
+def _attention_operands(gen, batch, heads, n_q, n_k, d, d_v, shifted_rows):
+    """q, k, v whose scores gain 70 on the first ``shifted_rows`` query rows,
+    so exactly the tiles holding one of those rows shift."""
+    q = gen.uniform(-1.0, 1.0, size=(batch, heads, n_q, d + 1))
+    k = gen.uniform(-1.0, 1.0, size=(batch, heads, n_k, d + 1))
+    q[..., -1], k[..., -1] = 0.0, 1.0
+    q[:, :, :shifted_rows, -1] = 70.0
+    return q, k, gen.normal(size=(batch, heads, n_k, d_v))
+
+
+GRAD_SUBSETS = ["q", "k", "v", "qk", "qv", "kv", "qkv"]
+
+
+@pytest.mark.parametrize("grads", GRAD_SUBSETS)
+@pytest.mark.parametrize("shifted_rows, shifts", [(0, [False] * 4), (7, [True] * 4),
+                                                  (3, [True, True, False, False])],
+                         ids=["shift-free", "every-tile-shifts", "some-tiles-shift"])
+@pytest.mark.parametrize("batch, heads, n_k", [(1, 1, 5), (2, 3, 5), (2, 2, 1)],
+                         ids=["one-slab", "batch-and-heads", "one-key"])
+def test_softmax_backward_equals_the_keep_every_tile_oracle(monkeypatch, batch, heads, n_k,
+                                                            shifted_rows, shifts, grads):
+    # two query rows a tile over 7 rows: tiles of 1, 2, 2 and 2 rows
+    monkeypatch.setattr(T, "SCORE_TILE", 2 * batch * heads * n_k)
+    gen = np.random.default_rng(batch * 100 + n_k * 10 + shifted_rows)
+    q, k, v = _attention_operands(gen, batch, heads, 7, n_k, 3, 2, shifted_rows)
+    assert T.row_tiles(batch, heads, 7, n_k) == [0, 1, 3, 5, 7]
+    assert _tile_shifts(q, k) == shifts
+    _assert_backward_matches_keep_every_tile(q, k, v, gen.normal(size=(batch, heads, 7, 2)),
+                                             grads)
+
+
+@given(batch=st.integers(1, 2), heads=st.integers(1, 3), n_q=st.integers(1, 9),
+       n_k=st.integers(1, 9), d=st.integers(1, 4), d_v=st.integers(1, 3),
+       shifted_rows=st.integers(0, 9), tile=st.integers(1, 200),
+       grads=st.sampled_from(GRAD_SUBSETS), seed=st.integers(0, 2 ** 16))
+def test_softmax_backward_equals_the_keep_every_tile_oracle_over_shapes(
+        batch, heads, n_q, n_k, d, d_v, shifted_rows, tile, grads, seed):
+    gen = np.random.default_rng(seed)
+    q, k, v = _attention_operands(gen, batch, heads, n_q, n_k, d, d_v, shifted_rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(T, "SCORE_TILE", tile)
+        _assert_backward_matches_keep_every_tile(q, k, v, gen.normal(size=(batch, heads, n_q, d_v)),
+                                                 grads)
 
 
 def test_scaled_dot_attention_same_with_and_without_tape(monkeypatch, rng):
