@@ -21,6 +21,7 @@ caller reads a file:
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +51,8 @@ class DecodedImages(Sequence):
         return len(self._items)
 
     def __getitem__(self, index: int) -> np.ndarray:
-        return self._decode(self._items[index])
+        # one image per access: a slice is refused here, not inside the decoder
+        return self._decode(self._items[operator.index(index)])
 
 
 @dataclass

@@ -35,7 +35,6 @@ import numpy as np
 from .tensor import (
     ConfigurationError,
     Tensor,
-    add,
     conv2d,
     gelu,
     layer_norm,
@@ -121,7 +120,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.weight), self.bias)
+        return matmul(x, self.weight, self.bias)
 
 
 class Conv2d(Module):

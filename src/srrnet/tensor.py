@@ -6,12 +6,14 @@ implemented here as a differentiable primitive. Values are always float64:
 gradient checks against central finite differences need the precision.
 
 Buffer rule: a primitive returns a buffer it allocated itself and may fill
-that buffer, or a scratch buffer it allocated, in place (softmax writes each
-tile's scores into one buffer of its own and exponentiates them there, and
-its backward does the same again in a buffer of the backward's own;
-layer_norm normalizes its own centered copy), but it never writes into an
-input's ``data``; backward closures read inputs and outputs after the
-forward pass.
+that buffer, or a scratch buffer it allocated, in place (matmul adds its bias
+into its own GEMM output; softmax writes each tile's scores into one buffer
+of its own and exponentiates them there, and its backward does the same again
+in a buffer of the backward's own; layer_norm normalizes its own centered
+copy), but it never writes into an input's ``data``; backward closures read
+inputs and outputs after the forward pass, and softmax, conv2d and
+layer_norm rebuild from their inputs what their backward needs instead of
+keeping it on the tape.
 """
 
 from __future__ import annotations
@@ -283,28 +285,43 @@ def tensor_sum(a: Tensor) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of ``a``'s last axis with a 2-d ``b``, for every leading index of ``a``.
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Product of ``a``'s last axis with a 2-d ``b``, for every leading index of ``a``, plus ``bias``.
 
     The rows of every leading index of ``a`` go through one GEMM, forward and
     backward: numpy would call one GEMM per leading index, streaming ``b``
     once for each. With one leading index (a 2-d ``a``) this is numpy's own
     GEMM; with more, a row may round differently in the last bit, since BLAS
     picks its kernels by the shape of the whole product.
+
+    A ``bias`` of ``b``'s column extent is added into the GEMM's output in
+    place, so a Linear layer is one node and its pre-bias product is never
+    kept; the sums are those of ``add(matmul(a, b), bias)``, bit for bit, and
+    ``bias`` gets the same gradient. The backward keeps only ``a`` and ``b``
+    (which it reads anyway): at 192 x 192 the pre-bias products of a desk
+    forward were 10.4 of the 68.6 MiB its tape held.
     """
     if a.ndim < 2 or b.ndim != 2:
         raise ShapeMismatchError(f"matmul needs a >=2-d and a 2-d operand, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
+    if bias is not None and bias.shape != b.shape[-1:]:
+        raise ShapeMismatchError(f"matmul bias {bias.shape} does not match output extent {b.shape[-1]}")
     rows = a.data.reshape(-1, a.shape[-1])
     data = np.matmul(rows, b.data).reshape(a.shape[:-1] + b.shape[-1:])
+    if bias is not None:
+        data += bias.data
 
     def bwd(g):
-        g2 = g.reshape(-1, b.shape[-1])
+        # C order, as the tape builds every node's gradient: BLAS may round a
+        # transposed (F-ordered) operand differently in the last bit
+        g2 = np.ascontiguousarray(g).reshape(-1, b.shape[-1])
         _accumulate(a, np.matmul(g2, b.data.T).reshape(a.shape))
         _accumulate(b, np.matmul(rows.T, g2))
+        if bias is not None:
+            _accumulate(bias, _unbroadcast(g, bias.shape))
 
-    return _make(data, (a, b), bwd)
+    return _make(data, (a, b) if bias is None else (a, b, bias), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +501,13 @@ LAYER_NORM_EPS = 1e-6
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize over the last axis, then apply an affine map."""
+    """Normalize over the last axis, then apply an affine map.
+
+    The backward keeps each row's mean and inverse deviation (n x 1), not
+    the normalized x̂ (n x c): it rebuilds x̂ from ``a`` by the forward's own
+    two passes (subtract the mean, scale in place), so x̂ equals the
+    forward's bit for bit.
+    """
     if gamma.shape != (a.shape[-1],) or beta.shape != (a.shape[-1],):
         raise ShapeMismatchError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match channel extent {a.shape[-1]}"
@@ -499,6 +522,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     def bwd(g):
         channels = a.shape[-1]
+        xhat = a.data - mu
+        xhat *= inv
         dxhat = g * gamma.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -517,6 +542,20 @@ def _conv_output_extent(extent: int, kernel: int, stride: int, padding: int) -> 
     return (extent + 2 * padding - kernel) // stride + 1
 
 
+def _patches(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+             oh: int, ow: int) -> np.ndarray:
+    """The (C*kh*kw) x (B*oh*ow) im2col matrix of a B x C x H x W array."""
+    batch, in_ch, height, width = x.shape
+    if padding:
+        xp = np.zeros((batch, in_ch, height + 2 * padding, width + 2 * padding))
+        xp[:, :, padding:padding + height, padding:padding + width] = x
+        x = xp
+    sb, sc, sh, sw = x.strides
+    cols = as_strided(x, (in_ch, kh, kw, batch, oh, ow),
+                      (sc, sh, sw, sb, sh * stride, sw * stride))
+    return np.ascontiguousarray(cols).reshape(in_ch * kh * kw, batch * oh * ow)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution over B x C x H x W inputs with an O x C x kh x kw kernel, plus bias.
 
@@ -524,6 +563,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     the kernel is read by one GEMM forward and one per gradient, whatever
     the batch. The output is a B x O x oh x ow view of an O x B x oh x ow
     buffer (contiguous at batch 1).
+
+    The backward keeps neither the patch matrix nor the padded copy of
+    ``x``: when ``w`` needs a gradient it rebuilds the patches from ``x`` by
+    the forward's own ops, so they equal the forward's bit for bit, and a
+    kernel without one (such as a constant shift kernel) never rebuilds
+    them. At 192 x 192 the patch matrices were 15.5 of the 68.6 MiB a desk
+    forward's tape held.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeMismatchError(f"conv2d expects 4-d operands, got {x.shape} and {w.shape}")
@@ -538,26 +584,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             f"conv2d output extent {oh}x{ow} is not positive "
             f"(input {height}x{width}, kernel {kh}x{kw}, stride {stride}, padding {padding})"
         )
-    xp = x.data
-    if padding:
-        xp = np.zeros((batch, in_ch, height + 2 * padding, width + 2 * padding))
-        xp[:, :, padding:padding + height, padding:padding + width] = x.data
-    sb, sc, sh, sw = xp.strides
-    cols = as_strided(xp, (in_ch, kh, kw, batch, oh, ow),
-                      (sc, sh, sw, sb, sh * stride, sw * stride))
-    cols = np.ascontiguousarray(cols).reshape(in_ch * kh * kw, batch * oh * ow)
     wmat = w.data.reshape(out_ch, in_ch * kh * kw)
+    cols = _patches(x.data, kh, kw, stride, padding, oh, ow)
     out = np.matmul(wmat, cols).reshape(out_ch, batch, oh, ow).transpose(1, 0, 2, 3)
     out += b.data.reshape(1, out_ch, 1, 1)
-    padded_extent = xp.shape[2:]  # the closure keeps the extent, not the padded copy
 
     def bwd(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(out_ch, batch * oh * ow)
         if w.requires_grad:
+            cols = _patches(x.data, kh, kw, stride, padding, oh, ow)
             _accumulate(w, np.matmul(g2, cols.T).reshape(w.shape))
         if x.requires_grad:
             gcols = np.matmul(wmat.T, g2).reshape(in_ch, kh, kw, batch, oh, ow)
-            gxp = np.zeros((in_ch, batch) + padded_extent)
+            gxp = np.zeros((in_ch, batch, height + 2 * padding, width + 2 * padding))
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gcols[:, i, j]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,32 @@ def pytest_terminal_summary(terminalreporter):
 def desk_model():
     from srrnet.model import build_model
     return build_model("desk", seed=0)
+
+
+def desk_tape_bytes(size: int = 128) -> int:
+    """tracemalloc bytes still held after a desk forward plus ``compute_loss`` at ``size`` px.
+
+    The model and the inputs are built before tracing starts, so the count is
+    the tape the backward would walk: every node's data and what its closure
+    keeps. Counted with tracemalloc in this process, so it repeats exactly.
+    """
+    from srrnet.backbone import FrameTriplet
+    from srrnet.model import build_model
+    from srrnet.pipeline import compute_loss
+    model = build_model("desk", seed=0)
+    rng = np.random.default_rng(0)
+    triplet = FrameTriplet(T.Tensor(rng.uniform(size=(1, 3, size, size))),
+                           T.Tensor(rng.uniform(size=(1, 4, size, size))),
+                           T.Tensor(rng.uniform(size=(1, 4, size, size))))
+    gt = (rng.uniform(size=(1, 1, size, size)) > 0.5).astype(np.float64)
+    tracemalloc.start()
+    try:
+        loss, _ = compute_loss(model(triplet), gt, 1.0, model.config.decoder.error_target)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    return held
 
 
 @pytest.fixture

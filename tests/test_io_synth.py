@@ -370,6 +370,25 @@ def test_load_video_dataset_layouts(tmp_path):
         load_video_dataset(empty)
 
 
+@pytest.mark.parametrize("storage", ["paths", "pixels"])
+def test_decoded_images_take_an_integer_index_and_refuse_a_slice(tmp_path, storage):
+    """ints, negative ints and numpy integers read one image; a slice raises
+    TypeError at the call, not inside the decoder, for either storage kind."""
+    out = generate_sequence(SynthParams(seed=4, frames=3, size=32), tmp_path / "seq")
+    record = load_sequence(out) if storage == "paths" else load_video_dataset(out)[0]
+    frames = [record.frames[i] for i in range(3)]
+    for index, want in ((-1, 2), (np.int64(1), 1), (np.uint8(0), 0)):
+        np.testing.assert_array_equal(record.frames[index], frames[want])
+        np.testing.assert_array_equal(record.masks[index], record.masks[want])
+    for images in (record.frames, record.masks):
+        with pytest.raises(TypeError, match="'slice' object cannot be interpreted"):
+            images[0:2]
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            images[1.0]
+        with pytest.raises(IndexError):
+            images[3]
+
+
 def test_sequence_dirs_are_sorted_subdirectories_or_the_root(tmp_path):
     root = tmp_path / "data"
     for name in ("b", "a"):

@@ -74,7 +74,7 @@ def test_linear_runs_a_batch_in_one_gemm(rng, monkeypatch):
     x = rng.normal(size=(2, 64, 32))
     calls = []
     real = srrnet.nn.matmul
-    monkeypatch.setattr(srrnet.nn, "matmul", lambda a, b: calls.append(a.shape) or real(a, b))
+    monkeypatch.setattr(srrnet.nn, "matmul", lambda a, b, bias=None: calls.append(a.shape) or real(a, b, bias))
     stacked = lin(Tensor(x)).data
     assert calls == [(2, 64, 32)]
     items = np.concatenate([lin(Tensor(x[i:i + 1])).data for i in range(2)])

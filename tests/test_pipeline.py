@@ -31,7 +31,7 @@ from srrnet.pipeline import (
 )
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
-from conftest import needs_proc, run_peak_probe
+from conftest import desk_tape_bytes, needs_proc, run_peak_probe
 from factored_decoder import FOLD_RTOL, factored_decoder, max_rel_diff
 
 
@@ -901,6 +901,18 @@ def test_training_peak_is_bounded_by_the_live_tape(tmp_path):
     parameter_bytes, rise = map(int, run_peak_probe(TRAIN_PEAK_PROBE, seq,
                                                     tmp_path / "run").split())
     assert rise < 3 * parameter_bytes + 24 * 2**20, (rise, parameter_bytes)
+
+
+def test_a_desk_training_tape_keeps_only_what_its_backward_reads():
+    """A desk forward plus its loss at 128 px leaves under 24 MiB on the tape.
+
+    Keeping every Linear's pre-bias product as a node, conv2d's patch
+    matrices and layer_norm's x̂ held 30.7 MiB (tracemalloc, this helper's
+    inputs); adding each bias inside its GEMM and rebuilding the patches and
+    x̂ in the backward holds 18.1 MiB.
+    """
+    held = desk_tape_bytes(128)
+    assert held < 24 * 2**20, held / 2**20
 
 
 @pytest.mark.parametrize("field, value", [("static_iterations", -1), ("video_iterations", -2),

@@ -13,6 +13,8 @@ from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
 from conftest import assert_grad_matches, fd_grad
 from keep_every_tile import keep_every_tile_softmax
+from keep_on_tape import (backward_from, conv2d_keeping_patches, layer_norm_keeping_xhat,
+                          linear_two_nodes)
 
 
 def leaf(rng, *shape):
@@ -556,20 +558,182 @@ def test_conv2d_grads(rng, stride, padding):
     assert_grad_matches(loss, b)
 
 
+def _closure_shapes(node) -> set:
+    """The shape of every array a node's backward closure keeps, and of every array they view."""
+    shapes = set()
+    for cell in node._backward_fn.__closure__:
+        value = cell.cell_contents
+        while isinstance(value, np.ndarray):
+            shapes.add(value.shape)
+            value = value.base
+    return shapes
+
+
 def test_a_taped_padded_conv2d_keeps_no_padded_copy(rng):
-    """The backward closure needs only the padded extent, so the padded input is freed."""
+    """The backward closure keeps neither the padded input nor the patch matrix."""
     x = leaf(rng, 1, 2, 6, 6)
     w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     out = T.conv2d(x, w, Tensor(rng.normal(size=3), requires_grad=True), padding=1)
-
-    def arrays(value):  # an array and every array whose memory it views
-        while isinstance(value, np.ndarray):
-            yield value
-            value = value.base
-
-    held = {a.shape for cell in out._backward_fn.__closure__
-            for a in arrays(cell.cell_contents)}
+    held = _closure_shapes(out)
     assert (1, 2, 8, 8) not in held, held
+    assert (2 * 3 * 3, 6 * 6) not in held and (2, 3, 3, 1, 6, 6) not in held, held  # the patches
+
+
+@pytest.mark.parametrize("needs_weight_grad, rebuilds", [(True, 1), (False, 0)])
+def test_conv2d_backward_rebuilds_the_patches_only_for_a_weight_gradient(
+        rng, monkeypatch, needs_weight_grad, rebuilds):
+    """A constant kernel (such as the decoder's shift-add one) never rebuilds its patches."""
+    x = leaf(rng, 2, 3, 5, 5)
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=needs_weight_grad)
+    out = T.conv2d(x, w, Tensor(np.zeros(4)), padding=1)
+    calls = []
+    real = T._patches
+    monkeypatch.setattr(T, "_patches", lambda *args: calls.append(args[1:]) or real(*args))
+    T.backward(T.tensor_sum(out * out))
+    assert len(calls) == rebuilds
+    assert x.grad is not None and (w.grad is not None) == needs_weight_grad
+
+
+def test_layer_norm_keeps_row_statistics_not_xhat(rng):
+    a = leaf(rng, 2, 5, 6)
+    y = T.layer_norm(a, Tensor(np.ones(6), requires_grad=True), Tensor(np.zeros(6)))
+    assert _closure_shapes(y) == {(2, 5, 1)}  # each row's mean and inverse deviation
+
+
+def test_linear_is_one_node_holding_no_pre_bias_product(rng):
+    lin = Linear(4, 3, rng)
+    x = leaf(rng, 2, 5, 4)
+    y = lin(x)
+    assert y._parents == (x, lin.weight, lin.bias)
+    assert _closure_shapes(y) <= {x.shape, (10, 4), lin.weight.shape}
+
+
+def test_matmul_bias_must_match_the_output_extent(rng):
+    a, b = Tensor(np.ones((2, 4))), Tensor(np.ones((4, 3)))
+    for bad in (np.ones(4), np.ones((1, 3)), np.ones((2, 3))):
+        with pytest.raises(ShapeMismatchError):
+            T.matmul(a, b, Tensor(bad))
+
+
+# ---------------------------------------------------------------------------
+# the recomputing backwards against the keep-on-the-tape oracles, bit for bit
+
+
+def _taped(fn, arrays, names, grads, g):
+    """``fn``'s output and the gradient of each of ``arrays`` for the upstream ``g``;
+    only the operands named in ``grads`` require grad."""
+    leaves = [Tensor(x, requires_grad=name in grads) for name, x in zip(names, arrays)]
+    out = fn(*leaves)
+    backward_from(out, g)
+    return [out.data] + [t.grad for t in leaves]
+
+
+def _assert_same_tape(fn, oracle, arrays, names, grads, g):
+    got, want = _taped(fn, arrays, names, grads, g), _taped(oracle, arrays, names, grads, g)
+    _assert_bitwise(got[0], want[0])
+    for name, x, y in zip(names, got[1:], want[1:]):
+        if name in grads:
+            _assert_bitwise(x, y)
+        else:
+            assert x is None and y is None
+
+
+def _upstream(gen, shape, transposed):
+    """A normal draw of ``shape``: C-contiguous, or a view of its reversed-axes transpose."""
+    if not transposed:
+        return gen.normal(size=shape)
+    return gen.normal(size=shape[::-1]).transpose(tuple(range(len(shape)))[::-1])
+
+
+def _check_linear(gen, lead, k, m, grads, transposed):
+    arrays = gen.normal(size=lead + (k,)), gen.normal(size=(k, m)), gen.normal(size=m)
+    _assert_same_tape(T.matmul, linear_two_nodes, arrays, "xwb", grads,
+                      _upstream(gen, lead + (m,), transposed))
+
+
+def _check_conv2d(gen, batch, in_ch, out_ch, extent, kernel, stride, padding, grads,
+                  transposed, weight=None):
+    x = gen.normal(size=(batch, in_ch, extent, extent))
+    w = gen.normal(size=(out_ch, in_ch, kernel, kernel)) if weight is None else weight
+    arrays = x, w, gen.normal(size=out_ch)
+    oh = (extent + 2 * padding - kernel) // stride + 1
+    _assert_same_tape(lambda *t: T.conv2d(*t, stride=stride, padding=padding),
+                      lambda *t: conv2d_keeping_patches(*t, stride=stride, padding=padding),
+                      arrays, "xwb", grads, _upstream(gen, (batch, out_ch, oh, oh), transposed))
+
+
+def _check_layer_norm(gen, lead, channels, grads, transposed):
+    arrays = (gen.normal(size=lead + (channels,)) * 3 + 1, gen.normal(size=channels),
+              gen.normal(size=channels))
+    _assert_same_tape(T.layer_norm, layer_norm_keeping_xhat, arrays, "agb", grads,
+                      _upstream(gen, lead + (channels,), transposed))
+
+
+SUBSETS_XWB = ["x", "w", "b", "xw", "xb", "wb", "xwb"]
+SUBSETS_AGB = ["a", "g", "b", "ag", "ab", "gb", "agb"]
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["c-order", "transposed"])
+@pytest.mark.parametrize("grads", SUBSETS_XWB)
+@pytest.mark.parametrize("lead", [(5,), (2, 3)], ids=["2d", "3d"])
+def test_linear_equals_the_two_node_oracle(lead, grads, transposed):
+    # at 9 -> 33 OpenBLAS rounds a GEMM against a transposed 2-d upstream
+    # gradient differently from one against its C-ordered copy
+    _check_linear(np.random.default_rng(len(lead)), lead, 9, 33, grads, transposed)
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["c-order", "transposed"])
+@pytest.mark.parametrize("grads", SUBSETS_XWB)
+@pytest.mark.parametrize("batch, kernel, stride, padding", [(1, 3, 1, 1), (2, 3, 2, 1),
+                                                            (2, 1, 1, 0), (3, 4, 4, 0)])
+def test_conv2d_equals_the_keep_patches_oracle(batch, kernel, stride, padding, grads,
+                                               transposed):
+    gen = np.random.default_rng(batch * 100 + kernel * 10 + stride)
+    _check_conv2d(gen, batch, 3, 4, 8, kernel, stride, padding, grads, transposed)
+
+
+@pytest.mark.parametrize("grads", ["x", "xb", "b"])
+def test_shift_add_conv2d_equals_the_keep_patches_oracle(grads):
+    """The decoder's constant 0/1 kernel: no weight gradient, so no patches are rebuilt."""
+    from srrnet.decoder import SHIFT_ADD
+    gen = np.random.default_rng(7)
+    _check_conv2d(gen, 2, SHIFT_ADD.shape[1], SHIFT_ADD.shape[0], 6, 3, 1, 1, grads,
+                  False, weight=SHIFT_ADD.data)
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["c-order", "transposed"])
+@pytest.mark.parametrize("grads", SUBSETS_AGB)
+@pytest.mark.parametrize("lead, channels", [((5,), 6), ((2, 3), 8), ((4,), 1)],
+                         ids=["2d", "3d", "one-channel"])
+def test_layer_norm_equals_the_keep_xhat_oracle(lead, channels, grads, transposed):
+    _check_layer_norm(np.random.default_rng(channels), lead, channels, grads, transposed)
+
+
+@given(lead=st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple),
+       k=st.integers(1, 9), m=st.integers(1, 9), grads=st.sampled_from(SUBSETS_XWB),
+       transposed=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_linear_equals_the_two_node_oracle_over_shapes(lead, k, m, grads, transposed, seed):
+    _check_linear(np.random.default_rng(seed), lead, k, m, grads, transposed)
+
+
+@given(batch=st.integers(1, 3), in_ch=st.integers(1, 3), out_ch=st.integers(1, 3),
+       extent=st.integers(1, 7), kernel=st.integers(1, 4), stride=st.integers(1, 3),
+       padding=st.sampled_from([0, 1, 3]), grads=st.sampled_from(SUBSETS_XWB),
+       transposed=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_conv2d_equals_the_keep_patches_oracle_over_shapes(batch, in_ch, out_ch, extent, kernel,
+                                                           stride, padding, grads, transposed,
+                                                           seed):
+    assume(extent + 2 * padding >= kernel)
+    _check_conv2d(np.random.default_rng(seed), batch, in_ch, out_ch, extent, kernel, stride,
+                  padding, grads, transposed)
+
+
+@given(lead=st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple),
+       channels=st.integers(1, 9), grads=st.sampled_from(SUBSETS_AGB),
+       transposed=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_layer_norm_equals_the_keep_xhat_oracle_over_shapes(lead, channels, grads, transposed,
+                                                            seed):
+    _check_layer_norm(np.random.default_rng(seed), lead, channels, grads, transposed)
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
