@@ -9,7 +9,6 @@ from .model import ReferenceSlot, SRRNet, build_model, load_model, preset_config
 from .nn import AdamW, Module, Parameter, count_parameters, load_checkpoint, save_checkpoint
 from .pipeline import (
     InferenceSession,
-    MemoryState,
     REFERENCE_MODES,
     TrainSchedule,
     compute_loss,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Sequence
 from pathlib import Path
 
 from . import __version__
@@ -35,7 +34,6 @@ from .pipeline import (
     TrainSchedule,
     infer_sequence,
     train,
-    true_maes,
     write_score_trace,
 )
 from .pnm import write_error_map, write_mask
@@ -234,11 +232,12 @@ def _cmd_train(args) -> int:
 
 
 def _infer_with_trace(args, trace_path, require_masks: bool
-                      ) -> tuple[SRRNet, list[StepResult], Sequence | None]:
+                      ) -> tuple[SRRNet, list[StepResult], list[float] | None]:
     """Run the checkpoint's model over ``--data`` once and write its score trace.
 
-    Also returns the ground-truth masks, ``None`` unless every frame has one.
-    A non-finite score is refused, naming its frame, before anything is written.
+    Also returns each frame's true MAE as the trace wrote it, ``None`` unless
+    every frame has a mask. A non-finite score is refused, naming its frame,
+    before anything is written.
     """
     model = load_model(args.checkpoint)
     record = load_sequence(args.data, require_masks=require_masks)
@@ -249,8 +248,7 @@ def _infer_with_trace(args, trace_path, require_masks: bool
             raise RuntimeError(f"non-finite score {res.score} at frame {res.frame_index}")
     gts = record.masks if len(record.masks) == len(record.frames) else None
     Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
-    write_score_trace(trace_path, results, gts)
-    return model, results, gts
+    return model, results, write_score_trace(trace_path, results, gts)
 
 
 def _cmd_infer(args) -> int:
@@ -279,10 +277,10 @@ def _cmd_eval(args) -> int:
 def _cmd_trace_score(args) -> int:
     from scipy import stats  # about 0.5 s to import; no other command needs it
 
-    _, results, gts = _infer_with_trace(args, args.out, require_masks=True)
+    _, results, maes = _infer_with_trace(args, args.out, require_masks=True)
     print(f"score trace: {args.out}")
     print(f"reference updates: {sum(r.updated for r in results)} of {len(results)} frames")
-    rho = stats.spearmanr([r.score for r in results], true_maes(results, gts)).statistic
+    rho = stats.spearmanr([r.score for r in results], maes).statistic
     print(f"Spearman(score, true MAE): {rho:.4f}")
     return 0
 

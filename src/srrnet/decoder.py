@@ -96,7 +96,8 @@ class PredictionPair:
     """Decoder output: mask logits, binary mask, error map, scalar score.
 
     ``o_msk`` is bool, one byte a pixel; mixed with a float64 operand it reads
-    as exactly 0.0 and 1.0.
+    as exactly 0.0 and 1.0. ``error_target`` is the decoder's own, so the
+    loss supervises ``o_err`` toward the target its head was built for.
     """
 
     mask_logits: Tensor         # B x 2 x (H/4) x (W/4)
@@ -104,6 +105,7 @@ class PredictionPair:
     o_msk: np.ndarray           # B x 1 x H x W bool
     o_err: Tensor               # B x 1 x (H/4) x (W/4), in (0, 1), or (-1, 1) if signed
     score: Tensor               # scalar, spatial mean of |o_err|
+    error_target: str           # one of ERROR_TARGETS
 
     @property
     def score_value(self) -> float:
@@ -248,4 +250,5 @@ class DualPurposeDecoder(Module):
         m, logits_full, o_msk = self.predict_mask(f, full_h, full_w)
         o_err = self.predict_error(f, m)
         return PredictionPair(mask_logits=m, supervision_logits=logits_full,
-                              o_msk=o_msk, o_err=o_err, score=mae_score(o_err))
+                              o_msk=o_msk, o_err=o_err, score=mae_score(o_err),
+                              error_target=self.cfg.error_target)

@@ -92,7 +92,6 @@ def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
     # two outputs it differentiates in ``pred0``, so both stay frozen there.
     with T.no_grad():
         pred0 = model(triplet)
-    error_target = model.config.decoder.error_target
 
     def loss_fn() -> Tensor:
         dec = model.decoder
@@ -100,7 +99,7 @@ def gradcheck_model(model: SRRNet, size: int = 32, samples_per_param: int = 4,
         _, logits_full, _ = dec.predict_mask(f, size, size)
         pred = replace(pred0, supervision_logits=logits_full,
                        o_err=dec.predict_error(f, pred0.mask_logits))
-        return compute_loss(pred, gt, GAMMA, error_target)[0]
+        return compute_loss(pred, gt, GAMMA)[0]
 
     report = GradCheckReport(tol=tol)
     params = list(model.named_parameters())

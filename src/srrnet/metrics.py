@@ -263,7 +263,7 @@ def evaluate_dataset(pred_dir, gt_dir, allow_missing: bool = False,
         rows = []
         skipped = 0
         for stem in _sequence_frames(seq):
-            pred_path = pred_dir / rel / f"{stem}.pgm" if rel else pred_dir / f"{stem}.pgm"
+            pred_path = pred_dir / rel / f"{stem}.pgm"
             if not pred_path.exists():
                 missing.append(str(pred_path))
                 continue

@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import FrameTriplet, check_extent
 from .data import SequenceRecord, StaticRecord
-from .decoder import ERROR_TARGETS, PredictionPair
+from .decoder import PredictionPair
 from .model import ReferenceSlot, SRRNet
 from .nn import AdamW, save_checkpoint
 from .tensor import ConfigurationError, Tensor
@@ -33,18 +33,15 @@ REFERENCE_MODES = ("off", "random", "scored")
 # losses
 
 
-def compute_loss(pred: PredictionPair, gt: np.ndarray, gamma: float,
-                 error_target: str) -> tuple[Tensor, dict]:
+def compute_loss(pred: PredictionPair, gt: np.ndarray, gamma: float) -> tuple[Tensor, dict]:
     """Segmentation BCE plus gamma-weighted MSE on the predicted error map.
 
     The BCE acts on the foreground-minus-background logit of
     ``pred.supervision_logits``. The error target is ``gt - pred.o_msk`` (its
-    absolute value unless ``error_target`` is ``"signed"``), resized to the
-    error map's grid; ``o_msk`` is an argmax, so no gradient flows through
-    the target.
+    absolute value unless ``pred.error_target``, the decoder's, is
+    ``"signed"``), resized to the error map's grid; ``o_msk`` is an argmax, so
+    no gradient flows through the target.
     """
-    if error_target not in ERROR_TARGETS:
-        raise ConfigurationError(f"unknown error target {error_target!r}")
     logits, o_err = pred.supervision_logits, pred.o_err
     gt = np.asarray(gt, dtype=np.float64)
     if gt.shape[0] != logits.shape[0] or gt.shape[2:] != tuple(logits.shape[2:]):
@@ -54,7 +51,7 @@ def compute_loss(pred: PredictionPair, gt: np.ndarray, gamma: float,
     bce = T.bce_with_logits(logit_diff, gt)
 
     raw = gt - pred.o_msk
-    target = np.abs(raw) if error_target == "absolute" else raw
+    target = np.abs(raw) if pred.error_target == "absolute" else raw
     target = T.bilinear_resize(Tensor(target), o_err.shape[2], o_err.shape[3]).data
     mse = T.mse(o_err, target)
     total = bce + gamma * mse
@@ -130,11 +127,6 @@ def triplet_to_input(trip: TrainTriplet) -> tuple[FrameTriplet, np.ndarray]:
 # augmentation
 
 
-def _check_crop(crop: Optional[int], h: int, w: int):
-    if crop is not None and (crop > h or crop > w):
-        raise ConfigurationError(f"crop {crop} exceeds the {h}x{w} frame extent")
-
-
 def _without_mask(branch_in: np.ndarray) -> np.ndarray:
     """A P or R input with its mask channel zeroed."""
     out = branch_in.copy()
@@ -168,24 +160,6 @@ def _augment(trip: TrainTriplet, rng: np.random.Generator,
 
 
 @dataclass
-class MemoryState:
-    """R's model input (the reference frame with its mask, 1 x 4 x H x W) and the best score so far."""
-
-    r_in: np.ndarray
-    score: float = 1.0
-    ref_frame_index: int = 0
-
-    def update(self, frame_index: int, r_in: np.ndarray, score: float) -> bool:
-        """Replace the reference iff the new score is strictly smaller."""
-        if score < self.score:
-            self.r_in = r_in
-            self.score = score
-            self.ref_frame_index = frame_index
-            return True
-        return False
-
-
-@dataclass
 class StepResult:
     """One frame's outputs. ``o_msk`` is bool, so a kept result costs one
     byte a mask pixel plus its quarter-resolution float64 error map."""
@@ -199,7 +173,11 @@ class StepResult:
 
 
 class InferenceSession:
-    """Strictly sequential single-pass inference with score-driven memory."""
+    """Strictly sequential single-pass inference with score-driven memory.
+
+    The session holds the pass state: P's input ``prev_in``, R's ``r_in`` (each
+    a frame with its mask, 1 x 4 x H x W), the best score and its frame index.
+    """
 
     def __init__(self, model: SRRNet, reference_mode: str = "scored", seed: int = 0):
         if reference_mode not in REFERENCE_MODES:
@@ -208,7 +186,7 @@ class InferenceSession:
         self.model = model
         self.reference_mode = reference_mode
         self.rng = np.random.default_rng(seed)
-        self.memory: Optional[MemoryState] = None  # None until start()
+        self.prev_in: Optional[np.ndarray] = None  # None until start()
 
     def start(self, first_frame: np.ndarray):
         """Initialize from the first frame: P = R = the frame with a zero mask, S = 1.
@@ -219,7 +197,9 @@ class InferenceSession:
         first_frame = np.asarray(first_frame, dtype=np.float64)
         self.prev_in = _branch_input(first_frame,
                                      np.zeros((1,) + first_frame.shape[1:], dtype=bool))
-        self.memory = MemoryState(r_in=self.prev_in)
+        self.r_in = self.prev_in
+        self.best_score = 1.0
+        self.ref_frame_index = 0
         self.frame_counter = 0
         self._history: list[tuple[np.ndarray, np.ndarray]] = []  # random mode only
         # the model's encoding of the current reference input and its
@@ -228,7 +208,7 @@ class InferenceSession:
         return self
 
     def step(self, frame: np.ndarray) -> StepResult:
-        if self.memory is None:
+        if self.prev_in is None:
             raise RuntimeError("session not initialized; call start() first")
         frame = np.asarray(frame, dtype=np.float64)
         expected = (self.prev_in.shape[1] - 1,) + self.prev_in.shape[2:]
@@ -242,7 +222,7 @@ class InferenceSession:
             pick = int(self.rng.integers(0, len(self._history)))
             r_in = _branch_input(*self._history[pick])
         else:
-            r_in = self.memory.r_in
+            r_in = self.r_in
 
         triplet = FrameTriplet(Tensor(frame[None]), Tensor(self.prev_in), Tensor(r_in),
                                reference=self.reference_slot)
@@ -254,13 +234,15 @@ class InferenceSession:
         index = self.frame_counter
 
         self.prev_in = _branch_input(frame, o_msk)
-        updated = self.memory.update(index, self.prev_in, score)
+        updated = score < self.best_score  # strictly smaller: ties keep the older reference
+        if updated:
+            self.r_in, self.best_score, self.ref_frame_index = self.prev_in, score, index
         if self.reference_mode == "random":
             self._history.append((frame, o_msk))
         self.frame_counter += 1
         return StepResult(frame_index=index, o_msk=o_msk, o_err=o_err,
                           score=score, updated=updated,
-                          ref_frame_index=self.memory.ref_frame_index)
+                          ref_frame_index=self.ref_frame_index)
 
 
 def infer_sequence(model: SRRNet, frames: Sequence[np.ndarray],
@@ -278,16 +260,16 @@ def infer_sequence(model: SRRNet, frames: Sequence[np.ndarray],
     return results
 
 
-def true_maes(results: Sequence[StepResult], gts: Sequence[np.ndarray]) -> list[float]:
-    """Each frame's mask MAE against its ground truth, in the order of ``results``."""
-    return [float(np.abs(res.o_msk - np.asarray(gts[res.frame_index], dtype=np.float64)).mean())
-            for res in results]
-
-
 def write_score_trace(path, results: Sequence[StepResult],
-                      gts: Optional[Sequence[np.ndarray]] = None):
-    """CSV trace: frame_index, score, true_mae (blank without gt), updated, ref index."""
-    maes = true_maes(results, gts) if gts is not None else None
+                      gts: Optional[Sequence[np.ndarray]] = None) -> Optional[list[float]]:
+    """CSV trace: frame_index, score, true_mae (blank without gt), updated, ref index.
+
+    Returns each frame's true MAE as written, in the order of ``results``, or
+    ``None`` without ground truth: each mask is read once for both.
+    """
+    maes = None if gts is None else [
+        float(np.abs(res.o_msk - np.asarray(gts[res.frame_index], dtype=np.float64)).mean())
+        for res in results]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["frame_index", "score", "true_mae", "updated", "ref_frame_index"])
@@ -295,6 +277,7 @@ def write_score_trace(path, results: Sequence[StepResult],
             true_mae = "" if maes is None else f"{maes[i]:.9f}"
             writer.writerow([res.frame_index, f"{res.score:.9f}", true_mae,
                              int(res.updated), res.ref_frame_index])
+    return maes
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +323,13 @@ def _train_stage(model: SRRNet, sample: Callable[[np.random.Generator], TrainTri
                  iterations: int, lr: float, schedule: TrainSchedule,
                  rng: np.random.Generator, stage: str, trace: list,
                  progress: Optional[Callable[[int, dict], None]] = None):
-    error_target = model.config.decoder.error_target
     opt = AdamW(model.parameters(), lr=lr)
     for it in range(iterations):
         trip = _augment(sample(rng), rng, schedule)
         triplet, gt = triplet_to_input(trip)
         model.zero_grad()  # the last step's gradients are not kept alive through this forward
         pred = model(triplet)
-        loss, parts = compute_loss(pred, gt, schedule.gamma, error_target)
+        loss, parts = compute_loss(pred, gt, schedule.gamma)
         if not np.isfinite(loss.data).all():
             # a non-finite loss would poison every weight through the optimizer
             raise RuntimeError(
@@ -369,9 +351,11 @@ def train(model: SRRNet, schedule: TrainSchedule, out_dir,
     larger than any given frame or pool image is refused before any step.
     """
     if schedule.crop is not None:  # stored extents: nothing is decoded
-        for extent in itertools.chain((seq.extent for seq in video_sequences or ()),
-                                      (rec.extent for rec in static_pool or ())):
-            _check_crop(schedule.crop, *extent)
+        for h, w in itertools.chain((seq.extent for seq in video_sequences or ()),
+                                    (rec.extent for rec in static_pool or ())):
+            if schedule.crop > h or schedule.crop > w:
+                raise ConfigurationError(
+                    f"crop {schedule.crop} exceeds the {h}x{w} frame extent")
     rng = np.random.default_rng(schedule.seed)
     out_dir = Path(out_dir)
     result = TrainResult(checkpoint_path=out_dir / "checkpoint.npz",

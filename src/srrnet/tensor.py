@@ -387,10 +387,14 @@ def softmax(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     own by the forward's ops on the same views (GEMM into the buffer, the
     shift, exp), so they equal the forward's bit for bit, and then uses
     FlashAttention's row term D = rowsum(g * out) (recomputation: Dao et
-    al., section 3.1). A desk training step at 192 x 192 peaked at 137 MiB
-    this way, against 548 MiB with every tile's exponentials kept, and one
-    at 256 x 256 at 198 against 1,500 MiB (VmHWM, 2-core x86); the backward
-    pays one more GEMM and exp per tile for it.
+    al., section 3.1). On a tape where a Linear was a GEMM node plus a bias
+    add, and ``conv2d`` and ``layer_norm`` kept their patches and x̂, a desk
+    training step at 192 x 192 peaked at 137 MiB this way, against 548 MiB
+    with every tile's exponentials kept, and one at 256 x 256 at 198
+    against 1,500 MiB. On today's tape, where a Linear adds its bias inside
+    its GEMM and those two rebuild what their backward reads, the same
+    steps peak at 110.0 and 149.0 MiB (VmHWM of a fresh process, 2-core
+    x86). The backward pays one more GEMM and exp per tile for it.
 
     The shift by the row maxima only guards ``exp`` against overflow and
     cancels in the division, so it is skipped while every row maximum lies

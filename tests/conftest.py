@@ -105,7 +105,7 @@ def desk_tape_bytes(size: int = 128) -> int:
     gt = (rng.uniform(size=(1, 1, size, size)) > 0.5).astype(np.float64)
     tracemalloc.start()
     try:
-        loss, _ = compute_loss(model(triplet), gt, 1.0, model.config.decoder.error_target)
+        loss, _ = compute_loss(model(triplet), gt, 1.0)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

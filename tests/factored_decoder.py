@@ -54,4 +54,4 @@ def factored_decoder(dec, features, full_h: int, full_w: int) -> PredictionPair:
         o_err = o_err * 2.0 - 1.0
     return PredictionPair(mask_logits=m, supervision_logits=logits_full,
                           o_msk=binary_mask_from_logits(logits_full), o_err=o_err,
-                          score=mae_score(o_err))
+                          score=mae_score(o_err), error_target=dec.cfg.error_target)

@@ -143,8 +143,8 @@ def test_criterion_5_loss_correctness(desk_model, rng):
     gt[0, 0, 0, 0] = 1.0
     pred = PredictionPair(mask_logits=logits, supervision_logits=logits,
                           o_msk=binary_mask_from_logits(logits), o_err=o_err,
-                          score=T.mean(o_err))
-    total, parts = compute_loss(pred, gt, 1.0, "absolute")
+                          score=T.mean(o_err), error_target="absolute")
+    total, parts = compute_loss(pred, gt, 1.0)
     hand_ok = (abs(parts["bce"] - math.log(2.0)) < 1e-12
                and abs(parts["mse"] - 0.25) < 1e-12
                and abs(float(total.data) - (math.log(2.0) + 0.25)) < 1e-12)
@@ -154,7 +154,7 @@ def test_criterion_5_loss_correctness(desk_model, rng):
     full_gt = (rng.random((1, 1, 32, 32)) > 0.5).astype(np.float64)
     desk_model.zero_grad()
     pred = desk_model(trip)
-    loss, _ = compute_loss(pred, full_gt, 0.0, "absolute")
+    loss, _ = compute_loss(pred, full_gt, 0.0)
     T.backward(loss)
     joint = {n: (p.grad.copy() if p.grad is not None else None)
              for n, p in desk_model.named_parameters()}

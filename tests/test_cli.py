@@ -236,6 +236,25 @@ def test_trace_score(workspace, capsys):
     assert f"Spearman(score, true MAE): {rho.statistic:.4f}" in printed
 
 
+def test_trace_score_reads_each_mask_once_for_the_check_and_once_for_the_trace(
+        workspace, monkeypatch, tmp_path):
+    """The CSV's true MAEs are the ones the Spearman is taken over, so no mask
+    is read a third time."""
+    import srrnet.data
+
+    reads = {}
+
+    def counted(path):
+        reads[path.name] = reads.get(path.name, 0) + 1
+        return read_pgm(path)
+
+    monkeypatch.setattr(srrnet.data, "read_pgm", counted)
+    assert run_cli("trace-score", "--data", str(workspace / "video" / "seq0"),
+                   "--checkpoint", str(workspace / "run" / "checkpoint.npz"),
+                   "--out", str(tmp_path / "trace.csv"), "--seed", "0") == 0
+    assert reads == {f"{t:05d}.pgm": 2 for t in range(4)}
+
+
 @pytest.fixture(scope="module")
 def full_signed_run(workspace):
     """A checkpoint trained with non-default attention mode and error target."""

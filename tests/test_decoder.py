@@ -197,7 +197,7 @@ def test_total_loss_reaches_both_heads(desk_model, rng):
     trip = make_triplet(rng, size=32)
     pred = desk_model(trip)
     gt = (rng.random((1, 1, 32, 32)) > 0.5).astype(np.float64)
-    loss, _ = compute_loss(pred, gt, 1.0, "absolute")
+    loss, _ = compute_loss(pred, gt, 1.0)
     T.backward(loss)
     assert desk_model.decoder.mask_head.weight.grad is not None
     assert desk_model.decoder.err_head.weight.grad is not None
@@ -285,7 +285,7 @@ def test_gradients_match_the_factored_oracle(loss, error_target):
         model.zero_grad()
         pred = decode(model.backbone(triplet), 64, 64)
         if loss == "compute_loss":
-            value = compute_loss(pred, gt, 1.0, error_target)[0]
+            value = compute_loss(pred, gt, 1.0)[0]
         else:
             value = T.mse(pred.o_err, err_target)
         T.backward(value)

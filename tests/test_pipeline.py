@@ -17,7 +17,6 @@ from srrnet.model import ReferenceSlot, SRRNet, build_model
 from srrnet.nn import load_checkpoint, save_checkpoint, weights_key
 from srrnet.pipeline import (
     InferenceSession,
-    MemoryState,
     TrainSchedule,
     TrainTriplet,
     _augment,
@@ -39,11 +38,11 @@ from factored_decoder import FOLD_RTOL, factored_decoder, max_rel_diff
 # loss
 
 
-def prediction(logits: Tensor, o_err: Tensor) -> PredictionPair:
+def prediction(logits: Tensor, o_err: Tensor, error_target: str = "absolute") -> PredictionPair:
     """A decoder output built from full-resolution logits and an error map."""
     return PredictionPair(mask_logits=logits, supervision_logits=logits,
                           o_msk=binary_mask_from_logits(logits), o_err=o_err,
-                          score=T.mean(o_err))
+                          score=T.mean(o_err), error_target=error_target)
 
 
 def test_loss_hand_computed_case():
@@ -54,7 +53,7 @@ def test_loss_hand_computed_case():
     o_err = T.sigmoid(Tensor(np.zeros((1, 1, 2, 2))))  # exactly 0.5
     gt = np.zeros((1, 1, 2, 2))
     gt[0, 0, 0, 0] = 1.0
-    total, parts = compute_loss(prediction(logits, o_err), gt, 1.0, "absolute")
+    total, parts = compute_loss(prediction(logits, o_err), gt, 1.0)
     assert abs(parts["bce"] - math.log(2.0)) < 1e-12
     assert abs(parts["mse"] - 0.25) < 1e-12
     assert abs(float(total.data) - (math.log(2.0) + 0.25)) < 1e-12
@@ -65,7 +64,7 @@ def test_loss_total_is_exact_weighted_sum(desk_model, rng):
     pred = desk_model(make_triplet(rng, size=32))
     gt = (rng.random((1, 1, 32, 32)) > 0.5).astype(np.float64)
     for gamma in (0.0, 0.5, 2.0):
-        total, parts = compute_loss(pred, gt, gamma, "absolute")
+        total, parts = compute_loss(pred, gt, gamma)
         assert parts["bce"] >= 0 and parts["mse"] >= 0
         assert float(total.data) == parts["bce"] + gamma * parts["mse"]
 
@@ -74,7 +73,7 @@ def test_loss_resizes_error_target_to_error_grid(desk_model, rng):
     from test_backbone import make_triplet
     pred = desk_model(make_triplet(rng, size=32))
     gt = (rng.random((1, 1, 32, 32)) > 0.5).astype(np.float64)
-    total, parts = compute_loss(pred, gt, 1.0, "absolute")
+    total, parts = compute_loss(pred, gt, 1.0)
     assert np.isfinite(parts["mse"])
 
 
@@ -87,22 +86,20 @@ def test_signed_error_target_changes_loss():
     gt = np.zeros((1, 1, 2, 2))
     gt[0, 0, 0, 1] = 1.0
     zero = T.sigmoid(Tensor(np.zeros((1, 1, 2, 2)))) * 2.0 - 1.0  # exactly 0
-    _, absolute = compute_loss(prediction(logits, zero), gt, 1.0, "absolute")
-    _, signed = compute_loss(prediction(logits, zero), gt, 1.0, "signed")
+    _, absolute = compute_loss(prediction(logits, zero), gt, 1.0)
+    _, signed = compute_loss(prediction(logits, zero, "signed"), gt, 1.0)
     assert absolute["mse"] == signed["mse"] == 0.5
     hit = Tensor(np.array([[[[-1.0, 1.0], [0.0, 0.0]]]]))
-    _, absolute = compute_loss(prediction(logits, hit), gt, 1.0, "absolute")
-    _, signed = compute_loss(prediction(logits, hit), gt, 1.0, "signed")
+    _, absolute = compute_loss(prediction(logits, hit), gt, 1.0)
+    _, signed = compute_loss(prediction(logits, hit, "signed"), gt, 1.0)
     assert absolute["mse"] == 1.0 and signed["mse"] == 0.0
-    with pytest.raises(ConfigurationError):
-        compute_loss(prediction(logits, zero), gt, 1.0, "other")
 
 
 def test_loss_shape_mismatch():
     logits = Tensor(np.zeros((1, 2, 4, 4)))
     o_err = Tensor(np.full((1, 1, 4, 4), 0.5))
     with pytest.raises(ShapeMismatchError):
-        compute_loss(prediction(logits, o_err), np.zeros((1, 1, 2, 2)), 1.0, "absolute")
+        compute_loss(prediction(logits, o_err), np.zeros((1, 1, 2, 2)), 1.0)
 
 
 def test_gamma_zero_matches_mask_only_gradients(desk_model, rng):
@@ -112,7 +109,7 @@ def test_gamma_zero_matches_mask_only_gradients(desk_model, rng):
 
     desk_model.zero_grad()
     pred = desk_model(trip)
-    total, _ = compute_loss(pred, gt, 0.0, "absolute")
+    total, _ = compute_loss(pred, gt, 0.0)
     T.backward(total)
     with_branch = {n: (p.grad.copy() if p.grad is not None else None)
                    for n, p in desk_model.named_parameters()}
@@ -316,37 +313,6 @@ def prefix_argmin(scores):
     return trace
 
 
-def test_memory_state_strictly_smaller_update():
-    mem = MemoryState(r_in=np.zeros(1))
-    assert mem.score == 1.0
-    assert mem.update(1, np.ones(1), 0.5)
-    assert not mem.update(2, np.zeros(1), 0.5)  # tie keeps older
-    assert mem.ref_frame_index == 1
-    assert mem.update(3, np.zeros(1), 0.4999)
-    assert mem.ref_frame_index == 3
-
-
-def test_memory_state_matches_prefix_argmin_oracle():
-    gen = np.random.default_rng(42)
-    for _ in range(300):
-        n = int(gen.integers(1, 60))
-        # quantized scores force ties to exercise the earliest-minimum rule
-        scores = list(np.round(gen.random(n), 1))
-        mem = MemoryState(r_in=np.zeros(1))
-        trace = []
-        for t, s in enumerate(scores):
-            mem.update(t, np.zeros(1), float(s))
-            trace.append(mem.ref_frame_index)
-        # the memory seeds at score 1.0 on frame 0, beaten only by strict <
-        expected = []
-        best, best_i = 1.0, 0
-        for t, s in enumerate(scores):
-            if s < best:
-                best, best_i = s, t
-            expected.append(best_i)
-        assert trace == expected
-
-
 # ---------------------------------------------------------------------------
 # sessions with a stub model (fast, protocol-focused)
 
@@ -372,12 +338,38 @@ class StubModel:
         full = Tensor(np.zeros((1, 2, h, w)))
         return PredictionPair(mask_logits=logits, supervision_logits=full,
                               o_msk=np.zeros((1, 1, h, w)), o_err=o_err,
-                              score=mae_score(o_err))
+                              score=mae_score(o_err), error_target="absolute")
 
 
 def _frames(n, size=32, seed=0):
     gen = np.random.default_rng(seed)
     return [gen.random((3, size, size)) for _ in range(n)]
+
+
+def test_session_replaces_the_reference_only_on_a_strictly_smaller_score():
+    frames = _frames(4)
+    session = InferenceSession(StubModel(scores=[1.0, 0.5, 0.5, 0.4999])).start(frames[0])
+    assert (session.best_score, session.ref_frame_index) == (1.0, 0)
+    results = [session.step(frame) for frame in frames]
+    assert [r.updated for r in results] == [False, True, False, True]  # a tie keeps the older
+    assert [r.ref_frame_index for r in results] == [0, 1, 1, 3]
+    assert session.best_score == results[3].score == pytest.approx(0.4999)
+    np.testing.assert_array_equal(session.r_in[0, :3], frames[3])
+
+
+def test_session_reference_matches_prefix_argmin_oracle():
+    gen = np.random.default_rng(42)
+    for _ in range(300):
+        n = int(gen.integers(1, 60))
+        # quantized scores in [0, 1] force ties to exercise the earliest-minimum
+        # rule; the session seeds at score 1.0 on frame 0, beaten only by strict <
+        scores = [float(s) for s in np.round(gen.random(n), 1)]
+        results = infer_sequence(StubModel(scores=scores), [np.zeros((3, 32, 32))] * n,
+                                 reference_mode="scored")
+        trace = [r.ref_frame_index for r in results]
+        assert trace == prefix_argmin(scores)
+        assert [r.updated for r in results] == [
+            s < min([1.0] + scores[:t]) for t, s in enumerate(scores)]
 
 
 def test_session_scores_drive_reference_memory():
@@ -556,8 +548,10 @@ def test_bool_masks_build_the_inputs_and_loss_float_masks_build(slot_frames, des
     as_float = dataclasses.replace(pred, o_msk=pred.o_msk.astype(np.float64))
     gt = (rng.random((1, 1, 32, 32)) > 0.5).astype(np.float64)
     for error_target in ERROR_TARGETS:
-        total, parts = compute_loss(pred, gt, 1.0, error_target)
-        total_float, parts_float = compute_loss(as_float, gt, 1.0, error_target)
+        total, parts = compute_loss(dataclasses.replace(pred, error_target=error_target),
+                                    gt, 1.0)
+        total_float, parts_float = compute_loss(
+            dataclasses.replace(as_float, error_target=error_target), gt, 1.0)
         assert parts == parts_float and total.data.tobytes() == total_float.data.tobytes()
 
 
@@ -1004,9 +998,9 @@ def test_train_supervises_the_error_target_the_model_was_built_for(monkeypatch, 
     real = pipeline.compute_loss
     targets = []
 
-    def recording(pred, gt, gamma, error_target):
-        targets.append(error_target)
-        return real(pred, gt, gamma, error_target)
+    def recording(pred, gt, gamma):
+        targets.append(pred.error_target)
+        return real(pred, gt, gamma)
 
     monkeypatch.setattr(pipeline, "compute_loss", recording)
     model = build_model("desk", seed=1, error_target=error_target)
