@@ -18,17 +18,18 @@ lets information flow strictly R -> P -> C: R reads only R, P reads P+R and
 C reads C+P+R. ``motion_only`` drops R from C and P, ``full`` gives every
 branch all three, and ``self_only`` (an empty entry) has no cross stage.
 
-``scaled_dot_attention`` scales the queries by 1/sqrt(d) once, before the
-heads are split, and hands every (batch, head) slab to one
-``tensor.softmax(q, k, v)`` call: the whole attention core, softmax(q k^T)
-v. It runs the query rows in tiles whose scores stay in L2, writes every
-tile's scores into one buffer, normalizes after the P.V product as
-FlashAttention does (Dao et al., arXiv 2205.14135) and skips the row-max
-pass when a norm bound proves the scores small (see ``tensor.softmax``).
-Its output is a view of a B x n_q x H x d buffer, so merging the heads is
-a view too. Against the per-block loop it replaced (``narrow``, a scores
-``matmul`` against a strided k^T, a fresh score buffer per block, then
-``concat``), the ``stream_desk128`` frame median went 41.8 -> 32.9 ms
+``scaled_dot_attention`` checks the shapes and makes one
+``tensor.softmax(q, k, v, heads)`` call: the whole multi-head attention
+core, softmax(q k^T / sqrt(d)) v, as one node. It splits the heads as
+views, scales the queries by 1/sqrt(d) once, runs the query rows in tiles
+whose scores stay in L2, writes every tile's scores into one buffer,
+normalizes after the P.V product as FlashAttention does (Dao et al., arXiv
+2205.14135) and skips the row-max pass when a norm bound proves the scores
+small (see ``tensor.softmax``). Its output is a view of a B x n_q x H x d
+buffer, so merging the heads is a view too. Against the per-block loop it
+replaced (``narrow``, a scores ``matmul`` against a strided k^T, a fresh
+score buffer per block, then ``concat``), the ``stream_desk128`` frame
+median went 41.8 -> 32.9 ms
 (-21%) over 10 alternating pairs at seed 0 (2-core x86, one BLAS thread),
 with bitwise identical outputs. Values agree with the
 normalize-then-multiply chain to 1e-13 relative and gradients to 1e-12;
@@ -38,7 +39,6 @@ and scores within 1e-12.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,24 +80,13 @@ class AttentionConfig:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head softmax((Q / sqrt(d)) K^T) V with merged heads.
-
-    Scales the queries, splits the heads, runs ``tensor.softmax`` once over
-    every (batch, head) slab and merges the heads, which is a view.
-    """
-    batch, n_q, channels = q.shape
-    n_k = k.shape[1]
+    """Multi-head softmax((Q / sqrt(d)) K^T) V with merged heads: one ``tensor.softmax`` node."""
+    channels = q.shape[-1]
     if channels % heads != 0:
         raise T.ShapeMismatchError(f"channels {channels} not divisible by heads {heads}")
     if k.shape != v.shape or k.shape[-1] != channels:
         raise T.ShapeMismatchError(f"key/value shapes disagree with query: {k.shape}/{v.shape} vs {q.shape}")
-    head_dim = channels // heads
-
-    def split(x, n):
-        return T.transpose(T.reshape(x, (batch, n, heads, head_dim)), (0, 2, 1, 3))
-
-    out = T.softmax(split(q * (1.0 / math.sqrt(head_dim)), n_q), split(k, n_k), split(v, n_k))
-    return T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch, n_q, channels))
+    return T.softmax(q, k, v, heads)
 
 
 class BranchWeights(Module):

@@ -4,7 +4,9 @@
 sums (and row maxima where the tile shifted) for its backward, and
 recomputes every tile's exponentials there. This module runs the same
 forward with each tile's exponentials kept in a buffer of its own, and the
-backward over those kept tiles, so the two can be compared bit for bit.
+backward over those kept tiles, on the head slabs ``softmax`` splits its
+operands into (q already scaled by 1/sqrt(d)), so the two can be compared
+bit for bit.
 """
 
 import numpy as np

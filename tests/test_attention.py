@@ -19,6 +19,7 @@ from srrnet.pipeline import infer_sequence
 from srrnet.synth import SynthParams, generate_arrays
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
+from keep_split_heads import split_heads_attention
 from test_backbone import make_triplet
 
 
@@ -149,6 +150,47 @@ def test_one_block_is_the_unsplit_chain_bitwise(rng, heads):
             scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), heads).data, expected)
 
 
+def _node_and_grads(attend, q, k, v, weight):
+    """``attend(q, k, v)``'s output and the q, k, v gradients of sum(out * weight)."""
+    leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+    out = attend(*leaves)
+    T.backward(T.tensor_sum(out * Tensor(weight)))
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+@pytest.mark.parametrize("n_k, tiled, shifted_rows",
+                         [(9, False, 0), (9, True, 0), (1, True, 0), (9, True, 3), (9, True, 7)],
+                         ids=["one-tile", "tiles", "one-key", "some-tiles-shift",
+                              "every-tile-shifts"])
+def test_the_attention_node_equals_the_split_heads_chain(monkeypatch, heads, n_k, tiled,
+                                                         shifted_rows):
+    """Output and q, k, v gradients equal scale, split, softmax and merge as separate nodes,
+    byte for byte."""
+    batch, n_q, channels = 2, 7, 16
+    d = channels // heads
+    if tiled:  # two query rows a tile over 7 rows: tiles of 1, 2, 2 and 2 rows
+        monkeypatch.setattr(T, "SCORE_TILE", 2 * batch * heads * n_k)
+        assert T.row_tiles(batch, heads, n_q, n_k) == [0, 1, 3, 5, 7]
+    gen = np.random.default_rng(heads * 100 + n_k * 10 + shifted_rows)
+    q, k, v = (gen.uniform(-1.0, 1.0, size=(batch, n, channels)) for n in (n_q, n_k, n_k))
+    # each head's last channel: 70 sqrt(d) on the first ``shifted_rows`` queries
+    # and 1 on every key, so those rows' scores gain 70 and their tiles shift
+    q[:, :, d - 1::d] = 0.0
+    q[:, :shifted_rows, d - 1::d] = 70.0 * math.sqrt(d)
+    k[:, :, d - 1::d] = 1.0
+    heads_of = lambda x: x.reshape(batch, x.shape[1], heads, d).transpose(0, 2, 1, 3)
+    peaks = np.matmul(heads_of(q * (1.0 / math.sqrt(d))),
+                      np.swapaxes(heads_of(k), -1, -2)).max(axis=-1)
+    assert (peaks[:, :, :shifted_rows] > T.EXP_SHIFT_FREE).all()
+    assert (np.abs(peaks[:, :, shifted_rows:]) <= T.EXP_SHIFT_FREE).all()
+    weight = gen.normal(size=(batch, n_q, channels))
+    got = _node_and_grads(lambda *x: scaled_dot_attention(*x, heads), q, k, v, weight)
+    want = _node_and_grads(lambda *x: split_heads_attention(*x, heads), q, k, v, weight)
+    for name, mine, ref in zip(["out", "q", "k", "v"], got, want):
+        assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes(), name
+
+
 def test_desk128_score_blocks_fit_the_budget_and_cover_every_score(monkeypatch, desk_model, rng):
     triplet = make_triplet(rng, size=128)
     with monkeypatch.context() as patch:
@@ -168,11 +210,19 @@ def test_desk128_score_blocks_fit_the_budget_and_cover_every_score(monkeypatch, 
 # the attention primitive against the normalize-then-multiply chain
 
 
-def _unfused_softmax(q, k, v):
-    """The oracle for ``T.softmax(q, k, v)``: score, normalize, then multiply, off the tape."""
-    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+def _unfused_softmax(q, k, v, heads):
+    """The oracle for ``T.softmax(q, k, v, heads)``: scale, split, score, normalize, then
+    multiply, off the tape."""
+    batch, n_q, channels = q.shape
+
+    def split(x):
+        return x.reshape(batch, x.shape[1], heads, -1).transpose(0, 2, 1, 3)
+
+    scores = np.matmul(split(q.data * (1.0 / math.sqrt(channels // heads))),
+                       np.swapaxes(split(k.data), -1, -2))
     y = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return Tensor(np.matmul(y / y.sum(axis=-1, keepdims=True), v.data))
+    out = np.matmul(y / y.sum(axis=-1, keepdims=True), split(v.data))
+    return Tensor(out.transpose(0, 2, 1, 3).reshape(batch, n_q, -1))
 
 
 @pytest.mark.parametrize("preset, reference_mode, frames",

@@ -31,6 +31,7 @@ from srrnet.nn import (
 from srrnet.tensor import ConfigurationError, Tensor
 
 from conftest import assert_grad_matches, needs_proc, parameter_digest, run_peak_probe
+from keep_per_parameter import PerParameterAdamW
 from test_backbone import make_triplet
 
 
@@ -145,19 +146,112 @@ def test_adamw_first_step_matches_hand_computation():
 
 
 def test_adamw_updates_its_moments_in_place(rng):
-    p = Parameter(rng.normal(size=(3, 4)))
-    opt = AdamW([p], lr=0.1)
-    m, v = opt._m[0], opt._v[0]
-    m_ref, v_ref = np.zeros_like(m), np.zeros_like(v)
+    params = [Parameter(rng.normal(size=(3, 4))), Parameter(rng.normal(size=5))]
+    opt = AdamW(params, lr=0.1)
+    m, v = opt._m, opt._v
+    assert m.shape == v.shape == (17,)  # one flat moment each, in parameter order
+    m_ref, v_ref = np.zeros(17), np.zeros(17)
     for _ in range(3):
-        p.grad = rng.normal(size=(3, 4))
+        for p in params:
+            p.grad = rng.normal(size=p.data.shape)
         opt.step()
         # the same operations, in the same order, as freshly allocated arrays
-        m_ref = 0.9 * m_ref + (1.0 - 0.9) * p.grad
-        v_ref = 0.999 * v_ref + (1.0 - 0.999) * p.grad * p.grad
-    assert opt._m[0] is m and opt._v[0] is v
+        g = np.concatenate([p.grad.reshape(-1) for p in params])
+        m_ref = 0.9 * m_ref + (1.0 - 0.9) * g
+        v_ref = 0.999 * v_ref + (1.0 - 0.999) * g * g
+    assert opt._m is m and opt._v is v
     np.testing.assert_array_equal(m, m_ref)
     np.testing.assert_array_equal(v, v_ref)
+
+
+def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 9)), min_size=1, max_size=6),
+       chunk=st.integers(1, 40), steps=st.integers(1, 4), lr=st.sampled_from([0.0, 1e-3, 0.1]),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_flat_adamw_equals_the_per_parameter_oracle(shapes, chunk, steps, lr, seed, data):
+    """Parameters and both moments equal the per-parameter loop's, byte for byte,
+    with chunks that straddle parameters, gradients missing at random, and
+    gradients assigned directly, transposed views among them."""
+    gen = np.random.default_rng(seed)
+    values = [gen.normal(size=shape) for shape in shapes]
+    params = [Parameter(x.copy()) for x in values]
+    oracle = PerParameterAdamW([Parameter(x.copy()) for x in values], lr)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(srrnet.nn, "ADAMW_CHUNK", chunk)
+        opt = AdamW(params, lr)
+        ends = np.cumsum([x.size for x in values]).tolist()
+        for _ in range(steps):
+            present = data.draw(st.lists(st.booleans(), min_size=len(shapes), max_size=len(shapes)))
+            before = [(p.data.copy(), opt._m[a:b].copy(), opt._v[a:b].copy())
+                      for p, a, b in zip(params, [0] + ends, ends)]
+            for p, q, shape, has in zip(params, oracle.params, shapes, present):
+                if not has:
+                    p.grad = q.grad = None
+                elif data.draw(st.booleans()):  # a transposed view, not C-contiguous
+                    p.grad = gen.normal(size=shape[::-1]).T
+                    q.grad = p.grad.copy()
+                else:
+                    p.grad = gen.normal(size=shape)
+                    q.grad = p.grad.copy()
+            opt.step()
+            oracle.step()
+            for i, (p, a, b) in enumerate(zip(params, [0] + ends, ends)):
+                assert _bitwise(p.data, oracle.params[i].data), i
+                assert _bitwise(opt._m[a:b], oracle._m[i].reshape(-1)), i
+                assert _bitwise(opt._v[a:b], oracle._v[i].reshape(-1)), i
+                if not present[i]:  # no gradient: the value and both moments stay
+                    for now, was in zip((p.data, opt._m[a:b], opt._v[a:b]), before[i]):
+                        assert _bitwise(now, was), i
+        arrays = [p.data for p in params]
+        AdamW(params, lr)  # the list is packed already: nothing is copied
+        assert all(p.data is x for p, x in zip(params, arrays))
+
+
+def test_adamw_packs_its_parameters_into_one_buffer(rng):
+    params = [Parameter(rng.normal(size=(2, 3))), Parameter(rng.normal(size=4))]
+    values = [p.data.copy() for p in params]
+    opt = AdamW(params, lr=0.1)
+    np.testing.assert_array_equal(opt._flat, np.concatenate([x.reshape(-1) for x in values]))
+    for p, x in zip(params, values):
+        assert p.data.base is opt._flat and p.data.flags.c_contiguous
+        np.testing.assert_array_equal(p.data, x)
+    second = AdamW(params[::-1], lr=0.1)  # another order: packed anew
+    assert second._flat is not opt._flat
+    assert all(p.data.base is second._flat for p in params)
+
+
+def test_adamw_refuses_a_parameter_listed_twice(rng):
+    a, b = Parameter(rng.normal(size=(2, 3))), Parameter(rng.normal(size=4))
+    array = a.data
+    with pytest.raises(ConfigurationError,
+                       match=r"parameter 2 \(shape \(2, 3\)\) is parameter 0 listed again"):
+        AdamW([a, b, a], lr=0.1)
+    assert a.data is array  # refused before anything is packed
+
+
+def test_adamw_zero_grad_clears_its_parameters(rng):
+    net = TinyNet(rng)
+    opt = AdamW(net.parameters(), lr=0.1)
+    T.backward(T.tensor_sum(net(Tensor(rng.normal(size=(1, 4))))))
+    assert any(p.grad is not None for p in net.parameters())
+    opt.zero_grad()
+    assert all(p.grad is None for p in net.parameters())
+
+
+def test_load_checkpoint_reads_into_the_packed_arrays(tmp_path, rng):
+    net = TinyNet(rng)
+    opt = AdamW(net.parameters(), lr=0.1)
+    arrays = [p.data for p in net.parameters()]
+    donor = TinyNet(np.random.default_rng(999))
+    save_checkpoint(tmp_path / "ckpt.npz", donor)
+    load_checkpoint(tmp_path / "ckpt.npz", net)
+    for p, array, want in zip(net.parameters(), arrays, donor.parameters()):
+        assert p.data is array and p.data.base is opt._flat
+        np.testing.assert_array_equal(p.data, want.data)
 
 
 def test_adamw_weight_decay_is_decoupled():

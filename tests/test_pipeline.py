@@ -903,7 +903,8 @@ def test_a_desk_training_tape_keeps_only_what_its_backward_reads():
     Keeping every Linear's pre-bias product as a node, conv2d's patch
     matrices and layer_norm's x̂ held 30.7 MiB (tracemalloc, this helper's
     inputs); adding each bias inside its GEMM and rebuilding the patches and
-    x̂ in the backward holds 18.1 MiB.
+    x̂ in the backward held 18.1 MiB; one attention node per call, which
+    rebuilds q / sqrt(d) in its backward, holds 17.4 MiB.
     """
     held = desk_tape_bytes(128)
     assert held < 24 * 2**20, held / 2**20

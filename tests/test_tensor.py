@@ -1,5 +1,6 @@
 """Autodiff engine: forward value oracles and finite-difference gradients."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -34,14 +35,21 @@ def test_matmul_matches_numpy(rng):
 
 
 def _slabs(x):
-    """A matrix as the one (batch, head) slab of a 1 x 1 x n x m array."""
-    return Tensor(np.asarray(x, dtype=np.float64)[None, None])
+    """A matrix as the one (batch, head) slab of a 1 x n x m operand with one head."""
+    return Tensor(np.asarray(x, dtype=np.float64)[None])
+
+
+def _queries(x):
+    """A matrix of scores' queries: ``T.softmax`` multiplies q by 1/sqrt(m), so times
+    sqrt(m) it scores the rows of ``x`` as they are (to rounding)."""
+    x = np.asarray(x, dtype=np.float64)
+    return _slabs(x * math.sqrt(x.shape[-1]))
 
 
 def test_softmax_rows_sum_to_one(rng):
     # with identity keys the scores are q itself, and against identity values
     # softmax(q k^T) v is the probabilities themselves
-    y = T.softmax(_slabs(rng.normal(size=(3, 7))), _slabs(np.eye(7)), _slabs(np.eye(7))).data
+    y = T.softmax(_queries(rng.normal(size=(3, 7))), _slabs(np.eye(7)), _slabs(np.eye(7)), 1).data
     np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-14)
     assert (y > 0).all()
 
@@ -49,24 +57,24 @@ def test_softmax_rows_sum_to_one(rng):
 def test_softmax_shift_invariance(rng):
     x = rng.normal(size=(2, 5))
     k, v = _slabs(np.eye(5)), _slabs(rng.normal(size=(5, 3)))
-    a = T.softmax(_slabs(x), k, v).data
+    a = T.softmax(_queries(x), k, v, 1).data
     for shift in (1000.0, -1000.0):  # far below, an unshifted exp underflows to 0 / 0
-        b = T.softmax(_slabs(x + shift), k, v).data
+        b = T.softmax(_queries(x + shift), k, v, 1).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_softmax_rejects_disagreeing_extents():
-    q = Tensor(np.zeros((1, 2, 3, 4)))
-    with pytest.raises(ShapeMismatchError):  # k's d differs from q's
-        T.softmax(q, Tensor(np.zeros((1, 2, 5, 3))), Tensor(np.zeros((1, 2, 5, 4))))
+    q = Tensor(np.zeros((1, 3, 8)))
+    with pytest.raises(ShapeMismatchError):  # k's channels differ from q's
+        T.softmax(q, Tensor(np.zeros((1, 5, 6))), Tensor(np.zeros((1, 5, 8))), 2)
     with pytest.raises(ShapeMismatchError):  # v's key count differs from k's
-        T.softmax(q, Tensor(np.zeros((1, 2, 5, 4))), Tensor(np.zeros((1, 2, 6, 4))))
-    with pytest.raises(ShapeMismatchError):  # k's heads differ from q's
-        T.softmax(q, Tensor(np.zeros((1, 1, 5, 4))), Tensor(np.zeros((1, 1, 5, 4))))
+        T.softmax(q, Tensor(np.zeros((1, 5, 8))), Tensor(np.zeros((1, 6, 8))), 2)
+    with pytest.raises(ShapeMismatchError):  # q's channels do not split into the heads
+        T.softmax(q, Tensor(np.zeros((1, 5, 8))), Tensor(np.zeros((1, 5, 8))), 3)
     with pytest.raises(ShapeMismatchError):
-        T.softmax(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, 3))))
+        T.softmax(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, 3))), 1)
     with pytest.raises(ValueError, match="at least one key"):
-        T.softmax(q, Tensor(np.zeros((1, 2, 0, 4))), Tensor(np.zeros((1, 2, 0, 4))))
+        T.softmax(q, Tensor(np.zeros((1, 0, 8))), Tensor(np.zeros((1, 0, 8))), 2)
 
 
 def test_sigmoid_matches_expit(rng):
@@ -309,9 +317,9 @@ def test_matmul_grads(rng):
 def test_softmax_sigmoid_gelu_grads(rng):
     a = leaf(rng, 2, 5)
     w = rng.normal(size=(2, 5))
-    q, k, v = leaf(rng, 2, 3, 4, 2), leaf(rng, 2, 3, 5, 2), leaf(rng, 2, 3, 5, 3)
-    wv = rng.normal(size=(2, 3, 4, 3))
-    loss = lambda: T.tensor_sum(T.softmax(q, k, v) * Tensor(wv))
+    q, k, v = leaf(rng, 2, 4, 6), leaf(rng, 2, 5, 6), leaf(rng, 2, 5, 9)  # 3 heads
+    wv = rng.normal(size=(2, 4, 9))
+    loss = lambda: T.tensor_sum(T.softmax(q, k, v, 3) * Tensor(wv))
     for x in (q, k, v):
         assert_grad_matches(loss, x)
     assert_grad_matches(lambda: T.tensor_sum(T.sigmoid(a) * Tensor(w)), a)
@@ -322,14 +330,15 @@ def test_softmax_sigmoid_gelu_grads(rng):
                          ids=["tiles", "shifted-tiles", "one-key"])
 def test_softmax_grads_across_tiles_match_finite_differences(monkeypatch, rng, n_k, offset):
     monkeypatch.setattr(T, "SCORE_TILE", 2 * 3 * n_k * 2)  # two query rows a tile: 7 rows, 4 tiles
-    q, k, v = leaf(rng, 2, 3, 7, 3), leaf(rng, 2, 3, n_k, 3), leaf(rng, 2, 3, n_k, 2)
-    # a constant column: every score gains q's last entry, so ``offset`` moves
-    # every row maximum above EXP_SHIFT_FREE without saturating the softmax
-    q.data[..., -1] += offset
-    k.data[..., -1] = 1.0
-    wv = rng.normal(size=(2, 3, 7, 2))
-    loss = lambda: T.tensor_sum(T.softmax(q, k, v) * Tensor(wv))
-    scores = q.data @ np.swapaxes(k.data, -1, -2)
+    q, k, v = leaf(rng, 2, 7, 9), leaf(rng, 2, n_k, 9), leaf(rng, 2, n_k, 6)  # 3 heads, d = 3
+    # each head's last channel is constant: every score gains ``offset`` (q's
+    # channel times 1/sqrt(3)), so ``offset`` moves every row maximum above
+    # EXP_SHIFT_FREE without saturating the softmax
+    q.data[..., 2::3] += offset * math.sqrt(3)
+    k.data[..., 2::3] = 1.0
+    wv = rng.normal(size=(2, 7, 6))
+    loss = lambda: T.tensor_sum(T.softmax(q, k, v, 3) * Tensor(wv))
+    scores = _scores(*_scaled_heads(q.data, k.data, 3))
     assert (scores.max(axis=-1) > T.EXP_SHIFT_FREE).all() == bool(offset)
     for x in (q, k, v):
         assert_grad_matches(loss, x)
@@ -337,27 +346,54 @@ def test_softmax_grads_across_tiles_match_finite_differences(monkeypatch, rng, n
         assert not q.grad.any() and not k.grad.any()
 
 
-def _softmax_oracle(q, k, v, w):
-    """The unfused chain: ``softmax(q k^T) v`` from the probabilities, and the
-    gradients of ``sum(out * w)`` with respect to q, k and v."""
-    a = q @ np.swapaxes(k, -1, -2)
+def _merge(x):
+    """B x H x n x w head slabs as the B x n x (H w) channels ``T.softmax`` takes."""
+    batch, heads, n, width = x.shape
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(batch, n, heads * width)
+
+
+def _split(x, heads):
+    """B x n x (H w) channels as B x H x n x w head slabs, a view, as ``T.softmax`` splits them."""
+    batch, n, channels = x.shape
+    return x.reshape(batch, n, heads, channels // heads).transpose(0, 2, 1, 3)
+
+
+def _scaled_heads(q, k, heads):
+    """The head slabs ``T.softmax(q, k, v, heads)`` scores: q times 1/sqrt(d), and k."""
+    d = q.shape[-1] // heads
+    return _split(q * (1.0 / math.sqrt(d)), heads), _split(k, heads)
+
+
+def _merged_operands(q, k, v):
+    """Head-slab q, k, v as ``T.softmax``'s operands: q times sqrt(d), so the scores
+    it forms are those of ``q`` (to rounding), and the number of heads."""
+    return _merge(q) * math.sqrt(q.shape[-1]), _merge(k), _merge(v), q.shape[1]
+
+
+def _softmax_oracle(q, k, v, w, heads):
+    """The unfused chain: ``softmax(q k^T / sqrt(d)) v`` from the probabilities per
+    head, and the gradients of ``sum(out * w)`` with respect to q, k and v."""
+    scale = 1.0 / math.sqrt(q.shape[-1] // heads)
+    q, k, v, w = (_split(x, heads) for x in (q, k, v, w))
+    a = (q @ np.swapaxes(k, -1, -2)) * scale
     p = np.exp(a - a.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
     dp = w @ np.swapaxes(v, -1, -2)
-    da = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
-    return p @ v, da @ k, np.swapaxes(da, -1, -2) @ q, np.swapaxes(p, -1, -2) @ w
+    da = p * (dp - (p * dp).sum(axis=-1, keepdims=True)) * scale
+    return tuple(_merge(x) for x in (p @ v, da @ k, np.swapaxes(da, -1, -2) @ q,
+                                      np.swapaxes(p, -1, -2) @ w))
 
 
-def _softmax_value_and_grads(q, k, v, w):
+def _softmax_value_and_grads(q, k, v, w, heads):
     q.grad = k.grad = v.grad = None
-    y = T.softmax(q, k, v)
+    y = T.softmax(q, k, v, heads)
     T.backward(T.tensor_sum(y * Tensor(w)))
     return y.data, q.grad, k.grad, v.grad
 
 
-def _assert_softmax_matches_the_oracle(q, k, v, w):
-    got = _softmax_value_and_grads(q, k, v, w)
-    expected = _softmax_oracle(q.data, k.data, v.data, w)
+def _assert_softmax_matches_the_oracle(q, k, v, w, heads):
+    got = _softmax_value_and_grads(q, k, v, w, heads)
+    expected = _softmax_oracle(q.data, k.data, v.data, w, heads)
     for mine, ref, rtol in zip(got, expected, (1e-13, 1e-12, 1e-12, 1e-12)):
         assert mine.shape == ref.shape
         assert np.abs(mine - ref).max() <= rtol * np.abs(ref).max()
@@ -381,11 +417,12 @@ def test_softmax_matches_the_unfused_oracle(batch, heads, n_q, n_k, d, d_v, scal
     qd = gen.uniform(-1.0, 1.0, size=(batch, heads, n_q, d + 1)) * scale
     kd = gen.uniform(-1.0, 1.0, size=(batch, heads, n_k, d + 1))
     qd[..., -1], kd[..., -1] = offset, 1.0
-    q, k = Tensor(qd, requires_grad=True), Tensor(kd, requires_grad=True)
-    v = Tensor(gen.normal(size=(batch, heads, n_k, d_v)), requires_grad=True)
+    qm, km, vm, _ = _merged_operands(qd, kd, gen.normal(size=(batch, heads, n_k, d_v)))
+    q, k, v = (Tensor(x, requires_grad=True) for x in (qm, km, vm))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(T, "SCORE_TILE", tile)
-        _assert_softmax_matches_the_oracle(q, k, v, gen.normal(size=(batch, heads, n_q, d_v)))
+        _assert_softmax_matches_the_oracle(q, k, v, _merge(gen.normal(size=(batch, heads, n_q, d_v))),
+                                           heads)
     if T.scores_shift_free(qd, kd):
         assert np.abs(_scores(qd, kd)).max() <= T.EXP_SHIFT_FREE
 
@@ -395,16 +432,16 @@ def test_softmax_matches_the_unfused_oracle(batch, heads, n_q, n_k, d, d_v, scal
        tile=st.integers(1, 400), seed=st.integers(0, 2 ** 16))
 def test_the_norm_bound_changes_no_shift_decision(batch, heads, n_q, n_k, d, scale, tile, seed):
     gen = np.random.default_rng(seed)
-    q = Tensor(gen.normal(size=(batch, heads, n_q, d)) * scale)
-    k = Tensor(gen.normal(size=(batch, heads, n_k, d)))
-    v = Tensor(gen.normal(size=(batch, heads, n_k, 2)))
+    qd = gen.normal(size=(batch, heads, n_q, d)) * scale
+    kd = gen.normal(size=(batch, heads, n_k, d))
+    q, k, v, _ = map(Tensor, _merged_operands(qd, kd, gen.normal(size=(batch, heads, n_k, 2))))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(T, "SCORE_TILE", tile)
-        skipping = T.softmax(q, k, v).data
+        skipping = T.softmax(q, k, v, heads).data
         patch.setattr(T, "scores_shift_free", lambda q, k: False)  # every tile takes its maxima
-        np.testing.assert_array_equal(skipping, T.softmax(q, k, v).data)
-    if T.scores_shift_free(q.data, k.data):
-        assert np.abs(_scores(q.data, k.data)).max() <= T.EXP_SHIFT_FREE
+        np.testing.assert_array_equal(skipping, T.softmax(q, k, v, heads).data)
+    if T.scores_shift_free(qd, kd):
+        assert np.abs(_scores(qd, kd)).max() <= T.EXP_SHIFT_FREE
 
 
 @pytest.mark.parametrize("length, holds", [(8.0 * (1.0 - 2.0 ** -20), True), (8.0, False)])
@@ -423,25 +460,29 @@ def test_the_norm_bound_at_its_edge(length, holds):
 def test_softmax_matches_the_oracle_at_the_shift_free_bound(rng, peak):
     scores = rng.uniform(-40.0, 0.0, size=(2, 3, 600))
     scores[..., 0] = 0.0
-    # identity keys make the scores q itself: every row maximum is ``peak``
-    q = Tensor((scores + peak)[None], requires_grad=True)
-    k = Tensor(np.broadcast_to(np.eye(600), (1, 2, 600, 600)).copy(), requires_grad=True)
-    v = Tensor(rng.normal(size=(1, 2, 600, 4)), requires_grad=True)
-    _assert_softmax_matches_the_oracle(q, k, v, rng.normal(size=(1, 2, 3, 4)))
+    # 600 unit keys in d = 1024 make the scores q's first 600 channels times
+    # 1/32, and a power of two scales exactly: every row maximum is ``peak``
+    qd = np.zeros((1, 2, 3, 1024))
+    qd[..., :600] = (scores + peak) * 32.0
+    kd = np.broadcast_to(np.eye(600, 1024), (1, 2, 600, 1024))
+    q, k = Tensor(_merge(qd), requires_grad=True), Tensor(_merge(kd), requires_grad=True)
+    v = Tensor(rng.normal(size=(1, 600, 8)), requires_grad=True)
+    assert (_scores(*_scaled_heads(q.data, k.data, 2)).max(axis=-1) == peak).all()
+    _assert_softmax_matches_the_oracle(q, k, v, rng.normal(size=(1, 3, 8)), 2)
 
 
 def test_softmax_never_writes_its_input(monkeypatch, rng):
     monkeypatch.setattr(T, "SCORE_TILE", 12)  # several tiles, each through one reused buffer
     for offset in (0.0, 70.0):  # at 70 every row maximum leaves the bound: every tile shifts
-        q, k, v = leaf(rng, 1, 2, 4, 3), leaf(rng, 1, 2, 6, 3), leaf(rng, 1, 2, 6, 2)
-        q.data[..., -1], k.data[..., -1] = offset, 1.0
-        assert _tile_shifts(q.data, k.data) == [bool(offset)] * 4
+        q, k, v = leaf(rng, 1, 4, 6), leaf(rng, 1, 6, 6), leaf(rng, 1, 6, 4)  # 2 heads, d = 3
+        q.data[..., 2::3], k.data[..., 2::3] = offset * math.sqrt(3), 1.0
+        assert _tile_shifts(*_scaled_heads(q.data, k.data, 2)) == [bool(offset)] * 4
         before = [x.data.copy() for x in (q, k, v)]
         with T.no_grad():
-            T.softmax(q, k, v)
-        y = T.softmax(q, k, v)
+            T.softmax(q, k, v, 2)
+        y = T.softmax(q, k, v, 2)
         out = y.data.copy()
-        T.backward(T.tensor_sum(y * Tensor(rng.normal(size=(1, 2, 4, 2)))))  # recomputes each tile
+        T.backward(T.tensor_sum(y * Tensor(rng.normal(size=(1, 4, 4)))))  # recomputes each tile
         for x, data in zip((q, k, v, y), before + [out]):
             np.testing.assert_array_equal(x.data, data)
 
@@ -465,13 +506,21 @@ def _assert_bitwise(got, expected):
 def _assert_backward_matches_keep_every_tile(q, k, v, g, grads):
     """softmax's output and the gradients its backward leaves on the tape's
     leaves equal the keep-every-tile oracle's, bit for bit; only the leaves in
-    ``grads`` (a subset of ``"qkv"``) require grad, and only they get one."""
-    leaves = [Tensor(x, requires_grad=name in grads) for name, x in zip("qkv", (q, k, v))]
-    y = T.softmax(*leaves)
-    T.backward(T.tensor_sum(y * Tensor(g)))
-    out, *expected = keep_every_tile_softmax(q, k, v, g)
-    _assert_bitwise(y.data, out)
-    for name, t, ref in zip("qkv", leaves, expected):
+    ``grads`` (a subset of ``"qkv"``) require grad, and only they get one.
+
+    ``q``, ``k``, ``v`` and ``g`` are head slabs; the oracle runs on the very
+    views ``T.softmax`` splits its operands into, q scaled as it scales it."""
+    *operands, heads = _merged_operands(q, k, v)
+    leaves = [Tensor(x, requires_grad=name in grads) for name, x in zip("qkv", operands)]
+    gm = _merge(g)
+    y = T.softmax(*leaves, heads)
+    T.backward(T.tensor_sum(y * Tensor(gm)))
+    qm, km, vm = operands
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    out, gq, gk, gv = keep_every_tile_softmax(*_scaled_heads(qm, km, heads), _split(vm, heads),
+                                              _split(gm, heads))
+    _assert_bitwise(y.data, _merge(out))
+    for name, t, ref in zip("qkv", leaves, (_merge(gq) * scale, _merge(gk), _merge(gv))):
         if name in grads:
             _assert_bitwise(t.grad, np.zeros_like(ref) + ref)  # as _accumulate adds it
         else:
@@ -504,7 +553,8 @@ def test_softmax_backward_equals_the_keep_every_tile_oracle(monkeypatch, batch, 
     gen = np.random.default_rng(batch * 100 + n_k * 10 + shifted_rows)
     q, k, v = _attention_operands(gen, batch, heads, 7, n_k, 3, 2, shifted_rows)
     assert T.row_tiles(batch, heads, 7, n_k) == [0, 1, 3, 5, 7]
-    assert _tile_shifts(q, k) == shifts
+    qm, km, _, _ = _merged_operands(q, k, v)
+    assert _tile_shifts(*_scaled_heads(qm, km, heads)) == shifts
     _assert_backward_matches_keep_every_tile(q, k, v, gen.normal(size=(batch, heads, 7, 2)),
                                              grads)
 
