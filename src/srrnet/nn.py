@@ -15,8 +15,8 @@ paired runs against format 2, one BLAS thread, 2-core x86).
 Each parameter's array is allocated once, when its module is built: the
 initial draw is clipped in place. Once an ``AdamW`` is built over the
 parameters, their arrays live in the optimizer's one flat buffer: each
-``p.data`` is a view of it, and stays that view through later optimizers
-over the same list and through loads. A load reads into whatever array
+``p.data`` is a view of it until a later optimizer packs them again, and
+stays that view through loads. A load reads into whatever array
 ``p.data`` is, so it holds no array beyond the model for a ``<f8`` member
 (what ``save_checkpoint`` writes) and one parameter-sized scratch array for
 any other dtype.
@@ -166,30 +166,14 @@ class Mlp(Module):
         return self.fc2(gelu(self.fc1(x)))
 
 
-def _packed(params: list[Parameter], count: int):
-    """The flat float64 buffer of ``count`` entries that ``params`` are views of, in
-    order and back to back, or ``None``."""
-    flat = params[0].data.base if params else None
-    if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64
-            and flat.shape == (count,) and flat.flags.c_contiguous):
-        return None
-    address = flat.ctypes.data
-    for p in params:  # an empty view's address is not its offset: numpy may reset it
-        if not (p.data.base is flat and p.data.dtype == np.float64 and p.data.flags.c_contiguous
-                and (p.data.size == 0 or p.data.ctypes.data == address)):
-            return None
-        address += p.data.nbytes
-    return flat
-
-
 class AdamW:
     """Adaptive moments with decoupled weight decay (``ADAMW_*``, ``WEIGHT_DECAY``).
 
     The optimizer owns one flat float64 buffer of its parameters, in list
     order: at construction each parameter's values are copied into it, one
-    at a time, and ``p.data`` becomes a view of it. A list already packed
-    that way (such as a second optimizer's over the same list) is used as it
-    is. Both moments are flat buffers of the same layout. ``step`` walks
+    at a time, and ``p.data`` becomes a view of it. A later optimizer over
+    the same parameters packs them anew, so an earlier one no longer steps
+    them. Both moments are flat buffers of the same layout. ``step`` walks
     each run of parameters that have a gradient in ``ADAMW_CHUNK``-entry
     chunks, gathers a chunk's gradients into one scratch buffer and applies
     the per-parameter update's ops in the same order, so every entry gets
@@ -217,21 +201,14 @@ class AdamW:
         self.t = 0
         self._ends = list(itertools.accumulate(p.data.size for p in self.params))
         count = self._ends[-1] if self._ends else 0
-        self._flat = _packed(self.params, count)
-        if self._flat is None:
-            # one parameter at a time: each old array can go before the next is copied
-            self._flat = np.empty(count)
-            for p, start, stop in zip(self.params, [0] + self._ends, self._ends):
-                view = self._flat[start:stop].reshape(p.data.shape)
-                view[...] = p.data
-                p.data = view
+        # one parameter at a time: each old array can go before the next is copied
+        self._flat = np.empty(count)
+        for p, start, stop in zip(self.params, [0] + self._ends, self._ends):
+            view = self._flat[start:stop].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
         self._m = np.zeros(count)
         self._v = np.zeros(count)
-
-    def zero_grad(self):
-        """Drop every parameter's gradient."""
-        for p in self.params:
-            p.grad = None
 
     def _runs(self) -> Iterator[tuple[int, int, list]]:
         """``(start, stop, parameters)`` of each maximal run of parameters with a gradient."""

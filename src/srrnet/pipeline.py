@@ -327,7 +327,7 @@ def _train_stage(model: SRRNet, sample: Callable[[np.random.Generator], TrainTri
     for it in range(iterations):
         trip = _augment(sample(rng), rng, schedule)
         triplet, gt = triplet_to_input(trip)
-        opt.zero_grad()  # the last step's gradients are not kept alive through this forward
+        model.zero_grad()  # the last step's gradients are not kept alive through this forward
         pred = model(triplet)
         loss, parts = compute_loss(pred, gt, schedule.gamma)
         if not np.isfinite(loss.data).all():

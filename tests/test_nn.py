@@ -206,9 +206,6 @@ def test_flat_adamw_equals_the_per_parameter_oracle(shapes, chunk, steps, lr, se
                 if not present[i]:  # no gradient: the value and both moments stay
                     for now, was in zip((p.data, opt._m[a:b], opt._v[a:b]), before[i]):
                         assert _bitwise(now, was), i
-        arrays = [p.data for p in params]
-        AdamW(params, lr)  # the list is packed already: nothing is copied
-        assert all(p.data is x for p, x in zip(params, arrays))
 
 
 def test_adamw_packs_its_parameters_into_one_buffer(rng):
@@ -219,9 +216,11 @@ def test_adamw_packs_its_parameters_into_one_buffer(rng):
     for p, x in zip(params, values):
         assert p.data.base is opt._flat and p.data.flags.c_contiguous
         np.testing.assert_array_equal(p.data, x)
-    second = AdamW(params[::-1], lr=0.1)  # another order: packed anew
-    assert second._flat is not opt._flat
-    assert all(p.data.base is second._flat for p in params)
+    second = AdamW(params[::-1], lr=0.1)  # a later optimizer packs the list anew
+    np.testing.assert_array_equal(second._flat, np.concatenate([x.reshape(-1) for x in values[::-1]]))
+    for p, x in zip(params, values):
+        assert p.data.base is second._flat
+        np.testing.assert_array_equal(p.data, x)
 
 
 def test_adamw_refuses_a_parameter_listed_twice(rng):
@@ -231,15 +230,6 @@ def test_adamw_refuses_a_parameter_listed_twice(rng):
                        match=r"parameter 2 \(shape \(2, 3\)\) is parameter 0 listed again"):
         AdamW([a, b, a], lr=0.1)
     assert a.data is array  # refused before anything is packed
-
-
-def test_adamw_zero_grad_clears_its_parameters(rng):
-    net = TinyNet(rng)
-    opt = AdamW(net.parameters(), lr=0.1)
-    T.backward(T.tensor_sum(net(Tensor(rng.normal(size=(1, 4))))))
-    assert any(p.grad is not None for p in net.parameters())
-    opt.zero_grad()
-    assert all(p.grad is None for p in net.parameters())
 
 
 def test_load_checkpoint_reads_into_the_packed_arrays(tmp_path, rng):
