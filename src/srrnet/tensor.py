@@ -11,16 +11,22 @@ one, and may fill that buffer, or a scratch buffer it allocated, in place
 buffer of its own, writes each tile's scores into one buffer of its own and
 exponentiates them there, and returns its merged heads as a view of its
 output buffer; its backward does the same again in buffers of the
-backward's own and scales the q gradient in place; layer_norm normalizes its
-own centered copy), but it never writes into an input's ``data``; backward
-closures read inputs and outputs after the forward pass, and softmax, conv2d
-and layer_norm rebuild from their inputs what their backward needs (the
-scaled q, the patches, x̂) instead of keeping it on the tape.
+backward's own, writes every tile's score gradient into one more buffer
+that the tiles share, and scales the q gradient in place; layer_norm
+normalizes its own centered copy), but it never writes into an input's
+``data``; backward closures read inputs and outputs after the forward pass,
+and softmax, conv2d and layer_norm rebuild from their inputs what their
+backward needs (the scaled q, the patches, x̂) instead of keeping it on the
+tape. A node's gradient is a buffer of its own, never the array a closure
+passed: ``_accumulate`` writes a first gradient into a new buffer laid out
+like the node's ``data`` (a C-order copy would make later reductions round
+differently; see there), so ``add``'s two operands never share one.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -57,7 +63,14 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _as_array(x) -> np.ndarray:
+    """``x`` as a float64 array; a float64 ndarray is returned as it is, as
+    ``np.asarray`` would return it, without the call (one per tape node)."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
     return np.asarray(x, dtype=np.float64)
 
 
@@ -110,16 +123,35 @@ def _ensure_tensor(x) -> Tensor:
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    if _grad_enabled:
+        for p in parents:  # a loop rather than any() over a generator: this runs once per node
+            if p.requires_grad:
+                out.requires_grad, out._parents, out._backward_fn = True, tuple(parents), backward_fn
+                break
     return out
 
 
 def _accumulate(t: Tensor, g: np.ndarray, index=...):
-    """Add ``g`` into ``t.grad[index]``, allocating ``t.grad`` on first use."""
+    """Add ``g`` into ``t.grad[index]``, allocating ``t.grad`` on first use.
+
+    A first gradient of ``t``'s whole shape is written into an uninitialized
+    buffer as ``g + 0.0``, not added into a zero-filled one: that skips the
+    fill pass, and ``0.0 + g`` and ``g + 0.0`` are the same IEEE sum, so the
+    result is bit for bit the zero-filled one's, -0.0 turned into +0.0
+    included. The buffer is ``np.empty_like(t.data)``, so it takes
+    ``t.data``'s layout as ``zeros_like`` did. That matters: many nodes'
+    data are transposed views (``transpose``, ``conv2d`` over a batch), and
+    a C-order first gradient moved 169 of desk's 224 parameter gradients in
+    the last bit after one training step. The values reaching each closure
+    were equal, but laid out differently, and a reduction such as
+    ``_unbroadcast``'s sum over the spatial axes rounds by the order in
+    which it walks memory. A first gradient into part of ``t`` (``narrow``)
+    still zero-fills the rest.
+    """
     if not t.requires_grad:
+        return
+    if t.grad is None and index is ...:
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
@@ -398,11 +430,17 @@ def softmax(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     own by the forward's ops on the same views (GEMM into the buffer, the
     shift, exp), so they equal the forward's bit for bit, and then uses
     FlashAttention's row term D = rowsum(g * out) (recomputation: Dao et
-    al., section 3.1). On a tape where a Linear was a GEMM node plus a bias
-    add, and ``conv2d`` and ``layer_norm`` kept their patches and x̂, a desk
-    training step at 192 x 192 peaked at 137 MiB this way, against 548 MiB
-    with every tile's exponentials kept, and one at 256 x 256 at 198
-    against 1,500 MiB. On today's tape, where a Linear adds its bias inside
+    al., section 3.1). Each tile's score gradient g v^T is written by its
+    GEMM into a second buffer of the backward's own, also reused by every
+    tile, and finished there in place: a fresh score-sized array per tile
+    cost a desk@64 training step ~700 minor page faults, and the step is
+    ~6% faster without them, bit for bit.
+
+    On a tape where a Linear was a GEMM node plus a bias add, and
+    ``conv2d`` and ``layer_norm`` kept their patches and x̂, a desk training
+    step at 192 x 192 peaked at 137 MiB this way, against 548 MiB with
+    every tile's exponentials kept, and one at 256 x 256 at 198 against
+    1,500 MiB. On today's tape, where a Linear adds its bias inside
     its GEMM and those two rebuild what their backward reads, the same
     steps peak at 110.0 and 149.0 MiB (VmHWM of a fresh process, 2-core
     x86). The backward pays one more GEMM and exp per tile for it.
@@ -471,6 +509,7 @@ def softmax(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         gqh, gkh, gvh = (x.transpose(0, 2, 1, 3) for x in (gq, gk, gv))
         vt = np.swapaxes(vh, -1, -2)
         tile = np.empty(batch * heads * largest * n_k)
+        ga_buf = np.empty(batch * heads * largest * n_k)
         for (start, stop), (s, shift) in zip(tiles, kept):
             # the forward's exponentials, recomputed by the same ops on the same views
             shape = (batch, heads, stop - start, n_k)
@@ -486,7 +525,8 @@ def softmax(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
                 # over one key the softmax is the constant 1, so q and k get
                 # exactly 0, where gs . v^T - D would leave the two sides' rounding
                 continue
-            ga = np.matmul(gs, vt)
+            ga = ga_buf[:e.size].reshape(shape)
+            np.matmul(gs, vt, out=ga)
             ga -= (gt * outh[:, :, start:stop]).sum(axis=-1, keepdims=True) / s
             ga *= e
             gqh[:, :, start:stop] = np.matmul(ga, kh)
@@ -537,26 +577,29 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     the normalized x̂ (n x c): it rebuilds x̂ from ``a`` by the forward's own
     two passes (subtract the mean, scale in place), so x̂ equals the
     forward's bit for bit.
+
+    Each row mean is ``np.add.reduce(...) / channels``, which is what
+    ``ndarray.mean`` computes, bit for bit, without its per-call dispatch.
     """
     if gamma.shape != (a.shape[-1],) or beta.shape != (a.shape[-1],):
         raise ShapeMismatchError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match channel extent {a.shape[-1]}"
         )
-    mu = a.data.mean(axis=-1, keepdims=True)
+    channels = a.shape[-1]
+    mu = np.add.reduce(a.data, axis=-1, keepdims=True) / channels
     xhat = a.data - mu  # centered, then normalized in place
-    var = (xhat ** 2).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xhat ** 2, axis=-1, keepdims=True) / channels
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     y = xhat * gamma.data
     y += beta.data
 
     def bwd(g):
-        channels = a.shape[-1]
         xhat = a.data - mu
         xhat *= inv
         dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / channels
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / channels
         _accumulate(a, inv * (dxhat - m1 - xhat * m2))
         _accumulate(gamma, (g * xhat).reshape(-1, channels).sum(axis=0))
         _accumulate(beta, g.reshape(-1, channels).sum(axis=0))
@@ -644,11 +687,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 # bilinear resize
 
 
+@functools.lru_cache
 def _interp_matrix(n_out: int, n_in: int) -> np.ndarray:
     """Row-stochastic 1-d interpolation matrix, half-pixel centers, clamped edges.
 
     At an equal extent every source position lands on a pixel, so this is
-    exactly the identity.
+    exactly the identity. The matrices are cached per extent pair (the
+    last 128 pairs) and read-only, since every caller shares one: a
+    ``stream_desk128`` frame built 8 and a training step 10 with
+    ``np.add.at``.
     """
     m = np.zeros((n_out, n_in))
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
@@ -659,6 +706,7 @@ def _interp_matrix(n_out: int, n_in: int) -> np.ndarray:
     rows = np.arange(n_out)
     np.add.at(m, (rows, i0), 1.0 - frac)
     np.add.at(m, (rows, i1), frac)
+    m.flags.writeable = False
     return m
 
 

@@ -32,6 +32,7 @@ from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
 from conftest import desk_tape_bytes, needs_proc, run_peak_probe
 from factored_decoder import FOLD_RTOL, factored_decoder, max_rel_diff
+from keep_zero_filled import zero_filled_accumulate
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +837,43 @@ def test_train_is_deterministic(tmp_path):
         losses.append([row[4] for row in result.loss_trace])
     assert losses[0] == losses[1]
     assert (tmp_path / "run0" / "loss.csv").read_bytes() == (tmp_path / "run1" / "loss.csv").read_bytes()
+
+
+def _desk64_training_record(attention_mode: str, steps: int = 3) -> list:
+    """Per desk@64 training step, as ``_train_stage`` runs it: the loss's bytes,
+    then each parameter's gradient as its bytes and strides."""
+    from srrnet.nn import AdamW
+    from srrnet.synth import SynthParams, generate_arrays
+    frames, masks = generate_arrays(SynthParams(seed=5, frames=6, size=64, occlusion_prob=0.5))
+    sequence = SequenceRecord(name="pin", frames=frames, masks=masks)
+    model = build_model("desk", attention_mode=attention_mode, seed=2)
+    schedule = TrainSchedule(video_iterations=steps, video_lr=1e-3, mask_dropout=0.3, seed=7)
+    opt = AdamW(model.parameters(), lr=schedule.video_lr)
+    rng = np.random.default_rng(schedule.seed)
+    record = []
+    for _ in range(steps):
+        triplet, gt = triplet_to_input(_augment(sample_training_triplet(sequence, rng), rng,
+                                                schedule))
+        model.zero_grad()
+        loss, _ = compute_loss(model(triplet), gt, schedule.gamma)
+        T.backward(loss)
+        record.append([loss.data.tobytes()] + [
+            None if p.grad is None else (p.grad.tobytes(), p.grad.strides)
+            for p in model.parameters()])
+        opt.step()
+    return record
+
+
+@pytest.mark.parametrize("attention_mode", ATTENTION_MODES)
+def test_training_gradients_equal_the_zero_filled_accumulator_bit_for_bit(attention_mode):
+    """Three desk@64 training steps leave every loss and parameter gradient
+    byte-equal, and laid out alike, to those of a tape that zero-fills each
+    node's first gradient and adds into it."""
+    got = _desk64_training_record(attention_mode)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(T, "_accumulate", zero_filled_accumulate)
+        expected = _desk64_training_record(attention_mode)
+    assert got == expected
 
 
 def test_train_two_stages_and_artifacts(tmp_path):

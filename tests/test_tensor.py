@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special
 
 from srrnet import tensor as T
@@ -16,6 +17,7 @@ from conftest import assert_grad_matches, fd_grad
 from keep_every_tile import keep_every_tile_softmax
 from keep_on_tape import (backward_from, conv2d_keeping_patches, layer_norm_keeping_xhat,
                           linear_two_nodes)
+from keep_zero_filled import zero_filled_accumulate
 
 
 def leaf(rng, *shape):
@@ -573,6 +575,32 @@ def test_softmax_backward_equals_the_keep_every_tile_oracle_over_shapes(
                                                  grads)
 
 
+def test_the_attention_backward_reuses_one_score_gradient_buffer_across_tiles(rng):
+    """A 4-tile softmax backward peaks below two and a half score tiles.
+
+    The backward holds two score-sized buffers, the recomputed exponentials
+    and the score gradient, each reused by every tile. Everything else it
+    holds is q-, k-, v- or output-sized, under a quarter tile together at
+    these shapes, even counted twice (the closure's own q, k and v
+    gradients and the leaves' copies of them). A fresh score gradient per
+    tile held three tiles at once: the last tile's and the new one beside
+    the exponentials.
+    """
+    q, k, v = leaf(rng, 1, 512, 2), leaf(rng, 1, 512, 2), leaf(rng, 1, 512, 2)
+    assert T.row_tiles(1, 1, 512, 512) == [0, 128, 256, 384, 512]
+    y = T.softmax(q, k, v, 1)
+    loss = T.tensor_sum(y * Tensor(rng.normal(size=y.shape)))
+    tile = 8 * T.SCORE_TILE
+    assert 2 * (q.data.nbytes + k.data.nbytes + v.data.nbytes + y.data.nbytes) < tile // 4
+    tracemalloc.start()
+    try:
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * tile + tile // 2, peak / tile
+
+
 def test_scaled_dot_attention_same_with_and_without_tape(monkeypatch, rng):
     from srrnet.attention import scaled_dot_attention
     q, k, v = leaf(rng, 1, 5, 8), leaf(rng, 1, 7, 8), leaf(rng, 1, 7, 8)
@@ -582,6 +610,38 @@ def test_scaled_dot_attention_same_with_and_without_tape(monkeypatch, rng):
     with T.no_grad():
         untaped = scaled_dot_attention(q, k, v, heads=2)
     np.testing.assert_array_equal(taped.data, untaped.data)
+
+
+_SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                   2.2250738585072009e-308, -1e-310, 1.0, -1.0, 1e308, -1e308]
+
+
+def _assert_mean_identity(x):
+    channels = x.shape[-1]
+    with np.errstate(all="ignore"):  # rows of +-1e308 overflow, and inf - inf is NaN
+        reduced = np.add.reduce(x, axis=-1, keepdims=True) / channels
+        expected = x.mean(axis=-1, keepdims=True)
+    _assert_bitwise(reduced, expected)
+
+
+@given(rows=st.integers(1, 3), channels=st.integers(1, 600), transposed=st.booleans(),
+       data=st.data())
+def test_add_reduce_over_the_count_is_numpys_mean_bit_for_bit(rows, channels, transposed, data):
+    """``layer_norm`` takes its row means as ``np.add.reduce(...) / channels``, which
+    is what ``ndarray.mean`` computes; a numpy whose mean stops being that sum
+    and division fails here rather than moving the outputs."""
+    elements = st.one_of(st.sampled_from(_SPECIAL_VALUES),
+                         st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                         st.floats(-1e3, 1e3))
+    x = data.draw(hnp.arrays(np.float64, (channels, rows) if transposed else (rows, channels),
+                             elements=elements))
+    _assert_mean_identity(x.T if transposed else x)
+
+
+def test_add_reduce_over_the_count_is_numpys_mean_on_constant_rows():
+    for value in _SPECIAL_VALUES:
+        for channels in (1, 7, 600):
+            _assert_mean_identity(np.full((2, channels), value))
 
 
 def test_layer_norm_grads(rng):
@@ -852,6 +912,16 @@ def test_bilinear_resize_grads(rng):
     assert_grad_matches(loss, x)
 
 
+@pytest.mark.parametrize("n_out, n_in", [(8, 8), (16, 4), (3, 5)])
+def test_interp_matrices_are_cached_read_only_and_equal_a_fresh_build(n_out, n_in):
+    cached = T._interp_matrix(n_out, n_in)
+    assert T._interp_matrix(n_out, n_in) is cached
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0, 0] = 2.0
+    _assert_bitwise(cached, T._interp_matrix.__wrapped__(n_out, n_in))
+
+
 def test_loss_grads(rng):
     logits = leaf(rng, 3, 4)
     targets = (rng.random((3, 4)) > 0.5).astype(np.float64)
@@ -870,6 +940,41 @@ def test_shared_node_accumulates_both_paths(rng):
     loss = T.tensor_sum(a * a + a)
     T.backward(loss)
     np.testing.assert_allclose(a.grad, 2.0 * a.data + 1.0, atol=1e-12)
+
+
+def test_the_first_gradient_of_a_conv2d_output_takes_its_data_layout(rng):
+    """``conv2d`` returns a transposed view; the first gradient handed to it
+    in C order is stored laid out like that view, as ``zeros_like`` laid it."""
+    y = T.conv2d(leaf(rng, 2, 3, 5, 5), leaf(rng, 4, 3, 3, 3), leaf(rng, 4), padding=1)
+    assert not y.data.flags.c_contiguous
+    g = rng.normal(size=y.shape)
+    T._accumulate(y, g)
+    assert y.grad.strides == y.data.strides
+    _assert_bitwise(y.grad, g)
+
+
+def test_an_add_of_equal_shapes_gives_each_operand_a_gradient_of_its_own(rng):
+    a, b = leaf(rng, 3, 4), leaf(rng, 3, 4)
+    T.backward(T.tensor_sum(T.add(a, b) * Tensor(rng.normal(size=(3, 4)))))
+    assert not np.shares_memory(a.grad, b.grad)
+    _assert_bitwise(a.grad, b.grad)
+
+
+@given(shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=5), transposed=st.booleans(),
+       data=st.data())
+def test_accumulate_equals_the_zero_filled_accumulator_bit_for_bit(shape, transposed, data):
+    """A first gradient (then a second one added into it) equals the zero-filled
+    accumulator's, -0.0, inf and NaN included, on a C-order or transposed ``data``."""
+    elements = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(allow_nan=True))
+    data_array = np.zeros(shape[::-1]).T if transposed else np.zeros(shape)
+    got, expected = (Tensor(data_array, requires_grad=True) for _ in range(2))
+    for _ in range(2):
+        g = data.draw(hnp.arrays(np.float64, shape, elements=elements))
+        with np.errstate(all="ignore"):  # inf + -inf is NaN, as in the accumulator
+            T._accumulate(got, g)
+            zero_filled_accumulate(expected, g)
+        assert got.grad.strides == expected.grad.strides
+        _assert_bitwise(got.grad, expected.grad)
 
 
 def test_detach_blocks_gradient(rng):
