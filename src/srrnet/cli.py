@@ -7,10 +7,11 @@ default; explicit flags win. Exit codes: 0 success, 1 numeric/runtime failure,
 
 ``train`` fixes the model, ``--error-target`` included, and stores its config
 in the checkpoint (format 3: the parameters as one flat float64 member;
-format-1 and format-2 files are refused, naming their format); ``infer`` and
-``trace-score`` take the model from the checkpoint and have no model flags. A
-checkpoint that cannot be read, corrupt members included, is an ``error:``
-line with exit 1.
+format-1 and format-2 files are refused, naming their format). ``infer`` and
+``trace-score`` take the model from the checkpoint and have no model flags;
+``train --checkpoint`` takes it from the checkpoint too, and refuses a model
+flag that is given and disagrees. A checkpoint that cannot be read, corrupt
+members included, is an ``error:`` line with exit 1.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .metrics import evaluate_dataset, format_report_table, write_report_csv
 from .decoder import ERROR_TARGETS
 from .model import (FULL_SCALE_REFERENCE_PARAMS, PRESETS, SRRNet, build_model, load_model,
                     preset_config)
-from .nn import count_parameters, load_checkpoint
+from .nn import count_parameters
 from .pipeline import (
     REFERENCE_MODES,
     StepResult,
@@ -95,6 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on dataset directories")
     _add_common(p)
     _add_model_flags(p)
+    # unset model flags stay None, so that a --checkpoint run compares only the given ones
+    p.set_defaults(preset=None, attention_mode=None)
     p.add_argument("--video-data", type=str, default=None)
     p.add_argument("--static-data", type=str, default=None)
     p.add_argument("--out", required=True)
@@ -103,14 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--static-lr", type=float, default=TrainSchedule.static_lr)
     p.add_argument("--video-lr", type=float, default=TrainSchedule.video_lr)
     p.add_argument("--gamma", type=float, default=TrainSchedule.gamma)
-    p.add_argument("--error-target", choices=ERROR_TARGETS, default="absolute",
-                   help="what the error head predicts; stored in the checkpoint")
+    p.add_argument("--error-target", choices=ERROR_TARGETS, default=None,
+                   help="what the error head predicts (default absolute); stored in the "
+                        "checkpoint")
     p.add_argument("--crop", type=int, default=TrainSchedule.crop)
     p.add_argument("--no-flip", action="store_true")
     p.add_argument("--mask-dropout", type=float, default=TrainSchedule.mask_dropout,
                    help="probability of zeroing each mask input channel per sample")
     p.add_argument("--checkpoint", type=str, default=None,
-                   help="resume from an existing checkpoint")
+                   help="continue training the model of an existing checkpoint")
 
     p = sub.add_parser("infer", help="sequential inference over a sequence directory")
     _add_common(p)
@@ -203,14 +207,34 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _checkpoint_model(args) -> SRRNet:
+    """The model ``--checkpoint`` was saved from, weights and all.
+
+    A model flag given with it, on the command line or through ``--config``,
+    that disagrees with the checkpoint is refused naming the field; a flag
+    left unset is not compared.
+    """
+    model = load_model(args.checkpoint)
+    held = model.config
+    preset = next((name for name in PRESETS if preset_config(
+        name, held.attention_mode, held.decoder.error_target) == held), None)
+    for field, stored, given in (("preset", preset, args.preset),
+                                 ("attention_mode", held.attention_mode, args.attention_mode),
+                                 ("decoder.error_target", held.decoder.error_target,
+                                  args.error_target)):
+        if given is not None and given != stored:
+            raise ValueError(f"checkpoint {args.checkpoint} holds a model with "
+                             f"{field}={stored!r}, but the flags ask for {field}={given!r}")
+    return model
+
+
 def _cmd_train(args) -> int:
     if args.checkpoint:  # every weight comes from the file, so none is drawn
-        model = SRRNet(preset_config(args.preset, attention_mode=args.attention_mode,
-                                     error_target=args.error_target))
-        load_checkpoint(args.checkpoint, model)
+        model = _checkpoint_model(args)
     else:
-        model = build_model(args.preset, attention_mode=args.attention_mode,
-                            seed=args.seed, error_target=args.error_target)
+        flags = {"preset": args.preset, "attention_mode": args.attention_mode,
+                 "error_target": args.error_target}
+        model = build_model(seed=args.seed, **{k: v for k, v in flags.items() if v is not None})
     schedule = TrainSchedule(
         static_iterations=args.static_iterations,
         video_iterations=args.video_iterations,

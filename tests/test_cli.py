@@ -133,7 +133,7 @@ def test_mixed_frame_extents_exit_1_naming_the_frame_before_any_step(workspace, 
         assert not out.exists()
 
 
-INFER_PEAK = """
+CLI_PEAK = """
 import sys
 from srrnet.cli import main
 assert main(sys.argv[1:]) == 0
@@ -161,7 +161,7 @@ def test_infer_peak_grows_by_a_few_bytes_a_pixel_per_frame(workspace, tmp_path):
     short.mkdir()
     for path in sorted(long.iterdir())[:2 * n]:  # the first n frames and their masks
         shutil.copy(path, short)
-    peaks = [int(run_peak_probe(INFER_PEAK, "infer", "--data", seq,
+    peaks = [int(run_peak_probe(CLI_PEAK, "infer", "--data", seq,
                                 "--checkpoint", workspace / "run" / "checkpoint.npz",
                                 "--out", tmp_path / f"out_{seq.name}").split()[-1])
              for seq in (short, long)]
@@ -194,6 +194,34 @@ def test_a_192px_training_step_peaks_within_200_mb_of_its_start(tmp_path):
     rise = int(run_peak_probe(TRAIN_PEAK, "train", "--video-data", tmp_path / "video",
                               "--video-iterations", "1", "--out", tmp_path / "run").split()[-1])
     assert rise < 200 * 2**20, rise / 2**20
+
+
+@needs_proc
+@pytest.mark.parametrize("stage", ["video", "static"])
+def test_a_training_peak_does_not_grow_with_its_dataset(tmp_path, stage):
+    """``train`` keeps each training file's path, not its pixels, so a 4x
+    larger video root or static pool leaves its peak within a few MiB.
+
+    One iteration at ``--crop 64`` over 256x256 images, from 2 to 8 sequences
+    of 16 frames or from a 32- to a 128-image pool, rose the peak by 0.1 and
+    0.2 MiB. Keeping each file's 8-bit pixels rose it by 26.9 and 27.0 MiB.
+    """
+    size, frames = "256", 16
+    if stage == "video":
+        for seq in range(8):
+            assert run_cli("synth", "--out", str(tmp_path / "large" / f"s{seq}"), "--size", size,
+                           "--frames", str(frames), "--seed", str(seq)) == 0
+        for seq in range(2):
+            shutil.copytree(tmp_path / "large" / f"s{seq}", tmp_path / "small" / f"s{seq}")
+    else:
+        for name, images in (("small", 2 * frames), ("large", 8 * frames)):
+            assert run_cli("synth", "--out", str(tmp_path / name), "--size", size,
+                           "--static-pool", str(images), "--seed", "5") == 0
+    peaks = [int(run_peak_probe(CLI_PEAK, "train", f"--{stage}-data", tmp_path / name,
+                                f"--{stage}-iterations", "1", "--crop", "64",
+                                "--out", tmp_path / f"run_{name}").split()[-1])
+             for name in ("small", "large")]
+    assert peaks[1] - peaks[0] < 4 * 2**20, [peak / 2**20 for peak in peaks]
 
 
 def test_infer_and_eval(workspace):
@@ -309,6 +337,33 @@ def test_train_resume_refuses_contradicting_flags(workspace, full_signed_run, ca
                    "--attention-mode", "rma") == 1
     err = capsys.readouterr().err
     assert "attention_mode='full'" in err and "attention_mode='rma'" in err
+
+
+def test_train_continues_a_signed_checkpoint_with_no_model_flags(workspace, full_signed_run,
+                                                                  tmp_path, capsys):
+    """``train --checkpoint`` takes the model from the file, as ``infer`` does:
+    a full-attention, signed checkpoint continues with no model flags and
+    saves the same config. A model flag that is given, also through
+    ``--config``, is still compared, naming the field."""
+    common = ["train", "--video-data", str(workspace / "video"), "--checkpoint",
+              str(full_signed_run), "--video-iterations", "1", "--video-lr", "1e-4"]
+    out = tmp_path / "continued"
+    assert run_cli(*common, "--out", str(out)) == 0
+    configs = []
+    for path in (full_signed_run, out / "checkpoint.npz"):
+        with np.load(path) as blob:
+            configs.append(str(blob["__config__"]))
+    assert configs[0] == configs[1]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("error_target=absolute\n")
+    for flags, stored, given in ((["--preset", "full"], "preset='desk'", "preset='full'"),
+                                 (["--config", str(cfg)], "decoder.error_target='signed'",
+                                  "decoder.error_target='absolute'")):
+        capsys.readouterr()
+        assert run_cli(*common, "--out", str(tmp_path / "refused"), *flags) == 1
+        assert (f"holds a model with {stored}, but the flags ask for {given}"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "refused").exists()
 
 
 @pytest.mark.parametrize("flag, value, field", [("--static-iterations", "-1", "static_iterations"),

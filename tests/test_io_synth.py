@@ -280,16 +280,22 @@ def _assert_bitwise(a: np.ndarray, b: np.ndarray):
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# the two loaders of a sequence: a single pass's and training's
+SEQUENCE_LOADERS = {"load_sequence": load_sequence,
+                    "load_video_dataset": lambda directory: load_video_dataset(directory)[0]}
+
+
 # every mask byte, so both sides of the threshold between 127 and 128, on a non-square extent
+@pytest.mark.parametrize("loader", SEQUENCE_LOADERS)
 @example(([np.zeros((8, 32, 3), np.uint8)], [np.arange(256, dtype=np.uint8).reshape(8, 32)]))
 @given(pixels=_sequence_pixels())
-def test_loaded_records_decode_bitwise_like_reading_each_file(pixels):
+def test_loaded_records_decode_bitwise_like_reading_each_file(loader, pixels):
     images, masks = pixels
     with tempfile.TemporaryDirectory() as tmp:
         for i, (image, mask) in enumerate(zip(images, masks)):
             write_ppm(Path(tmp) / f"{i:05d}.ppm", image)
             write_pgm(Path(tmp) / f"{i:05d}.pgm", mask)
-        record = load_sequence(tmp)
+        record = SEQUENCE_LOADERS[loader](tmp)
         assert len(record.frames) == len(record.masks) == len(images)
         for i in range(len(images)):
             _assert_bitwise(record.frames[i], decode_frame(read_ppm(Path(tmp) / f"{i:05d}.ppm")))
@@ -307,11 +313,12 @@ def test_loaded_frames_and_masks_are_fresh_arrays_on_each_access(tmp_path):
             _assert_bitwise(images[i], kept[i])
 
 
-def test_a_loaded_sequence_checks_each_file_again_on_access(tmp_path):
-    """``load_sequence`` keeps paths, so each access reads and checks its file."""
+@pytest.mark.parametrize("loader", SEQUENCE_LOADERS)
+def test_a_loaded_sequence_checks_each_file_again_on_access(tmp_path, loader):
+    """Every loader keeps paths, so each access reads and checks its file."""
     out = generate_sequence(SynthParams(seed=4, frames=3, size=64), tmp_path / "seq")
     small = generate_sequence(SynthParams(seed=4, frames=1, size=32), tmp_path / "small")
-    record = load_sequence(out)
+    record = SEQUENCE_LOADERS[loader](out)
     for ext, images in ((".ppm", record.frames), (".pgm", record.masks)):
         (out / f"00001{ext}").write_bytes((small / f"00000{ext}").read_bytes())
         kind = "frame" if ext == ".ppm" else "mask"
@@ -328,10 +335,32 @@ def test_a_loaded_sequence_checks_each_file_again_on_access(tmp_path):
     _assert_bitwise(record.frames[0], decode_frame(read_ppm(out / "00000.ppm")))
 
 
-def test_training_reads_each_file_once_and_a_pass_once_per_access(tmp_path, monkeypatch):
-    """``load_video_dataset`` keeps each file's pixels, since training samples
-    each frame many times; ``load_sequence`` keeps paths and reads a file at
-    load and again on each access."""
+def test_a_loaded_static_pool_checks_each_file_again_on_access(tmp_path):
+    """A ``StaticRecord`` keeps paths, so each ``image`` or ``mask`` read
+    reads and checks its file."""
+    out = generate_static_pool(1, 3, 64, tmp_path / "pool")
+    small = generate_static_pool(1, 1, 32, tmp_path / "small")
+    pool = load_static_pool(out)
+    for ext, attr in ((".ppm", "image"), (".pgm", "mask")):
+        (out / f"00001{ext}").write_bytes((small / f"00000{ext}").read_bytes())
+        kind = "frame" if ext == ".ppm" else "mask"
+        with pytest.raises(DatasetError, match=rf"{kind} .*00001\{ext} is 32x32 but its "
+                                               r"pool was loaded at 64x64"):
+            getattr(pool[1], attr)
+    truncated = out / "00002.ppm"
+    truncated.write_bytes(truncated.read_bytes()[:-1])
+    with pytest.raises(PnmParseError, match="truncated payload"):
+        pool[2].image
+    (out / "00000.pgm").unlink()
+    with pytest.raises(FileNotFoundError):
+        pool[0].mask
+    _assert_bitwise(pool[0].image, decode_frame(read_ppm(out / "00000.ppm")))
+
+
+def test_every_loader_reads_each_file_once_at_load_and_once_per_access(tmp_path, monkeypatch):
+    """No loader keeps pixels: each reads every file once to check it, and
+    then once on each access, training's sampling included (a static sample's
+    reads are pinned in test_pipeline)."""
     import srrnet.data
     from srrnet.pipeline import sample_training_triplet
     reads = Counter()
@@ -342,17 +371,25 @@ def test_training_reads_each_file_once_and_a_pass_once_per_access(tmp_path, monk
     out = generate_sequence(SynthParams(seed=4, frames=4, size=32), tmp_path / "seq")
     each_once = Counter(p.name for p in out.iterdir())
     assert len(each_once) == 8
-    video = load_video_dataset(out)
-    rng = np.random.default_rng(0)
+    for loader in SEQUENCE_LOADERS.values():
+        reads.clear()
+        record = loader(out)
+        assert reads == each_once
+        record.frames[1], record.frames[1], record.masks[3], list(record.frames)
+        assert reads == each_once + Counter({"00000.ppm": 1, "00001.ppm": 3, "00002.ppm": 1,
+                                             "00003.ppm": 1, "00003.pgm": 1})
+    video, rng = load_video_dataset(out), np.random.default_rng(0)
+    reads.clear()
     for _ in range(20):
         sample_training_triplet(video[0], rng)
-    assert reads == each_once
+    assert sum(reads.values()) == 20 * 6  # C, P and R: a frame and a mask each
+    pool_dir = generate_static_pool(1, 4, 32, tmp_path / "pool")
     reads.clear()
-    record = load_sequence(out)
-    assert reads == each_once
-    record.frames[1], record.frames[1], record.masks[3], list(record.frames)
-    assert reads == each_once + Counter({"00000.ppm": 1, "00001.ppm": 3, "00002.ppm": 1,
-                                         "00003.ppm": 1, "00003.pgm": 1})
+    pool = load_static_pool(pool_dir)
+    assert reads == Counter(p.name for p in pool_dir.iterdir() if p.suffix != ".txt")
+    reads.clear()
+    pool[2].image, pool[2].image, pool[0].mask
+    assert reads == Counter({"00002.ppm": 2, "00000.pgm": 1})
 
 
 def test_load_video_dataset_layouts(tmp_path):
@@ -370,12 +407,12 @@ def test_load_video_dataset_layouts(tmp_path):
         load_video_dataset(empty)
 
 
-@pytest.mark.parametrize("storage", ["paths", "pixels"])
-def test_decoded_images_take_an_integer_index_and_refuse_a_slice(tmp_path, storage):
+@pytest.mark.parametrize("loader", SEQUENCE_LOADERS)
+def test_decoded_images_take_an_integer_index_and_refuse_a_slice(tmp_path, loader):
     """ints, negative ints and numpy integers read one image; a slice raises
-    TypeError at the call, not inside the decoder, for either storage kind."""
+    TypeError at the call, not inside the reader, from either loader."""
     out = generate_sequence(SynthParams(seed=4, frames=3, size=32), tmp_path / "seq")
-    record = load_sequence(out) if storage == "paths" else load_video_dataset(out)[0]
+    record = SEQUENCE_LOADERS[loader](out)
     frames = [record.frames[i] for i in range(3)]
     for index, want in ((-1, 2), (np.int64(1), 1), (np.uint8(0), 0)):
         np.testing.assert_array_equal(record.frames[index], frames[want])
@@ -427,25 +464,34 @@ def test_static_pool_records_decode_bitwise_like_reading_each_file(tmp_path):
         pool[5]
 
 
-POOL_PEAK_PROBE = """
+LOAD_PEAK_PROBE = """
 import sys
-from srrnet.data import load_static_pool
+import srrnet.data
 
 before = resident_bytes()
-pool = load_static_pool(sys.argv[1])
+loaded = getattr(srrnet.data, sys.argv[1])(sys.argv[2])
 print(peak_bytes() - before)
 """
 
 
 @needs_proc
-def test_static_pool_holds_at_most_five_bytes_a_pixel(tmp_path):
-    """A loaded pool keeps 8-bit pixels, 3 bytes a pixel for an image and 1 for
-    its mask. Decoding every pair to float64 at load held 32 bytes a pixel
-    (38.7 measured on this pool); kept at 8 bits the load rises by 3.4."""
-    images, size = 8, 256
-    out = generate_static_pool(0, images, size, tmp_path / "pool")
-    rise = int(run_peak_probe(POOL_PEAK_PROBE, out))
-    assert rise <= 5 * images * size * size, rise / (images * size * size)
+@pytest.mark.parametrize("loader", ["load_static_pool", "load_video_dataset"])
+def test_a_loaded_training_set_holds_far_less_than_a_byte_a_pixel(tmp_path, loader):
+    """A loaded pool or video root keeps each file's path, not its pixels, so
+    the load rises only by the file it is reading: at most 0.13 bytes a pixel
+    measured over these 32 images. Keeping each image's and mask's 8-bit
+    pixels rose by 4.3 on both; decoding them to float64 at load held 32
+    bytes a pixel (38.7 measured on a pool)."""
+    images, size = 32, 256
+    if loader == "load_static_pool":
+        out = generate_static_pool(0, images, size, tmp_path / "pool")
+    else:
+        out = tmp_path / "video"
+        for seq in range(4):
+            generate_sequence(SynthParams(seed=seq, frames=images // 4, size=size),
+                              out / f"s{seq}")
+    rise = int(run_peak_probe(LOAD_PEAK_PROBE, loader, out))
+    assert rise <= 0.5 * images * size * size, rise / (images * size * size)
 
 
 def test_load_static_pool_refuses_a_mask_of_another_extent_naming_it(tmp_path):
@@ -453,4 +499,15 @@ def test_load_static_pool_refuses_a_mask_of_another_extent_naming_it(tmp_path):
     small = generate_static_pool(1, 2, 32, tmp_path / "small")
     (out / "00001.pgm").write_bytes((small / "00001.pgm").read_bytes())
     with pytest.raises(DatasetError, match=r"mask .*00001\.pgm is 32x32 but its frame is 64x64"):
+        load_static_pool(out)
+
+
+def test_load_static_pool_refuses_an_image_of_another_extent_naming_it(tmp_path):
+    """Every pool image shares the first image's extent, as a sequence's frames do."""
+    out = generate_static_pool(1, 4, 32, tmp_path / "pool")
+    big = generate_static_pool(1, 4, 64, tmp_path / "big")
+    for ext in (".ppm", ".pgm"):
+        (out / f"00002{ext}").write_bytes((big / f"00002{ext}").read_bytes())
+    with pytest.raises(DatasetError, match=r"frame .*00002\.ppm is 64x64 but the images "
+                                           r"before it are 32x32"):
         load_static_pool(out)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from srrnet import tensor as T
 from srrnet.attention import ATTENTION_MODES
 from srrnet.backbone import FrameTriplet
-from srrnet.data import SequenceRecord, StaticRecord
+from srrnet.data import SequenceRecord, load_static_pool
 from srrnet.decoder import (ERROR_TARGETS, DualPurposeDecoder, PredictionPair,
                             binary_mask_from_logits, mae_score)
 from srrnet.model import ReferenceSlot, SRRNet, build_model
@@ -28,6 +29,7 @@ from srrnet.pipeline import (
     triplet_to_input,
     write_score_trace,
 )
+from srrnet.pnm import write_pgm, write_ppm
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
 from conftest import desk_tape_bytes, needs_proc, run_peak_probe
@@ -173,12 +175,16 @@ def test_video_sampler_single_frame_fallback():
     assert gen.bit_generator.state == state
 
 
-def _static_pool(spec):
-    """Image i's pixels are all i, and its mask is foreground iff i is odd."""
-    return [StaticRecord(name=f"{i:05d}", category=cat,
-                         image_pixels=np.full((32, 32, 3), i, np.uint8),
-                         mask_pixels=np.full((32, 32), 255 * (i % 2), np.uint8))
-            for i, cat in enumerate(spec)]
+def _static_pool(directory, spec):
+    """A pool written to ``directory`` and loaded: image i's pixels are all i,
+    and its mask is foreground iff i is odd."""
+    directory.mkdir()
+    for i in range(len(spec)):
+        write_ppm(directory / f"{i:05d}.ppm", np.full((32, 32, 3), i, np.uint8))
+        write_pgm(directory / f"{i:05d}.pgm", np.full((32, 32), 255 * (i % 2), np.uint8))
+    (directory / "categories.txt").write_text(
+        "".join(f"{i:05d} {cat}\n" for i, cat in enumerate(spec)))
+    return load_static_pool(directory)
 
 
 def _static_sampled(trip):
@@ -189,8 +195,8 @@ def _static_sampled(trip):
     return c, p, r
 
 
-def test_static_sampler_category_law():
-    pool = _static_pool(["a", "a", "b", "b", "b", "c"])
+def test_static_sampler_category_law(tmp_path):
+    pool = _static_pool(tmp_path / "pool", ["a", "a", "b", "b", "b", "c"])
     sample, gen = static_sampler(pool), np.random.default_rng(0)
     r_cats = set()
     for _ in range(2000):
@@ -201,10 +207,10 @@ def test_static_sampler_category_law():
     assert r_cats == {"a", "b", "c"}  # reference draws from the whole pool
 
 
-def test_static_sampler_draws_as_a_scan_of_the_whole_pool_would():
+def test_static_sampler_draws_as_a_scan_of_the_whole_pool_would(tmp_path):
     """Indexed once, the sampler makes the same draws and picks as the law
     stated over the whole pool: P uniform over C's other category members."""
-    pool = _static_pool(["a", "b", "a", "c", "b", "a", "b"])
+    pool = _static_pool(tmp_path / "pool", ["a", "b", "a", "c", "b", "a", "b"])
     sample, gen, oracle = static_sampler(pool), np.random.default_rng(3), np.random.default_rng(3)
     for _ in range(300):
         c = int(oracle.integers(0, len(pool)))
@@ -215,21 +221,24 @@ def test_static_sampler_draws_as_a_scan_of_the_whole_pool_would():
         assert gen.bit_generator.state == oracle.bit_generator.state
 
 
-def test_a_static_sample_decodes_only_its_own_three_records(monkeypatch):
-    """Indexing the pool decodes nothing, and a sample decodes its C, P and R."""
+def test_indexing_the_pool_reads_no_file_and_a_sample_reads_its_c_p_and_r_files(
+        tmp_path, monkeypatch):
+    """The sampler indexes the pool's categories without reading a file, and
+    each sample reads the image and mask files of its C, P and R once each."""
     import srrnet.data
-    decoded = []
-    for name in ("decode_frame", "decode_mask"):  # wrapped where StaticRecord looks them up
-        decode = getattr(srrnet.data, name)
-        monkeypatch.setattr(srrnet.data, name, lambda pixels, name=name, decode=decode:
-                            decoded.append(name) or decode(pixels))
-    pool = _static_pool(["a", "b", "a", "c", "b", "a", "b"] * 20)
+    reads = Counter()
+    for name in ("read_ppm", "read_pgm"):  # wrapped where the loaders look them up
+        read = getattr(srrnet.data, name)
+        monkeypatch.setattr(srrnet.data, name,
+                            lambda path, read=read: reads.update([path.name]) or read(path))
+    pool = _static_pool(tmp_path / "pool", ["a", "b", "a", "c", "b", "a", "b"] * 20)
+    reads.clear()
     sample, gen = static_sampler(pool), np.random.default_rng(5)
-    assert decoded == []
+    assert reads == Counter()
     for _ in range(10):
-        _static_sampled(sample(gen))
-        assert sorted(decoded) == ["decode_frame"] * 3 + ["decode_mask"] * 3
-        decoded.clear()
+        picked = _static_sampled(sample(gen))
+        assert reads == Counter(f"{i:05d}{ext}" for i in picked for ext in (".ppm", ".pgm"))
+        reads.clear()
 
 
 def test_static_sampler_empty_pool():
@@ -877,7 +886,6 @@ def test_training_gradients_equal_the_zero_filled_accumulator_bit_for_bit(attent
 
 
 def test_train_two_stages_and_artifacts(tmp_path):
-    from srrnet.data import load_static_pool
     from srrnet.synth import generate_static_pool
     pool_dir = generate_static_pool(3, 4, 32, tmp_path / "pool")
     pool = load_static_pool(pool_dir)
@@ -983,7 +991,7 @@ def test_train_checks_the_crop_of_loaded_data_without_decoding_it(tmp_path, monk
     image to float64 only to read its extent took 3.95 ms per 352x352 image,
     about 24 s for a 6,000-image pool."""
     import srrnet.data
-    from srrnet.data import load_static_pool, load_video_dataset
+    from srrnet.data import load_video_dataset
     from srrnet.synth import SynthParams, generate_sequence, generate_static_pool
     decodes = []
     decode = srrnet.data.decode_frame  # wrapped where the loaders look it up
