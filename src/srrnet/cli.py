@@ -11,7 +11,10 @@ format-1 and format-2 files are refused, naming their format). ``infer`` and
 ``trace-score`` take the model from the checkpoint and have no model flags;
 ``train --checkpoint`` takes it from the checkpoint too, and refuses a model
 flag that is given and disagrees. A checkpoint that cannot be read, corrupt
-members included, is an ``error:`` line with exit 1.
+members included, is an ``error:`` line with exit 1. ``infer`` and
+``trace-score`` write each frame's outputs and trace row as the pass reaches
+it; if frame k's score is not finite, they exit 1 naming frame k, with the
+outputs and rows of frames 0..k-1 written and nothing of frame k or later.
 """
 
 from __future__ import annotations
@@ -29,14 +32,7 @@ from .decoder import ERROR_TARGETS
 from .model import (FULL_SCALE_REFERENCE_PARAMS, PRESETS, SRRNet, build_model, load_model,
                     preset_config)
 from .nn import count_parameters
-from .pipeline import (
-    REFERENCE_MODES,
-    StepResult,
-    TrainSchedule,
-    infer_sequence,
-    train,
-    write_score_trace,
-)
+from .pipeline import REFERENCE_MODES, TrainSchedule, infer_sequence, train, write_score_trace
 from .pnm import write_error_map, write_mask
 from .synth import SynthParams, generate_sequence, generate_static_pool
 from .attention import ATTENTION_MODES
@@ -255,36 +251,34 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _infer_with_trace(args, trace_path, require_masks: bool
-                      ) -> tuple[SRRNet, list[StepResult], list[float] | None]:
-    """Run the checkpoint's model over ``--data`` once and write its score trace.
-
-    Also returns each frame's true MAE as the trace wrote it, ``None`` unless
-    every frame has a mask. A non-finite score is refused, naming its frame,
-    before anything is written.
-    """
+def _run_pass(args, trace_path: Path, outputs: Path | None = None) -> list:
+    """One pass of the checkpoint's model over ``--data``, written as it runs: each
+    frame's score is checked finite, then its mask and error map go into
+    ``outputs``, if given, and its row into the trace (``write_score_trace``)."""
     model = load_model(args.checkpoint)
-    record = load_sequence(args.data, require_masks=require_masks)
-    results = infer_sequence(model, record.frames,
-                             reference_mode=args.reference_mode, seed=args.seed)
-    for res in results:
+    record = load_sequence(args.data, require_masks=outputs is None)  # trace-score needs them
+    signed = model.config.decoder.error_target == "signed"
+
+    def written(res):
         if not math.isfinite(res.score):
             raise RuntimeError(f"non-finite score {res.score} at frame {res.frame_index}")
+        if outputs is not None:
+            write_mask(outputs / f"{res.frame_index:05d}.pgm", res.o_msk)
+            # a signed error in (-1, 1) is shifted to (0, 1), so its negative half survives
+            write_error_map(outputs / f"{res.frame_index:05d}_err.pgm",
+                            (res.o_err + 1.0) / 2.0 if signed else res.o_err)
+        return res
+
+    results = map(written, infer_sequence(model, record.frames,
+                                          reference_mode=args.reference_mode, seed=args.seed))
     gts = record.masks if len(record.masks) == len(record.frames) else None
-    Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
-    return model, results, write_score_trace(trace_path, results, gts)
+    trace_path.parent.mkdir(parents=True, exist_ok=True)
+    return write_score_trace(trace_path, results, gts)
 
 
 def _cmd_infer(args) -> int:
     out = Path(args.out)
-    model, results, _ = _infer_with_trace(args, out / "scores.csv", require_masks=False)
-    signed = model.config.decoder.error_target == "signed"
-    for res in results:
-        write_mask(out / f"{res.frame_index:05d}.pgm", res.o_msk)
-        # a signed error in (-1, 1) is shifted to (0, 1), so its negative half survives
-        write_error_map(out / f"{res.frame_index:05d}_err.pgm",
-                        (res.o_err + 1.0) / 2.0 if signed else res.o_err)
-    print(f"wrote {len(results)} masks to {out}")
+    print(f"wrote {len(_run_pass(args, out / 'scores.csv', outputs=out))} masks to {out}")
     return 0
 
 
@@ -301,11 +295,15 @@ def _cmd_eval(args) -> int:
 def _cmd_trace_score(args) -> int:
     from scipy import stats  # about 0.5 s to import; no other command needs it
 
-    _, results, maes = _infer_with_trace(args, args.out, require_masks=True)
+    scores, maes, updates = zip(*_run_pass(args, Path(args.out)))
     print(f"score trace: {args.out}")
-    print(f"reference updates: {sum(r.updated for r in results)} of {len(results)} frames")
-    rho = stats.spearmanr([r.score for r in results], maes).statistic
-    print(f"Spearman(score, true MAE): {rho:.4f}")
+    print(f"reference updates: {sum(updates)} of {len(scores)} frames")
+    undefined = ("fewer than two frames" if len(scores) < 2
+                 else "a constant score column" if len(set(scores)) == 1
+                 else "a constant true MAE column" if len(set(maes)) == 1
+                 else None)  # where spearmanr would read nan
+    rho = f"undefined ({undefined})" if undefined else f"{stats.spearmanr(scores, maes)[0]:.4f}"
+    print(f"Spearman(score, true MAE): {rho}")
     return 0
 
 

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -161,8 +161,8 @@ def _augment(trip: TrainTriplet, rng: np.random.Generator,
 
 @dataclass
 class StepResult:
-    """One frame's outputs. ``o_msk`` is bool, so a kept result costs one
-    byte a mask pixel plus its quarter-resolution float64 error map."""
+    """One frame's outputs: its bool mask, its quarter-resolution float64 error
+    map, its score, and the reference the session holds after it."""
 
     frame_index: int
     o_msk: np.ndarray       # 1 x H x W bool
@@ -246,38 +246,40 @@ class InferenceSession:
 
 
 def infer_sequence(model: SRRNet, frames: Sequence[np.ndarray],
-                   reference_mode: str = "scored", seed: int = 0) -> list[StepResult]:
-    """Run the session over an ordered frame source, one pass, no lookahead."""
+                   reference_mode: str = "scored", seed: int = 0) -> Iterator[StepResult]:
+    """Run the session over an ordered frame source, one pass, no lookahead.
+
+    An empty source is refused at the call. Then each result is yielded as the
+    session produces it, frame t read when result t is asked for; none is kept.
+    """
     if len(frames) == 0:
         raise ConfigurationError("empty sequence")
     session = InferenceSession(model, reference_mode=reference_mode, seed=seed)
-    results = []
-    for t in range(len(frames)):
-        frame = frames[t]
-        if t == 0:
-            session.start(frame)
-        results.append(session.step(frame))
-    return results
+    source = (frames[t] for t in range(len(frames)))  # indexed: no read past the last frame
+    return (session.step(frame) if t else session.start(frame).step(frame)
+            for t, frame in enumerate(source))
 
 
-def write_score_trace(path, results: Sequence[StepResult],
-                      gts: Optional[Sequence[np.ndarray]] = None) -> Optional[list[float]]:
+def write_score_trace(path, results: Iterable[StepResult],
+                      gts: Optional[Sequence[np.ndarray]] = None) -> list[tuple]:
     """CSV trace: frame_index, score, true_mae (blank without gt), updated, ref index.
 
-    Returns each frame's true MAE as written, in the order of ``results``, or
-    ``None`` without ground truth: each mask is read once for both.
+    One pass over any iterable of results: each row is written as its result
+    arrives, reading its frame's mask once. Returns each frame's ``(score,
+    true MAE as written, updated)``, the MAE ``None`` without ground truth.
     """
-    maes = None if gts is None else [
-        float(np.abs(res.o_msk - np.asarray(gts[res.frame_index], dtype=np.float64)).mean())
-        for res in results]
+    rows = []
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["frame_index", "score", "true_mae", "updated", "ref_frame_index"])
-        for i, res in enumerate(results):
-            true_mae = "" if maes is None else f"{maes[i]:.9f}"
-            writer.writerow([res.frame_index, f"{res.score:.9f}", true_mae,
+        for res in results:
+            mae = None if gts is None else float(np.abs(
+                res.o_msk - np.asarray(gts[res.frame_index], dtype=np.float64)).mean())
+            writer.writerow([res.frame_index, f"{res.score:.9f}",
+                             "" if mae is None else f"{mae:.9f}",
                              int(res.updated), res.ref_frame_index])
-    return maes
+            rows.append((res.score, mae, res.updated))
+    return rows
 
 
 # ---------------------------------------------------------------------------

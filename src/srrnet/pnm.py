@@ -58,7 +58,7 @@ def _read_pnm(path, expected_magic: bytes) -> np.ndarray:
     pos += 1  # single whitespace byte after maxval
     channels = 3 if expected_magic == b"P6" else 1
     expected = width * height * channels
-    payload = data[pos:pos + expected]
+    payload = memoryview(data)[pos:pos + expected]  # a view: the array below copies nothing
     if len(payload) != expected:
         raise PnmParseError(
             f"truncated payload: expected {expected} bytes, got {len(payload)}", pos + len(payload))

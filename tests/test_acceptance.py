@@ -120,8 +120,8 @@ def test_criterion_4_protocol_oracle():
         n = int(gen.integers(1, 101))
         # two-decimal quantization forces ties, exercising the earliest-minimum rule
         scores = [float(s) for s in np.round(gen.random(n), 2)]
-        results = infer_sequence(StubModel(scores=scores), [frame] * n,
-                                 reference_mode="scored")
+        results = list(infer_sequence(StubModel(scores=scores), [frame] * n,
+                                      reference_mode="scored"))
         if [r.ref_frame_index for r in results] != prefix_argmin(scores):
             ok = False
             break
@@ -215,7 +215,7 @@ def test_criterion_6_overfit_and_score_trend(tmp_path):
     reached = next((i for i, b in enumerate(bces) if b < 0.05), None)
 
     # held-out continuation: frames 16-31 of the same generated sequence
-    results = infer_sequence(model, frames[16:], reference_mode="scored", seed=0)
+    results = list(infer_sequence(model, frames[16:], reference_mode="scored", seed=0))
     scores = [r.score for r in results]
     maes = [float(np.abs(r.o_msk - masks[16 + i]).mean())
             for i, r in enumerate(results)]
@@ -271,7 +271,7 @@ def test_criterion_8_single_pass_causality(desk_model):
     from test_pipeline import CausalFrames
     frames, _ = generate_arrays(SynthParams(seed=1, frames=4, size=32))
     source = CausalFrames(frames)
-    results = infer_sequence(desk_model, source, reference_mode="scored")
+    results = list(infer_sequence(desk_model, source, reference_mode="scored"))
     ok = len(results) == 4 and max(source.accesses) <= 3
     _verdict(8, ok, "instrumented frame source: infer_sequence never requested "
                     f"a future frame (access order {source.accesses})")
@@ -331,11 +331,11 @@ def test_criterion_10_ablation_configurations():
     per_mode = {}
     for mode in REFERENCE_MODES:
         stub = StubModel(scores=[0.5, 0.2, 0.8, 0.9])
-        infer_sequence(stub, frames, reference_mode=mode, seed=3)
+        list(infer_sequence(stub, frames, reference_mode=mode, seed=3))
         per_mode[mode] = [t.r_in.data[0, :3].copy() for t in stub.triplets]
     # off: reference always duplicates the previous frame
     stub = StubModel(scores=[0.5, 0.2, 0.8, 0.9])
-    infer_sequence(stub, frames, reference_mode="off", seed=3)
+    list(infer_sequence(stub, frames, reference_mode="off", seed=3))
     ok &= all(np.array_equal(t.r_in.data, t.p_in.data) for t in stub.triplets)
     # scored: steps 2 and 3 carry frame 1 (the running best, score 0.2)
     ok &= np.array_equal(per_mode["scored"][2], frames[1])

@@ -230,9 +230,9 @@ def _unfused_softmax(q, k, v, heads):
 def test_sessions_match_the_unfused_softmax(monkeypatch, preset, reference_mode, frames):
     model = build_model(preset, seed=0)
     sequence, _ = generate_arrays(SynthParams(seed=4, frames=frames, size=64))
-    fused = infer_sequence(model, sequence, reference_mode=reference_mode, seed=3)
+    fused = list(infer_sequence(model, sequence, reference_mode=reference_mode, seed=3))
     monkeypatch.setattr(T, "softmax", _unfused_softmax)
-    unfused = infer_sequence(model, sequence, reference_mode=reference_mode, seed=3)
+    unfused = list(infer_sequence(model, sequence, reference_mode=reference_mode, seed=3))
     assert [r.ref_frame_index for r in fused] == [r.ref_frame_index for r in unfused]
     for mine, ref in zip(fused, unfused):
         np.testing.assert_array_equal(mine.o_msk, ref.o_msk)

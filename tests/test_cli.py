@@ -3,6 +3,7 @@
 import csv
 import json
 import shutil
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -85,7 +86,17 @@ def test_train_refuses_to_save_non_finite_weights(workspace, capsys):
 @pytest.mark.parametrize("command", ["infer", "trace-score"])
 def test_a_non_finite_score_exits_1_naming_the_frame(workspace, tmp_path, monkeypatch, capsys,
                                                      command):
+    """A NaN score at frame 2 exits 1 naming it. Frames 0 and 1's outputs and
+    trace rows are written as a run that does not fail writes them, and
+    nothing of frame 2 or later is."""
     import srrnet.decoder as decoder
+    argv = [command, "--data", str(workspace / "video" / "seq0"),
+            "--checkpoint", str(workspace / "run" / "checkpoint.npz"), "--out"]
+    clean, failed = tmp_path / "clean", tmp_path / "failed"
+    # infer writes into a directory; trace-score writes the CSV it is given
+    out = (lambda d: d) if command == "infer" else (lambda d: d / "scores.csv")
+    assert run_cli(*argv, str(out(clean))) == 0
+    capsys.readouterr()
     real = decoder.mae_score
     calls = []
 
@@ -94,11 +105,16 @@ def test_a_non_finite_score_exits_1_naming_the_frame(workspace, tmp_path, monkey
         return Tensor(np.nan) if len(calls) == 3 else real(o_err)
 
     monkeypatch.setattr(decoder, "mae_score", nan_on_third)
-    assert run_cli(command, "--data", str(workspace / "video" / "seq0"),
-                   "--checkpoint", str(workspace / "run" / "checkpoint.npz"),
-                   "--out", str(tmp_path / "out")) == 1
-    assert "non-finite score nan at frame 2" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    assert run_cli(*argv, str(out(failed))) == 1
+    assert capsys.readouterr().err == "error: non-finite score nan at frame 2\n"
+    clean_rows = (clean / "scores.csv").read_text().splitlines()
+    assert len(clean_rows) == 5
+    assert (failed / "scores.csv").read_text().splitlines() == clean_rows[:3]
+    outputs = ({f"{t:05d}{suffix}.pgm" for t in (0, 1) for suffix in ("", "_err")}
+               if command == "infer" else set())
+    assert {p.name for p in failed.iterdir()} == {"scores.csv"} | outputs
+    for name in outputs:
+        assert (failed / name).read_bytes() == (clean / name).read_bytes()
 
 
 def test_a_directory_as_the_checkpoint_exits_1_with_an_error_line(workspace, tmp_path, capsys):
@@ -141,32 +157,42 @@ print(peak_bytes())
 """
 
 
-@needs_proc
-def test_infer_peak_grows_by_a_few_bytes_a_pixel_per_frame(workspace, tmp_path):
-    """``infer`` keeps a loaded sequence's file paths, and reads each frame
-    and mask from its file when the pass reaches it.
-
-    Between an N-frame and a 2N-frame 128x128 sequence the child's peak
-    resident size grows by 0.8 to 1.7 bytes a pixel per extra frame, mostly
-    the kept results' bool mask and quarter-resolution error map. Holding
-    every frame at 8 bits a channel and every mask at one byte grew it by
-    5.4, and holding them as float64 by about 44. At N = 40 or 80 the
-    allocator's steps of a few MB spread the figure over 0.4 to 5.
-    """
-    n, size = 160, 128
-    long = tmp_path / "long"
-    assert run_cli("synth", "--out", str(long), "--frames", str(2 * n), "--size", str(size),
+@pytest.fixture(scope="module")
+def short_and_long(tmp_path_factory):
+    """A 128-frame 64x64 sequence, and a copy of its first 64 frames and masks."""
+    root = tmp_path_factory.mktemp("lengths")
+    assert run_cli("synth", "--out", str(root / "long"), "--frames", "128", "--size", "64",
                    "--seed", "3") == 0
-    short = tmp_path / "short"
-    short.mkdir()
-    for path in sorted(long.iterdir())[:2 * n]:  # the first n frames and their masks
-        shutil.copy(path, short)
-    peaks = [int(run_peak_probe(CLI_PEAK, "infer", "--data", seq,
-                                "--checkpoint", workspace / "run" / "checkpoint.npz",
-                                "--out", tmp_path / f"out_{seq.name}").split()[-1])
-             for seq in (short, long)]
-    per_pixel = (peaks[1] - peaks[0]) / (n * size * size)
-    assert per_pixel < 3, (peaks, per_pixel)
+    (root / "short").mkdir()
+    for path in sorted((root / "long").iterdir())[:128]:
+        shutil.copy(path, root / "short")
+    return root / "short", root / "long"
+
+
+@pytest.mark.parametrize("mode", ["scored", "off"])
+def test_infer_peak_is_flat_in_the_sequence_length(workspace, short_and_long, tmp_path, mode):
+    """``infer`` writes each frame's outputs as the pass reaches it and keeps
+    no result, so its traced peak does not grow with the sequence.
+
+    From 64 to 128 frames at 64x64, the ``tracemalloc`` peak of ``cli.main``
+    grew by 0.15 (``scored``) and 0.17 (``off``) bytes a pixel per extra
+    frame: the loaded sequence's file paths and the trace's rows. Keeping
+    every ``StepResult`` until the pass ended (its bool mask and
+    quarter-resolution float64 error map) grew it by 1.79 and 1.83.
+    ``random`` still grows by ~25 (ROADMAP item 4).
+    """
+    peaks = []
+    for seq in short_and_long:
+        tracemalloc.start()
+        try:
+            assert run_cli("infer", "--data", str(seq), "--reference-mode", mode,
+                           "--checkpoint", str(workspace / "run" / "checkpoint.npz"),
+                           "--out", str(tmp_path / seq.name)) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_pixel = (peaks[1] - peaks[0]) / (64 * 64 * 64)
+    assert per_pixel < 0.5, (peaks, per_pixel)
 
 
 TRAIN_PEAK = """
@@ -264,6 +290,37 @@ def test_trace_score(workspace, capsys):
     assert f"Spearman(score, true MAE): {rho.statistic:.4f}" in printed
 
 
+def test_trace_score_calls_the_correlation_of_one_frame_undefined(workspace, tmp_path, capsys):
+    seq = tmp_path / "one"
+    assert run_cli("synth", "--out", str(seq), "--frames", "1", "--size", "32") == 0
+    trace = tmp_path / "trace.csv"
+    assert run_cli("trace-score", "--data", str(seq), "--out", str(trace),
+                   "--checkpoint", str(workspace / "run" / "checkpoint.npz")) == 0
+    assert len(trace.read_text().splitlines()) == 2
+    assert ("Spearman(score, true MAE): undefined (fewer than two frames)"
+            in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("column", ["score", "true MAE"])
+def test_trace_score_calls_the_correlation_of_a_constant_column_undefined(
+        workspace, tmp_path, monkeypatch, capsys, column):
+    import srrnet.cli
+    import srrnet.decoder as decoder
+    if column == "score":
+        monkeypatch.setattr(decoder, "mae_score", lambda o_err: Tensor(0.25))
+    else:  # the trace as written, its rows returned with one MAE
+        real = srrnet.cli.write_score_trace
+        monkeypatch.setattr(srrnet.cli, "write_score_trace", lambda *args: [
+            (score, 0.5, updated) for score, _, updated in real(*args)])
+    trace = tmp_path / "trace.csv"
+    assert run_cli("trace-score", "--data", str(workspace / "video" / "seq0"),
+                   "--checkpoint", str(workspace / "run" / "checkpoint.npz"),
+                   "--out", str(trace)) == 0
+    assert len(trace.read_text().splitlines()) == 5
+    assert (f"Spearman(score, true MAE): undefined (a constant {column} column)"
+            in capsys.readouterr().out.splitlines())
+
+
 def test_trace_score_reads_each_mask_once_for_the_check_and_once_for_the_trace(
         workspace, monkeypatch, tmp_path):
     """The CSV's true MAEs are the ones the Spearman is taken over, so no mask
@@ -303,7 +360,7 @@ def test_trace_score_takes_the_model_from_the_checkpoint(workspace, full_signed_
     load_checkpoint(full_signed_run, model)
     record = load_sequence(seq, require_masks=True)
     expected = tmp_path / "expected.csv"
-    write_score_trace(expected, infer_sequence(model, record.frames, seed=0), record.masks)
+    write_score_trace(expected, list(infer_sequence(model, record.frames, seed=0)), record.masks)
     assert trace.read_bytes() == expected.read_bytes()
     with open(trace) as f:
         scores = [float(r["score"]) for r in csv.DictReader(f)]
@@ -317,7 +374,8 @@ def test_infer_writes_a_signed_error_map_shifted_to_keep_its_sign(workspace, ful
     out = tmp_path / "pred"
     assert run_cli("infer", "--data", str(seq), "--checkpoint", str(full_signed_run),
                    "--out", str(out), "--seed", "0") == 0
-    results = infer_sequence(load_model(full_signed_run), load_sequence(seq).frames, seed=0)
+    results = list(infer_sequence(load_model(full_signed_run), load_sequence(seq).frames,
+                                  seed=0))
     below = 0
     for res in results:
         written = read_pgm(out / f"{res.frame_index:05d}_err.pgm")

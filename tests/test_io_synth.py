@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -132,8 +133,9 @@ def test_parse_errors_carry_byte_offsets(tmp_path):
 
     truncated = tmp_path / "short.pgm"
     truncated.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
-    with pytest.raises(PnmParseError, match="truncated"):
+    with pytest.raises(PnmParseError, match="truncated") as exc:
         read_pgm(truncated)
+    assert str(exc.value) == "truncated payload: expected 16 bytes, got 3 (byte offset 14)"
 
     non_numeric = tmp_path / "weird.pgm"
     non_numeric.write_bytes(b"P5\nxx 4\n255\n")
@@ -144,6 +146,25 @@ def test_parse_errors_carry_byte_offsets(tmp_path):
     bad_maxval.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(PnmParseError, match="maxval"):
         read_pgm(bad_maxval)
+
+
+@pytest.mark.parametrize("read, write, shape", [(read_ppm, write_ppm, (352, 352, 3)),
+                                                (read_pgm, write_pgm, (352, 352))])
+def test_a_read_holds_the_file_once(tmp_path, rng, read, write, shape):
+    """The array views the payload inside the file's bytes, so a read's traced
+    peak is the file's size plus a little: slicing the payload out first
+    peaked at twice the size (743,853 bytes for a 371,727-byte 352x352 PPM)."""
+    path = tmp_path / "image"
+    image = rng.integers(0, 256, shape, dtype=np.uint8)
+    write(path, image)
+    tracemalloc.start()
+    try:
+        pixels = read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(pixels, image)
+    assert peak < 1.1 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 def test_write_shape_validation(tmp_path):

@@ -374,8 +374,8 @@ def test_session_reference_matches_prefix_argmin_oracle():
         # quantized scores in [0, 1] force ties to exercise the earliest-minimum
         # rule; the session seeds at score 1.0 on frame 0, beaten only by strict <
         scores = [float(s) for s in np.round(gen.random(n), 1)]
-        results = infer_sequence(StubModel(scores=scores), [np.zeros((3, 32, 32))] * n,
-                                 reference_mode="scored")
+        results = list(infer_sequence(StubModel(scores=scores), [np.zeros((3, 32, 32))] * n,
+                                      reference_mode="scored"))
         trace = [r.ref_frame_index for r in results]
         assert trace == prefix_argmin(scores)
         assert [r.updated for r in results] == [
@@ -385,7 +385,7 @@ def test_session_reference_matches_prefix_argmin_oracle():
 def test_session_scores_drive_reference_memory():
     scores = [0.5, 0.7, 0.3, 0.3, 0.2, 0.9]
     model = StubModel(scores=scores)
-    results = infer_sequence(model, _frames(6), reference_mode="scored")
+    results = list(infer_sequence(model, _frames(6), reference_mode="scored"))
     assert [r.score for r in results] == pytest.approx(scores)
     assert [r.updated for r in results] == [True, False, True, False, True, False]
     assert [r.ref_frame_index for r in results] == [0, 0, 2, 2, 4, 4]
@@ -398,7 +398,7 @@ def test_session_adopts_the_frame_with_the_lower_absolute_error():
     halves = np.where(np.arange(8) < 4, 1.0, 0.0)[None, :]
     maps = [0.8 * halves - 0.4 * (1 - halves), np.full((8, 8), 0.2),
             0.2 * halves - 0.9 * (1 - halves)]
-    results = infer_sequence(StubModel(scores=maps), _frames(3), reference_mode="scored")
+    results = list(infer_sequence(StubModel(scores=maps), _frames(3), reference_mode="scored"))
     assert [r.score for r in results] == pytest.approx([0.6, 0.2, 0.55])
     assert [r.ref_frame_index for r in results] == [0, 1, 1]
 
@@ -406,7 +406,7 @@ def test_session_adopts_the_frame_with_the_lower_absolute_error():
 def test_session_reference_mode_off_duplicates_previous():
     model = StubModel(scores=[0.5, 0.4, 0.3, 0.2])
     frames = _frames(4)
-    infer_sequence(model, frames, reference_mode="off")
+    list(infer_sequence(model, frames, reference_mode="off"))
     for t, trip in enumerate(model.triplets):
         np.testing.assert_array_equal(trip.r_in.data, trip.p_in.data)
         np.testing.assert_array_equal(trip.c_img.data[0], frames[t])
@@ -415,18 +415,18 @@ def test_session_reference_mode_off_duplicates_previous():
 def test_session_reuses_its_inputs_without_rebuilding_them():
     """Each input is built once: an unchanged reference, and off mode's R, are P's buffer."""
     model = StubModel(scores=[1.0] * 5)  # never below the initial score: R stays frame 0
-    infer_sequence(model, _frames(5), reference_mode="scored")
+    list(infer_sequence(model, _frames(5), reference_mode="scored"))
     first = model.triplets[0].r_in.data
     assert all(np.shares_memory(trip.r_in.data, first) for trip in model.triplets)
     model = StubModel(scores=[0.5, 0.4, 0.3, 0.2])
-    infer_sequence(model, _frames(4), reference_mode="off")
+    list(infer_sequence(model, _frames(4), reference_mode="off"))
     assert all(np.shares_memory(trip.r_in.data, trip.p_in.data) for trip in model.triplets)
 
 
 def test_session_scored_mode_feeds_best_frame():
     model = StubModel(scores=[0.5, 0.2, 0.8, 0.9])
     frames = _frames(4)
-    infer_sequence(model, frames, reference_mode="scored")
+    list(infer_sequence(model, frames, reference_mode="scored"))
     # step 2 and 3 should carry frame 1 (score 0.2) as the reference image
     np.testing.assert_array_equal(model.triplets[2].r_in.data[0, :3], frames[1])
     np.testing.assert_array_equal(model.triplets[3].r_in.data[0, :3], frames[1])
@@ -438,7 +438,7 @@ def test_session_scored_mode_feeds_best_frame():
 def test_session_random_mode_draws_from_history():
     model = StubModel()
     frames = _frames(10)
-    infer_sequence(model, frames, reference_mode="random", seed=5)
+    list(infer_sequence(model, frames, reference_mode="random", seed=5))
     stacked = np.stack(frames)
     for t, trip in enumerate(model.triplets[1:], start=1):
         r_img = trip.r_in.data[0, :3]
@@ -515,7 +515,7 @@ def slot_frames():
 def test_cached_session_matches_uncached_model(slot_frames, reference_mode, attention_mode):
     model = build_model("desk", attention_mode=attention_mode, seed=0)
     recorder = RecordingModel(model, SLOT_SCORES)
-    results = infer_sequence(recorder, slot_frames, reference_mode=reference_mode, seed=3)
+    results = list(infer_sequence(recorder, slot_frames, reference_mode=reference_mode, seed=3))
     assert len(results) == len(recorder.inputs) == len(slot_frames)
     previous_r = None
     for res, score, (c, p, r) in zip(results, recorder.model_scores, recorder.inputs):
@@ -542,7 +542,7 @@ def test_bool_masks_build_the_inputs_and_loss_float_masks_build(slot_frames, des
     """A step's bool mask enters the next P and R inputs and the error target as
     exactly 0.0 and 1.0, so they are bitwise what a float64 mask builds."""
     recorder = RecordingModel(build_model("desk", seed=0), SLOT_SCORES)
-    results = infer_sequence(recorder, slot_frames, reference_mode="random", seed=3)
+    results = list(infer_sequence(recorder, slot_frames, reference_mode="random", seed=3))
     h, w = slot_frames[0].shape[1:]
     built = [np.concatenate([slot_frames[0], np.zeros((1, h, w))])[None].tobytes()]
     for t, (res, (_, p_in, r_in)) in enumerate(zip(results, recorder.inputs)):
@@ -586,7 +586,7 @@ def _count_refills(monkeypatch):
 def test_reference_encoded_once_per_reference_change(monkeypatch, slot_frames, reference_mode):
     calls = _count_refills(monkeypatch)
     recorder = RecordingModel(build_model("desk", seed=0), SLOT_SCORES)
-    results = infer_sequence(recorder, slot_frames, reference_mode=reference_mode)
+    results = list(infer_sequence(recorder, slot_frames, reference_mode=reference_mode))
     r_ins = [r for _, _, r in recorder.inputs]
     changes = sum(not np.array_equal(a, b) for a, b in zip(r_ins, r_ins[1:]))
     assert len(calls) == 1 + changes
@@ -804,9 +804,15 @@ class CausalFrames:
 
 
 def test_single_pass_causality_with_stub():
+    """The pass is lazy: after k results are taken, frames 0..k-1 and no
+    other have been read, and none before the first result is asked for."""
     source = CausalFrames(_frames(12))
     results = infer_sequence(StubModel(), source)
-    assert len(results) == 12
+    assert source.accesses == []
+    for k in range(1, 13):
+        assert next(results).frame_index == k - 1
+        assert source.accesses == list(range(k))
+    assert next(results, None) is None
     assert source.accesses == list(range(12))
 
 
@@ -814,7 +820,7 @@ def test_write_score_trace_csv(tmp_path):
     model = StubModel(scores=[0.5, 0.25])
     frames = _frames(2)
     gts = [np.zeros((1, 32, 32)), np.ones((1, 32, 32))]
-    results = infer_sequence(model, frames)
+    results = list(infer_sequence(model, frames))
     path = tmp_path / "scores.csv"
     write_score_trace(path, results, gts)
     with open(path) as f:
@@ -823,6 +829,26 @@ def test_write_score_trace_csv(tmp_path):
     assert rows[1][0] == "0" and float(rows[1][1]) == 0.5
     assert float(rows[1][2]) == 0.0 and float(rows[2][2]) == 1.0
     assert rows[1][3] == "1" and rows[2][4] == "1"
+    assert write_score_trace(path, results, gts) == [(0.5, 0.0, True), (0.25, 1.0, True)]
+    assert write_score_trace(path, results) == [(0.5, None, True), (0.25, None, True)]
+
+
+def test_write_score_trace_writes_each_row_as_its_result_arrives(tmp_path):
+    """One pass over any iterable, each mask read as its row is written: a
+    source that fails at result k leaves the header and rows 0..k-1."""
+    results = list(infer_sequence(StubModel(scores=[0.5, 0.25, 0.125]), _frames(3)))
+
+    def failing_at_2():
+        yield from results[:2]
+        raise RuntimeError("step 2 failed")
+
+    path = tmp_path / "scores.csv"
+    with pytest.raises(RuntimeError, match="step 2 failed"):
+        write_score_trace(path, failing_at_2(), [np.zeros((1, 32, 32))] * 3)
+    with open(path) as f:
+        rows = list(csv.reader(f))
+    assert [row[0] for row in rows] == ["frame_index", "0", "1"]
+    assert all(row[2] != "" for row in rows[1:])
 
 
 # ---------------------------------------------------------------------------
