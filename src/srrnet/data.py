@@ -75,18 +75,13 @@ class SequenceRecord:
 
     The loaders fill both with ``DecodedImages``, which read each file on
     access. Any sequence of arrays, such as a list, works too. ``extent`` is
-    the (H, W) every frame shares; a loader sets it from the files, and a
-    record built from arrays takes its first frame's.
+    the (H, W) every frame shares.
     """
 
     name: str
     frames: Sequence[np.ndarray]   # each 3 x H x W float64 in [0, 1]
     masks: Sequence[np.ndarray]    # each 1 x H x W float64 in {0, 1}; may be empty for unlabeled
-    extent: Optional[tuple[int, int]] = None
-
-    def __post_init__(self):
-        if self.extent is None:
-            self.extent = tuple(self.frames[0].shape[-2:])
+    extent: tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)

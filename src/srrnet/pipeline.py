@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import metrics
 from . import tensor as T
 from .backbone import FrameTriplet, check_extent
 from .data import SequenceRecord, StaticRecord
@@ -262,7 +263,8 @@ def infer_sequence(model: SRRNet, frames: Sequence[np.ndarray],
 
 def write_score_trace(path, results: Iterable[StepResult],
                       gts: Optional[Sequence[np.ndarray]] = None) -> list[tuple]:
-    """CSV trace: frame_index, score, true_mae (blank without gt), updated, ref index.
+    """CSV trace: frame_index, score, true_mae (``metrics.mae``, blank without gt),
+    updated, ref index.
 
     One pass over any iterable of results: each row is written as its result
     arrives, reading its frame's mask once. Returns each frame's ``(score,
@@ -273,8 +275,7 @@ def write_score_trace(path, results: Iterable[StepResult],
         writer = csv.writer(f)
         writer.writerow(["frame_index", "score", "true_mae", "updated", "ref_frame_index"])
         for res in results:
-            mae = None if gts is None else float(np.abs(
-                res.o_msk - np.asarray(gts[res.frame_index], dtype=np.float64)).mean())
+            mae = None if gts is None else metrics.mae(res.o_msk, gts[res.frame_index])
             writer.writerow([res.frame_index, f"{res.score:.9f}",
                              "" if mae is None else f"{mae:.9f}",
                              int(res.updated), res.ref_frame_index])

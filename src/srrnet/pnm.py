@@ -10,6 +10,7 @@ positive) reads below it. Parse failures report the byte offset.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,24 +22,17 @@ class PnmParseError(ValueError):
         self.offset = offset
 
 
+_SKIP = re.compile(rb"(?:\s|#[^\n]*)*")  # whitespace, and '#' comments to the end of their line
+_TOKEN = re.compile(rb"\S*")
+
+
 def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Read one whitespace-delimited header token, skipping '#' comments."""
-    n = len(data)
-    while pos < n:
-        ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < n and data[pos:pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
+    pos = _SKIP.match(data, pos).end()
+    if pos >= len(data):
         raise PnmParseError("unexpected end of header", pos)
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace():
-        pos += 1
-    return data[start:pos], pos
+    end = _TOKEN.match(data, pos).end()
+    return data[pos:end], end
 
 
 def _read_pnm(path, expected_magic: bytes) -> np.ndarray:
@@ -55,7 +49,9 @@ def _read_pnm(path, expected_magic: bytes) -> np.ndarray:
     width, height, maxval = fields
     if maxval != 255:
         raise PnmParseError(f"unsupported maxval {maxval}", pos)
-    pos += 1  # single whitespace byte after maxval
+    if pos >= len(data):  # maxval is followed by a single whitespace byte
+        raise PnmParseError("unexpected end of header", pos)
+    pos += 1
     channels = 3 if expected_magic == b"P6" else 1
     expected = width * height * channels
     payload = memoryview(data)[pos:pos + expected]  # a view: the array below copies nothing

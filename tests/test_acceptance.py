@@ -206,7 +206,7 @@ def test_criterion_6_overfit_and_score_trend(tmp_path):
     t0 = time.time()
     frames, masks = generate_arrays(SynthParams(seed=DATA_SEED, frames=32, size=64,
                                                 contrast=0.35, occlusion_prob=0.5))
-    seq = SequenceRecord(name="train", frames=frames[:16], masks=masks[:16])
+    seq = SequenceRecord(name="train", frames=frames[:16], masks=masks[:16], extent=(64, 64))
     model = build_model("desk", seed=MODEL_SEED)
     schedule = TrainSchedule(video_iterations=ITERATIONS, video_lr=LEARNING_RATE,
                              mask_dropout=MASK_DROPOUT, flip=False, seed=TRAIN_RNG_SEED)

@@ -19,8 +19,9 @@ from srrnet.pipeline import infer_sequence
 from srrnet.synth import SynthParams, generate_arrays
 from srrnet.tensor import ConfigurationError, ShapeMismatchError, Tensor
 
-from keep_split_heads import split_heads_attention
+from keep_every_tile import split_heads_attention
 from test_backbone import make_triplet
+from test_tensor import _softmax_oracle
 
 
 def _naive_attention(q, k, v, heads):
@@ -211,18 +212,9 @@ def test_desk128_score_blocks_fit_the_budget_and_cover_every_score(monkeypatch, 
 
 
 def _unfused_softmax(q, k, v, heads):
-    """The oracle for ``T.softmax(q, k, v, heads)``: scale, split, score, normalize, then
-    multiply, off the tape."""
-    batch, n_q, channels = q.shape
-
-    def split(x):
-        return x.reshape(batch, x.shape[1], heads, -1).transpose(0, 2, 1, 3)
-
-    scores = np.matmul(split(q.data * (1.0 / math.sqrt(channels // heads))),
-                       np.swapaxes(split(k.data), -1, -2))
-    y = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    out = np.matmul(y / y.sum(axis=-1, keepdims=True), split(v.data))
-    return Tensor(out.transpose(0, 2, 1, 3).reshape(batch, n_q, -1))
+    """The oracle for ``T.softmax(q, k, v, heads)``: ``test_tensor``'s dense chain, off the tape."""
+    w = np.zeros(q.shape[:2] + v.shape[2:])
+    return Tensor(_softmax_oracle(q.data, k.data, v.data, w, heads)[0])
 
 
 @pytest.mark.parametrize("preset, reference_mode, frames",

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from srrnet.data import (DatasetError, load_sequence, load_static_pool, load_video_dataset,
                          sequence_dirs)
+from srrnet import pnm
 from srrnet.pnm import (
     PnmParseError,
     decode_frame,
@@ -35,6 +36,7 @@ from srrnet.synth import (
 from srrnet.tensor import ConfigurationError
 
 from conftest import needs_proc, run_peak_probe
+from keep_byte_loop import read_header_token_by_byte
 
 
 # ---------------------------------------------------------------------------
@@ -90,38 +92,77 @@ def test_header_comments_are_skipped(tmp_path):
 
 _extent = st.integers(1, 48)
 _comment = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+WHITESPACE = [bytes([c]) for c in range(256) if bytes([c]).isspace()]
+_whitespace = st.sampled_from(WHITESPACE)
+# whitespace, then any mix of whitespace bytes and '#' comment lines
+_gap = st.tuples(_whitespace, st.lists(
+    st.one_of(_whitespace, _comment.map(lambda text: b"#" + text.encode("ascii") + b"\n")),
+    max_size=4)).map(lambda parts: parts[0] + b"".join(parts[1]))
+_gaps = st.lists(_gap, min_size=3, max_size=3)
 
 
-def _with_comments(raw: bytes, comments: list[str]) -> bytes:
-    """Put a '#' comment line after the magic and after each of width and height."""
+def _with_gaps(raw: bytes, gaps: list[bytes], end: bytes) -> bytes:
+    """Put ``gaps`` after the magic, width and height, and the byte ``end`` after maxval."""
     magic, width, height, rest = raw.split(maxsplit=3)
-    lines = [magic, width, height]
-    for i, text in enumerate(comments):
-        lines[i] += b"\n#" + text.encode("ascii")
-    return b"\n".join(lines) + b"\n" + rest
+    maxval, payload = rest[:3], rest[4:]
+    return magic + gaps[0] + width + gaps[1] + height + gaps[2] + maxval + end + payload
 
 
-@given(image=hnp.arrays(np.uint8, st.tuples(_extent, _extent)),
-       comments=st.lists(_comment, max_size=3))
-def test_pgm_round_trips_any_payload(image, comments):
+def test_the_header_scanner_reads_the_six_whitespace_bytes_as_whitespace():
+    """``bytes.isspace`` and the scanner's regex ``\\s`` agree on every byte."""
+    assert WHITESPACE == [b"\t", b"\n", b"\x0b", b"\x0c", b"\r", b" "]
+    for c in range(256):
+        byte = bytes([c])
+        assert (pnm._SKIP.match(byte).end() == 1) == (byte.isspace() or byte == b"#")
+        assert (pnm._TOKEN.match(byte).end() == 1) == (not byte.isspace())
+
+
+def _scan(read_token, data: bytes, pos: int):
+    try:
+        return read_token(data, pos)
+    except PnmParseError as exc:
+        return str(exc), exc.offset
+
+
+@given(data=st.lists(st.sampled_from(WHITESPACE + [b"#", b"0", b"7", b"x", b"\x00", b"\xff"]),
+                     max_size=12).map(b"".join), at=st.integers(0, 12))
+def test_the_header_scanner_reads_as_the_byte_loop(data, at):
+    pos = min(at, len(data))
+    assert _scan(pnm._read_header_token, data, pos) == _scan(read_header_token_by_byte, data, pos)
+
+
+@given(image=hnp.arrays(np.uint8, st.tuples(_extent, _extent)), gaps=_gaps, end=_whitespace)
+def test_pgm_round_trips_any_payload(image, gaps, end):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.pgm"
         write_pgm(path, image)
         np.testing.assert_array_equal(read_pgm(path), image)
-        path.write_bytes(_with_comments(path.read_bytes(), comments))
+        path.write_bytes(_with_gaps(path.read_bytes(), gaps, end))
         np.testing.assert_array_equal(read_pgm(path), image)
 
 
-@given(image=hnp.arrays(np.uint8, st.tuples(_extent, _extent, st.just(3))),
-       comments=st.lists(_comment, max_size=3))
-def test_frame_round_trips_any_payload(image, comments):
+@given(image=hnp.arrays(np.uint8, st.tuples(_extent, _extent, st.just(3))), gaps=_gaps,
+       end=_whitespace)
+def test_frame_round_trips_any_payload(image, gaps, end):
     frame = image.transpose(2, 0, 1) / 255.0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.ppm"
         write_frame(path, frame)
         np.testing.assert_array_equal(read_ppm(path), image)
-        path.write_bytes(_with_comments(path.read_bytes(), comments))
+        path.write_bytes(_with_gaps(path.read_bytes(), gaps, end))
         np.testing.assert_array_equal(decode_frame(read_ppm(path)), frame)
+
+
+@given(width=_extent, height=_extent, gaps=_gaps, end=_whitespace)
+def test_a_file_cut_in_its_header_is_refused_at_an_offset_within_it(width, height, gaps, end):
+    header = _with_gaps(b"P5\n%d %d\n255\n" % (width, height), gaps, end)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.pgm"
+        for cut in range(len(header) + 1):
+            path.write_bytes(header[:cut])
+            with pytest.raises(PnmParseError) as exc:
+                read_pgm(path)
+            assert exc.value.offset <= cut, header[:cut]
 
 
 def test_parse_errors_carry_byte_offsets(tmp_path):
@@ -146,6 +187,13 @@ def test_parse_errors_carry_byte_offsets(tmp_path):
     bad_maxval.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(PnmParseError, match="maxval"):
         read_pgm(bad_maxval)
+
+    ends_at_maxval = tmp_path / "end.pgm"
+    for header in (b"P5\n2 2\n255", b"P5\n0 0\n255"):  # no whitespace byte after maxval
+        ends_at_maxval.write_bytes(header)
+        with pytest.raises(PnmParseError) as exc:
+            read_pgm(ends_at_maxval)
+        assert str(exc.value) == "unexpected end of header (byte offset 10)"
 
 
 @pytest.mark.parametrize("read, write, shape", [(read_ppm, write_ppm, (352, 352, 3)),

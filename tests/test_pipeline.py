@@ -139,7 +139,8 @@ def test_gamma_zero_matches_mask_only_gradients(desk_model, rng):
 def _video_record(n=6, size=32):
     """Frame t is filled with t and its mask with t + 0.5, so a sample shows its frames."""
     return SequenceRecord(name="seq", frames=[np.full((3, size, size), float(t)) for t in range(n)],
-                          masks=[np.full((1, size, size), t + 0.5) for t in range(n)])
+                          masks=[np.full((1, size, size), t + 0.5) for t in range(n)],
+                          extent=(size, size))
 
 
 def _sampled(trip):
@@ -666,7 +667,8 @@ def _load_other_weights(model, frames, tmp_path):
 
 
 def _train_one_step(model, frames, tmp_path):
-    sequence = SequenceRecord(name="two", frames=frames[:2], masks=[np.zeros((1, 64, 64))] * 2)
+    sequence = SequenceRecord(name="two", frames=frames[:2], masks=[np.zeros((1, 64, 64))] * 2,
+                              extent=(64, 64))
     train(model, TrainSchedule(video_iterations=1, video_lr=1e-2), tmp_path,
           video_sequences=[sequence])
 
@@ -859,7 +861,7 @@ def _tiny_sequence(seed=0, n=4, size=32):
     from srrnet.synth import SynthParams, generate_arrays
     frames, masks = generate_arrays(SynthParams(seed=seed, frames=n, size=size,
                                                 motion_amplitude=1.5))
-    return SequenceRecord(name="tiny", frames=frames, masks=masks)
+    return SequenceRecord(name="tiny", frames=frames, masks=masks, extent=(size, size))
 
 
 def test_train_is_deterministic(tmp_path):
@@ -880,7 +882,7 @@ def _desk64_training_record(attention_mode: str, steps: int = 3) -> list:
     from srrnet.nn import AdamW
     from srrnet.synth import SynthParams, generate_arrays
     frames, masks = generate_arrays(SynthParams(seed=5, frames=6, size=64, occlusion_prob=0.5))
-    sequence = SequenceRecord(name="pin", frames=frames, masks=masks)
+    sequence = SequenceRecord(name="pin", frames=frames, masks=masks, extent=(64, 64))
     model = build_model("desk", attention_mode=attention_mode, seed=2)
     schedule = TrainSchedule(video_iterations=steps, video_lr=1e-3, mask_dropout=0.3, seed=7)
     opt = AdamW(model.parameters(), lr=schedule.video_lr)
@@ -1002,7 +1004,8 @@ def test_train_schedule_accepts_range_ends():
 def test_train_refuses_a_crop_larger_than_either_extent(tmp_path, h, w):
     """A 64 crop of a 32 x 64 frame would draw its offset from an empty range."""
     frames = [np.zeros((3, h, w))] * 2
-    sequence = SequenceRecord(name="wide", frames=frames, masks=[np.zeros((1, h, w))] * 2)
+    sequence = SequenceRecord(name="wide", frames=frames, masks=[np.zeros((1, h, w))] * 2,
+                              extent=(h, w))
     model = build_model("desk", seed=1)
     before = [p.data.copy() for p in model.parameters()]
     with pytest.raises(ConfigurationError, match=f"crop 64 exceeds the {h}x{w} frame extent"):
